@@ -7,7 +7,7 @@ the reduced-cooperation baselines, a brute-force verification oracle,
 and a Monte-Carlo scenario harness with a CLI front end.
 """
 
-from .baselines import SchemeId, solve_comm_only, solve_energy_only, solve_no_coop
+from .baselines import solve_comm_only, solve_energy_only, solve_no_coop
 from .channel import (ClusterChannel, DegeneracyError, FeasibilityError,
                       ScenarioGeometry, ZfGains, generate_rayleigh,
                       pathloss_variance, per_bs_zf_gains,
@@ -26,7 +26,7 @@ __all__ = [
     "ClusterChannel", "DegeneracyError", "EnergyProfile", "EnergyState",
     "FeasibilityError", "InfeasibleError", "ProfileError", "ResultRow",
     "ResultTable", "Scenario", "ScenarioError", "ScenarioGeometry",
-    "SchemeId", "SchemeSpec", "Solution", "TransferModel", "ZfGains",
+    "SchemeSpec", "Solution", "TransferModel", "ZfGains",
     "as_beta_matrix", "available_power", "bs_budgets_at", "emit_results",
     "generate_rayleigh", "grid_neutrality_check", "grid_search_p1",
     "kkt_residual", "load_profiles", "load_scenario", "parse_results",

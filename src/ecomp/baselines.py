@@ -18,31 +18,11 @@ over draws, as in the shipped scenarios.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .channel import ClusterChannel, ZfGains, per_bs_zf_gains
 from .energy import EnergyState
 from .solver import Solution, solve_p1
-
-SCHEME_VARIANTS = ("joint", "comm_only", "energy_only", "none")
-
-
-@dataclass(frozen=True)
-class SchemeId:
-    """Which cooperation axes a scheme uses, plus the MT partition if any."""
-
-    variant: str
-    association: tuple[tuple[int, ...], ...] | None = None
-
-    def __post_init__(self):
-        if self.variant not in SCHEME_VARIANTS:
-            raise ValueError(f"unknown scheme variant {self.variant!r}")
-        needs_assoc = self.variant in ("energy_only", "none")
-        if needs_assoc != (self.association is not None):
-            raise ValueError("association is required exactly for the "
-                             "per-BS schemes (energy_only, none)")
 
 
 def solve_comm_only(gains: ZfGains, es: EnergyState, tol: float = 1e-9) -> Solution:

@@ -55,9 +55,11 @@ def as_beta_matrix(beta, n_bs: int) -> np.ndarray:
         if out.shape != (n_bs, n_bs):
             raise ValueError(f"beta matrix shape {out.shape} != {(n_bs, n_bs)}")
     np.fill_diagonal(out, 0.0)
-    off = ~np.eye(n_bs, dtype=bool)
-    if np.any(out[off] < 0) or np.any(out[off] > 1):
-        raise ValueError("transfer efficiencies must lie in [0, 1]")
+    # A scalar is checked even when N = 1 leaves no off-diagonal entry;
+    # NaN fails both comparisons.
+    vals = b if b.ndim == 0 else out[~np.eye(n_bs, dtype=bool)]
+    if not np.all((vals >= 0) & (vals <= 1)):
+        raise ValueError("transfer efficiencies must be finite and lie in [0, 1]")
     return out
 
 

@@ -19,14 +19,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baselines import solve_comm_only, solve_energy_only, solve_no_coop
-from .channel import (ScenarioGeometry, generate_rayleigh,
-                      strongest_channel_association, variance_matrix, zf_gains)
+from .channel import (DegeneracyError, FeasibilityError, ScenarioGeometry,
+                      generate_rayleigh, strongest_channel_association,
+                      variance_matrix, zf_gains)
 from .energy import EnergyState
 from .profiles import EnergyProfile, bs_budgets_at, load_profiles
 from .scenario import Scenario, SchemeSpec
-from .solver import solve_p1
+from .simplex import InfeasibleError
+from .solver import ConvergenceError, InvalidDualError, solve_p1
 
 RESULT_COLUMNS = ("sweep_key", "slot", "scheme", "beta", "mean_rate", "stderr", "n")
+
+# Failures a valid draw can meet; they are recorded per row.  Any other
+# exception is a bug and aborts the run.
+SOLVER_ERRORS = (DegeneracyError, FeasibilityError, ConvergenceError,
+                 InvalidDualError, InfeasibleError)
 
 # Three-cell geometry: equilateral triangle of stations 1 km apart whose
 # hexagonal cells tile the plane (apothem 500 m, circumradius 1000/sqrt(3)).
@@ -82,8 +89,8 @@ def _scheme_beta(spec: SchemeSpec) -> float:
 def _evaluate_instance(ch, variances, budgets, specs, weights):
     """Sum-rate of each scheme on one channel/energy draw.
 
-    Returns (rates dict, errors dict) keyed by scheme label; a failing
-    scheme is recorded and does not abort the other schemes.
+    Returns (rates dict, errors dict) keyed by scheme label; a scheme that
+    raises one of SOLVER_ERRORS is recorded and does not abort the others.
     """
     es = EnergyState(re=budgets)
     rates, errors = {}, {}
@@ -106,7 +113,7 @@ def _evaluate_instance(ch, variances, budgets, specs, weights):
                 else:
                     sol = solve_no_coop(ch, association, es, weights)
             rates[spec.label()] = sol.objective
-        except Exception as exc:  # recorded per-row, never fatal to the run
+        except SOLVER_ERRORS as exc:
             errors[spec.label()] = f"{type(exc).__name__}: {exc}"
     return rates, errors
 
@@ -301,8 +308,8 @@ def run_scenario(scenario: Scenario, profile: EnergyProfile = None) -> ResultTab
     """Run all sweep points and realizations of a scenario.
 
     Deterministic for a fixed scenario (seed included); per-realization
-    solver failures are recorded in ``table.errors`` and excluded from
-    the row aggregates rather than aborting the run.
+    solver failures (``SOLVER_ERRORS``) are recorded in ``table.errors``
+    and excluded from the row aggregates rather than aborting the run.
     """
     profile = _resolve_profile(scenario, profile)
     points = [(scenario, profile, pi) for pi in range(_n_points(scenario, profile))]

@@ -79,6 +79,8 @@ class Scenario:
         if not self.schemes:
             raise ScenarioError("scheme list must be nonempty")
         for spec in self.schemes:
+            if spec.variant not in DEFAULT_SCHEMES:
+                raise ScenarioError(f"unknown scheme {spec.variant!r}")
             for b in ([spec.beta] if spec.beta is not None else []):
                 if not 0.0 <= b <= 1.0:
                     raise ScenarioError(f"beta {b} outside [0, 1]")
@@ -116,14 +118,6 @@ class Scenario:
         if self.weights:
             return np.asarray(self.weights, dtype=float)
         return np.ones(self.n_mt)
-
-
-def _parse_bool(text: str) -> bool:
-    if text.lower() in ("true", "yes", "1"):
-        return True
-    if text.lower() in ("false", "no", "0"):
-        return False
-    raise ScenarioError(f"expected boolean, got {text!r}")
 
 
 def _parse_floats(text: str) -> tuple:

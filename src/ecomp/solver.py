@@ -12,12 +12,12 @@ transfer pattern is recovered from the optimal powers with a small LP.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ZfGains
-from .energy import EnergyState, TransferModel, as_beta_matrix
+from .energy import EnergyState, as_beta_matrix
 from .simplex import InfeasibleError, phase1_feasible
 
 LN2 = math.log(2.0)
@@ -82,11 +82,6 @@ def dual_power_alloc(gains: ZfGains, mu: DualState) -> np.ndarray:
     return np.maximum(gains.weights / (LN2 * s) - 1.0 / gains.a, 0.0)
 
 
-def dual_subgradient(gains: ZfGains, es: EnergyState, p: np.ndarray) -> np.ndarray:
-    """Subgradient of the dual function: per-BS budget minus spent power."""
-    return es.budget - gains.b @ np.asarray(p, dtype=float)
-
-
 def net_exchange(gains: ZfGains, p_star: np.ndarray, es: EnergyState) -> np.ndarray:
     """Per-BS power drawn from (+) or injected into (-) the grid."""
     return gains.b @ np.asarray(p_star, dtype=float) - es.budget
@@ -138,38 +133,55 @@ class _DualProblem:
             for gj, grp_j in enumerate(self.groups):
                 if gi != gj:
                     self.betag[gi, gj] = beta[np.ix_(grp_i, grp_j)].max()
+        self.edges = [(i, j, float(self.betag[i, j])) for i in range(self.n)
+                      for j in range(self.n) if i != j and self.betag[i, j] > 0]
+        self.inv_a = 1.0 / self.a
+
+    def _prices_powers(self, x: np.ndarray):
+        """Aggregate terminal prices and the water-filling powers at x."""
+        s = np.maximum(self.bg.T @ x, 1e-300)
+        return s, np.maximum(self.w / (LN2 * s) - self.inv_a, 0.0)
 
     def powers(self, x: np.ndarray) -> np.ndarray:
-        s = np.maximum(self.bg.T @ x, 1e-300)
-        return np.maximum(self.w / (LN2 * s) - 1.0 / self.a, 0.0)
+        return self._prices_powers(x)[1]
+
+    def value_and_subgradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """Dual value and subgradient (budget minus spent power) at x."""
+        s, p = self._prices_powers(x)
+        val = (self.w * np.log2(1.0 + self.a * p) - s * p).sum()
+        return float(val + x @ self.eg), self.eg - self.bg @ p
 
     def value(self, x: np.ndarray) -> float:
-        s = np.maximum(self.bg.T @ x, 1e-300)
-        p = np.maximum(self.w / (LN2 * s) - 1.0 / self.a, 0.0)
-        val = np.sum(self.w * np.log2(1.0 + self.a * p) - s * p)
-        return float(val + x @ self.eg)
+        return self.value_and_subgradient(x)[0]
 
     def subgradient(self, x: np.ndarray) -> np.ndarray:
         return self.eg - self.bg @ self.powers(x)
 
     def violated_cut(self, x: np.ndarray):
-        """Gradient of the most violated cone constraint, or None."""
+        """Gradient of the most violated cone constraint, or None.
+
+        Bounds x_i >= 0 come first and win ties.  Among the edges the
+        first strict maximum in row-major order wins, as numpy's argmax
+        over the pairs picks it; b * x_j - x_i rounds as numpy's
+        elementwise ops do.  Zero-efficiency pairs are left out: their
+        violation -x_i never exceeds the bound cut's.
+        """
+        xs = x.tolist()
         worst, cut = 0.0, None
-        for i in range(self.n):
-            if x[i] < -0.0 and -x[i] > worst:
-                worst = -x[i]
-                g = np.zeros(self.n)
-                g[i] = -1.0
-                cut = g
-        viol = self.betag * x[None, :] - x[:, None]
-        np.fill_diagonal(viol, -np.inf)
-        i, j = np.unravel_index(int(np.argmax(viol)), viol.shape)
-        if self.betag[i, j] > 0 and viol[i, j] > worst and viol[i, j] > 0:
-            g = np.zeros(self.n)
-            g[i] = -1.0
-            g[j] = self.betag[i, j]
-            cut = g
-        return cut
+        for i, xi in enumerate(xs):
+            if xi < -0.0 and -xi > worst:
+                worst, cut = -xi, (i, i, -1.0)      # gradient -e_i
+        for i, j, b in self.edges:
+            v = b * xs[j] - xs[i]
+            if v > worst:
+                worst, cut = v, (i, j, b)
+        if cut is None:
+            return None
+        i, j, b = cut
+        g = np.zeros(self.n)
+        g[j] = b
+        g[i] = -1.0
+        return g
 
     def expand(self, x: np.ndarray) -> np.ndarray:
         mu = np.empty(sum(len(g) for g in self.groups))
@@ -197,12 +209,14 @@ def _minimize_dual_1d(prob: _DualProblem, tol: float) -> tuple[float, int]:
     it = 0
     for it in range(200):
         mid = 0.5 * (lo + hi)
+        # Once the midpoint rounds onto a bound, no later step moves hi.
+        last = not lo < mid < hi
         g = prob.subgradient(np.array([mid]))[0]
         if g >= 0:
             hi = mid
         else:
             lo = mid
-        if hi - lo <= 1e-16 * max(hi, 1.0):
+        if last or hi - lo <= 1e-16 * max(hi, 1.0):
             break
     return hi, it + 1
 
@@ -220,10 +234,9 @@ def _minimize_dual_ellipsoid(prob: _DualProblem, tol: float,
         g = prob.violated_cut(x)
         objective_cut = g is None
         if objective_cut:
-            f = prob.value(x)
+            f, g = prob.value_and_subgradient(x)
             if f < best_f:
                 best_f, best_x = f, x.copy()
-            g = prob.subgradient(x)
         ag = a_mat @ g
         gag = float(g @ ag)
         if gag <= 0:
@@ -238,8 +251,8 @@ def _minimize_dual_ellipsoid(prob: _DualProblem, tol: float,
             break
         gn = ag / width
         x = x - gn / (n + 1)
-        a_mat = (n * n) / (n * n - 1.0) * (a_mat - (2.0 / (n + 1)) * np.outer(gn, gn))
-        a_mat = 0.5 * (a_mat + a_mat.T)
+        # gn_i * gn_j == gn_j * gn_i, so the update keeps a_mat exactly symmetric.
+        a_mat = (n * n) / (n * n - 1.0) * (a_mat - (2.0 / (n + 1)) * (gn[:, None] * gn))
     if best_x is None:
         best_x = np.maximum(x, 0.0)
     return best_x, it, converged
@@ -256,15 +269,13 @@ def _polish_dual(prob: _DualProblem, x0: np.ndarray) -> np.ndarray | None:
     """
     n = prob.n
     scale = max(float(np.max(x0)), 1e-12)
-    edges_all = [(g, h) for g in range(n) for h in range(n)
-                 if g != h and prob.betag[g, h] > 0]
     p0 = prob.powers(x0)
     active_p = set(np.where(p0 > 1e-8 * max(float(np.max(p0, initial=0.0)), 1.0))[0])
     free = set(np.where(x0 > 1e-7 * scale)[0])
     # Over-include nearly-active edges: spurious ones are pruned when their
     # flow comes out negative, while a missing edge leaves the balance
     # equations inconsistent and stalls the Newton iteration.
-    edges = [(g, h) for (g, h) in edges_all
+    edges = [(g, h) for (g, h, _) in prob.edges
              if prob.betag[g, h] * x0[h] - x0[g] > -1e-3 * scale]
 
     for _ in range(6):          # active-set adjustment rounds

@@ -41,6 +41,15 @@ def test_as_beta_matrix_validates_range_and_shape():
         as_beta_matrix(1.2, 2)
     with pytest.raises(ValueError):
         as_beta_matrix(np.ones((2, 3)), 2)
+    # NaN passes both range comparisons; a lone station has no off-diagonal
+    # entry to check, so its scalar must be checked as given.
+    nan_entry = np.array([[0.0, np.nan], [0.5, 0.0]])
+    for beta, n in ((np.nan, 2), (np.inf, 3), (nan_entry, 2), (5.0, 1), (-0.1, 1)):
+        with pytest.raises(ValueError):
+            as_beta_matrix(beta, n)
+    # Only off-diagonal entries are efficiencies; the diagonal is ignored.
+    assert as_beta_matrix(np.array([[np.nan, 0.3], [0.5, 7.0]]), 2)[0, 1] == 0.3
+    assert as_beta_matrix(1.0, 1).shape == (1, 1)
 
 
 def test_transfer_model_rejects_relay_dominated_efficiencies():

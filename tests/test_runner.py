@@ -5,9 +5,12 @@ import os
 
 import pytest
 
-from ecomp import scenario_from_mapping
+import numpy as np
+
+from ecomp import runner, scenario_from_mapping
 from ecomp.runner import (RESULT_COLUMNS, ResultRow, ResultTable,
                           emit_results, parse_results, run_scenario)
+from ecomp.solver import ConvergenceError
 
 
 def _micro_scenario(**overrides):
@@ -43,6 +46,34 @@ def test_worker_count_does_not_change_results(monkeypatch):
     monkeypatch.setenv("ECOMP_WORKERS", "2")
     parallel = run_scenario(sc)
     assert _as_tuples(serial) == _as_tuples(parallel)
+
+
+def test_solver_errors_are_recorded_and_other_errors_propagate(monkeypatch):
+    monkeypatch.setenv("ECOMP_WORKERS", "1")
+    sc = _micro_scenario()
+    real_solve = runner.solve_p1
+    calls = []
+
+    def fail_once(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise ConvergenceError("dual not converged after 7 cuts", np.ones(2))
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "solve_p1", fail_once)
+    table = run_scenario(sc)
+    first = table.rows[0]
+    assert table.errors == [(f"{first.sweep_key}/-1/{first.scheme}",
+                             "ConvergenceError: dual not converged after 7 cuts")]
+    assert first.n == sc.n_realizations - 1
+    assert all(row.n == sc.n_realizations for row in table.rows[1:])
+
+    def broken(*args, **kwargs):
+        raise TypeError("bad argument")
+
+    monkeypatch.setattr(runner, "solve_p1", broken)
+    with pytest.raises(TypeError, match="bad argument"):
+        run_scenario(sc)
 
 
 def test_rows_cover_every_point_and_scheme_in_order():

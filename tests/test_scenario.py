@@ -123,6 +123,13 @@ def test_validation_rejects_bad_beta_and_skew():
         scenario_from_mapping({"kind": "two_cell_random",
                                "energy_db": "0, 10", "schemes": "joint",
                                "budget_skew": "2.5"})
+    for schemes in ("jiont@0.9, none", "joint, Joint", "nnoe"):
+        with pytest.raises(ScenarioError, match="unknown scheme"):
+            scenario_from_mapping({"kind": "two_cell_random",
+                                   "energy_db": "0, 10", "schemes": schemes})
+    with pytest.raises(ScenarioError, match="unknown scheme"):
+        Scenario(kind="two_cell_random", n_bs=2, m_ant=1, n_mt=2,
+                 schemes=(SchemeSpec("comm-only"),), energy_db=(0.0, 10.0))
 
 
 def test_kind_defaults_are_applied():

@@ -1,5 +1,7 @@
 """Joint power-allocation and energy-transfer solver."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,8 @@ from ecomp import (
     waterfill_sum_power,
     zf_gains,
 )
+from ecomp.solver import (_DualProblem, _minimize_dual_1d,
+                          _minimize_dual_ellipsoid)
 
 
 def _instance(seed, n_bs=2, m_ant=1, n_mt=2, e_hi=30.0):
@@ -156,3 +160,199 @@ def test_rates_and_objective_are_consistent():
                                g.weights * np.log2(1.0 + g.a * sol.p),
                                rtol=1e-12)
     assert sol.objective == pytest.approx(float(np.sum(sol.rates)))
+
+
+# ---------------------------------------------------------------------------
+# The dual oracle and its loops against plain numpy references.  The
+# solver computes every value with the same numpy call on the same operands
+# as these references, so results must match bit for bit (==, not approx).
+
+LN2 = math.log(2.0)
+
+
+def _ref_prices_powers(prob, x):
+    s = np.maximum(prob.bg.T @ x, 1e-300)
+    return s, np.maximum(prob.w / (LN2 * s) - 1.0 / prob.a, 0.0)
+
+
+def _ref_value(prob, x):
+    s, p = _ref_prices_powers(prob, x)
+    val = np.sum(prob.w * np.log2(1.0 + prob.a * p) - s * p)
+    return float(val + x @ prob.eg)
+
+
+def _ref_subgradient(prob, x):
+    return prob.eg - prob.bg @ _ref_prices_powers(prob, x)[1]
+
+
+def _ref_violated_cut(prob, x):
+    """Most violated bound, else the argmax over all off-diagonal pairs."""
+    worst, cut = 0.0, None
+    for i in range(prob.n):
+        if x[i] < -0.0 and -x[i] > worst:
+            worst = -x[i]
+            cut = np.zeros(prob.n)
+            cut[i] = -1.0
+    viol = prob.betag * x[None, :] - x[:, None]
+    np.fill_diagonal(viol, -np.inf)
+    i, j = np.unravel_index(int(np.argmax(viol)), viol.shape)
+    if prob.betag[i, j] > 0 and viol[i, j] > worst and viol[i, j] > 0:
+        cut = np.zeros(prob.n)
+        cut[i] = -1.0
+        cut[j] = prob.betag[i, j]
+    return cut
+
+
+def _ref_ellipsoid(prob, tol, max_iter):
+    n = prob.n
+    x = np.ones(n)
+    r = prob.radius()
+    a_mat = (r * r) * np.eye(n)
+    best_x, best_f = None, np.inf
+    converged = False
+    for it in range(1, max_iter + 1):
+        g = _ref_violated_cut(prob, x)
+        objective_cut = g is None
+        if objective_cut:
+            f = _ref_value(prob, x)
+            if f < best_f:
+                best_f, best_x = f, x.copy()
+            g = _ref_subgradient(prob, x)
+        ag = a_mat @ g
+        gag = float(g @ ag)
+        if gag <= 0:
+            converged = best_x is not None
+            break
+        width = math.sqrt(gag)
+        if objective_cut and width <= tol:
+            converged = True
+            break
+        if width <= 1e-18:
+            converged = best_x is not None
+            break
+        gn = ag / width
+        x = x - gn / (n + 1)
+        a_mat = (n * n) / (n * n - 1.0) * (a_mat - (2.0 / (n + 1)) * np.outer(gn, gn))
+        a_mat = 0.5 * (a_mat + a_mat.T)
+    if best_x is None:
+        best_x = np.maximum(x, 0.0)
+    return best_x, it, converged
+
+
+def _ref_bisection(prob, tol):
+    hi = max(float(np.max(prob.w * prob.a / (LN2 * np.maximum(prob.bg[0], 1e-12)))), 1.0)
+    lo = min(tol, 1e-12) * 1e-3
+    for it in range(200):
+        mid = 0.5 * (lo + hi)
+        if _ref_subgradient(prob, np.array([mid]))[0] >= 0:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= 1e-16 * max(hi, 1.0):
+            break
+    return hi, it + 1
+
+
+def _dual_problems(count):
+    """Seeded reduced duals: N in 2..6, K in [N, 2N], scalar and matrix beta.
+
+    Matrix betas hold 0 and 1 entries, and every third one a mutual 1 pair,
+    so that some stations merge into one dual variable.
+    """
+    for seed in range(count):
+        rng = np.random.default_rng([seed, 55])
+        n = 2 + seed % 5
+        k = int(rng.integers(n, 2 * n + 1))
+        g, es = _instance(100 + seed, n_bs=n, m_ant=2, n_mt=k)
+        if seed % 2:
+            beta = (0.0, 0.5, 0.9, float(rng.uniform()))[seed // 2 % 4]
+        else:
+            beta = rng.uniform(size=(n, n))
+            u = rng.random((n, n))
+            beta[u < 0.2] = 0.0
+            beta[u > 0.8] = 1.0
+            if seed % 3 == 0:
+                beta[0, 1] = beta[1, 0] = 1.0
+        yield _DualProblem(g, es, as_beta_matrix(beta, n))
+
+
+def _probe_points(prob, rng):
+    """Prices inside and outside the cone: negatives, ties, +-0.0, 0/1 entries."""
+    n = prob.n
+    pts = [rng.uniform(0.0, 2.0, n), rng.normal(size=n), np.full(n, 0.7),
+           -np.full(n, 0.3), rng.integers(0, 2, n).astype(float),
+           np.where(rng.random(n) < 0.5, -0.0, 0.0), np.ones(n)]
+    tied = rng.uniform(0.1, 1.0, n)
+    tied[n // 2:] = tied[0]
+    pts.append(tied)
+    # Points on cone edges: x_i = betag_ij * x_j exactly.
+    for i, j, b in prob.edges[:3]:
+        x = rng.uniform(0.1, 1.0, n)
+        x[i] = b * x[j]
+        pts.append(x)
+    return pts
+
+
+def test_dual_oracle_matches_the_numpy_reference_bit_for_bit():
+    rng = np.random.default_rng(2026)
+    merged = 0
+    for prob in _dual_problems(40):
+        merged += prob.n < sum(len(grp) for grp in prob.groups)
+        for x in _probe_points(prob, rng):
+            s_ref, p_ref = _ref_prices_powers(prob, x)
+            assert np.array_equal(prob.powers(x), p_ref)
+            assert prob.value(x) == _ref_value(prob, x)
+            assert np.array_equal(prob.subgradient(x), _ref_subgradient(prob, x))
+            val, sub = prob.value_and_subgradient(x)
+            assert val == _ref_value(prob, x)
+            assert np.array_equal(sub, _ref_subgradient(prob, x))
+            cut, ref = prob.violated_cut(x), _ref_violated_cut(prob, x)
+            assert (cut is None) == (ref is None)
+            if ref is not None:
+                assert np.array_equal(cut, ref)
+    assert merged > 0
+
+
+def test_violated_cut_keeps_the_argmax_rule_on_ties_and_zero_pairs():
+    # Few distinct values make ties between bounds and edges common.
+    rng = np.random.default_rng(7)
+    beta = np.array([[0.0, 0.0, 0.5, 1.0],
+                     [0.0, 0.0, 0.5, 0.0],
+                     [0.5, 0.5, 0.0, 0.0],
+                     [0.5, 0.0, 0.0, 0.0]])
+    g, es = _instance(300, n_bs=4, m_ant=2, n_mt=5)
+    prob = _DualProblem(g, es, beta)
+    assert prob.n == 4
+    for _ in range(3000):
+        x = rng.choice([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0], size=4)
+        cut, ref = prob.violated_cut(x), _ref_violated_cut(prob, x)
+        assert (cut is None) == (ref is None)
+        if ref is not None:
+            assert np.array_equal(cut, ref)
+
+
+def test_ellipsoid_matches_the_numpy_reference_bit_for_bit():
+    tried = 0
+    for prob in _dual_problems(10):
+        if prob.n < 2:
+            continue
+        tried += 1
+        max_iter = 5000 * prob.n * prob.n
+        x, cuts, converged = _minimize_dual_ellipsoid(prob, 1e-9, max_iter)
+        x_ref, cuts_ref, converged_ref = _ref_ellipsoid(prob, 1e-9, max_iter)
+        assert np.array_equal(x, x_ref)
+        assert (cuts, converged) == (cuts_ref, converged_ref)
+    assert tried >= 5
+
+
+def test_bisection_stops_at_its_last_float_with_the_same_bits():
+    for n in range(1, 7):
+        g, es = _instance(200 + n, n_bs=n, m_ant=2, n_mt=n + 1)
+        for scale in (1e-4, 1.0, 1e4):
+            prob = _DualProblem(g, EnergyState(re=es.budget * scale),
+                                as_beta_matrix(1.0, n))
+            assert prob.n == 1
+            hi, steps = _minimize_dual_1d(prob, 1e-9)
+            hi_ref, steps_ref = _ref_bisection(prob, 1e-9)
+            assert hi == hi_ref
+            assert steps <= steps_ref and steps < 200
