@@ -13,11 +13,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-import tempfile
 
 from .energy import power_region_boundary
 from .profiles import ProfileError
-from .runner import RESULT_COLUMNS, emit_results, run_scenario
+from .runner import emit_results, run_scenario, write_results
 from .scenario import ScenarioError, load_scenario
 
 
@@ -48,16 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_or_print(table, out, fmt):
-    if out is not None:
-        emit_results(table, out, fmt)
-        return
-    with tempfile.NamedTemporaryFile("r+", suffix=f".{fmt}") as tmp:
-        emit_results(table, tmp.name, fmt)
-        tmp.seek(0)
-        sys.stdout.write(tmp.read())
-
-
 def _cmd_run(args) -> int:
     scenario = load_scenario(args.scenario)
     overrides = {}
@@ -68,7 +57,10 @@ def _cmd_run(args) -> int:
     if overrides:
         scenario = dataclasses.replace(scenario, **overrides)
     table = run_scenario(scenario)
-    _emit_or_print(table, args.out, args.format)
+    if args.out is None:
+        write_results(table, sys.stdout, args.format)
+    else:
+        emit_results(table, args.out, args.format)
     for context, message in table.errors:
         print(f"warning: {context}: {message}", file=sys.stderr)
     return 0

@@ -1,15 +1,15 @@
-"""Per-BS energy budgets and the inter-BS energy transfer model.
+"""Per-BS energy budgets, transfer efficiencies and the two-BS power region.
 
 Each BS i has a transmit budget E_i = RE_i + G - P_C from its renewable
 rate plus a constant grid draw.  BSs may exchange energy through the grid:
 BS i injects e_ij and BS j may draw beta_ij * e_ij, the rest is network
-loss.  The aggregate injected power always equals drawn plus lost, so the
-exchange is grid neutral.
+loss.  ``as_beta_matrix`` expands and validates the efficiencies once;
+the solver finds the transfer pattern itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,17 +21,16 @@ class EnergyState:
     re: np.ndarray           # per-BS renewable rate
     grid: float = 0.0        # constant grid draw G
     circuit: float = 0.0     # constant non-transmission power P_C
-    pa_eff: float = 1.0      # PA efficiency; the solver assumes 1
 
     def __post_init__(self):
         re = np.atleast_1d(np.asarray(self.re, dtype=float))
         object.__setattr__(self, "re", re)
+        if not np.all(np.isfinite(np.append(re, [self.grid, self.circuit]))):
+            raise ValueError("renewable rates, grid draw and circuit power must be finite")
         if np.any(re < 0):
             raise ValueError("renewable rates must be nonnegative")
         if self.grid < self.circuit:
             raise ValueError("grid draw G must cover the circuit power P_C")
-        if not 0.0 < self.pa_eff <= 1.0:
-            raise ValueError("PA efficiency must lie in (0, 1]")
         if np.any(self.budget < 0):
             raise ValueError("transmit budgets must be nonnegative")
 
@@ -61,63 +60,6 @@ def as_beta_matrix(beta, n_bs: int) -> np.ndarray:
     if not np.all((vals >= 0) & (vals <= 1)):
         raise ValueError("transfer efficiencies must be finite and lie in [0, 1]")
     return out
-
-
-@dataclass(frozen=True)
-class TransferModel:
-    """Pairwise transfer efficiencies and a (possibly solved) transfer pattern."""
-
-    beta: np.ndarray
-    e: np.ndarray = None
-
-    def __post_init__(self):
-        n = np.asarray(self.beta).shape[0] if np.asarray(self.beta).ndim else None
-        if n is None:
-            raise ValueError("TransferModel needs a full beta matrix; "
-                             "use as_beta_matrix for scalars")
-        beta = as_beta_matrix(self.beta, n)
-        object.__setattr__(self, "beta", beta)
-        e = np.zeros((n, n)) if self.e is None else np.asarray(self.e, dtype=float)
-        object.__setattr__(self, "e", e)
-        if e.shape != (n, n) or np.any(e < 0) or np.any(np.diag(e) != 0):
-            raise ValueError("transfers must be nonnegative with zero diagonal")
-        off = ~np.eye(n, dtype=bool)
-        if n >= 3 and np.all((beta[off] > 0) & (beta[off] < 1)):
-            # Relaying through a third BS must be strictly lossier.
-            for i in range(n):
-                for j in range(n):
-                    if i == j:
-                        continue
-                    for m in range(n):
-                        if m in (i, j):
-                            continue
-                        if beta[i, j] <= beta[i, m] * beta[m, j]:
-                            raise ValueError(
-                                f"beta[{i},{j}] must exceed the relayed "
-                                f"efficiency beta[{i},{m}]*beta[{m},{j}]")
-
-    @property
-    def n_bs(self) -> int:
-        return self.beta.shape[0]
-
-
-def available_power(es: EnergyState, tm: TransferModel, i: int) -> float:
-    """Transmit power available at BS i under the transfer pattern.
-
-    May be negative, which signals an infeasible pattern; the solver's LP
-    is responsible for feasibility.
-    """
-    inflow = float(tm.beta[:, i] @ tm.e[:, i])
-    outflow = float(np.sum(tm.e[i, :]))
-    return es.pa_eff * (float(es.budget[i]) + inflow - outflow)
-
-
-def grid_neutrality_check(tm: TransferModel) -> tuple[float, float, float]:
-    """Return (injected, drawn, lost) aggregate powers; injected = drawn + lost."""
-    injected = float(np.sum(tm.e))
-    drawn = float(np.sum(tm.beta * tm.e))
-    lost = float(np.sum((1.0 - tm.beta) * tm.e))
-    return injected, drawn, lost
 
 
 def power_region_boundary(budgets, beta, n_samples: int = 101) -> np.ndarray:

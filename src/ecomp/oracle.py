@@ -218,7 +218,7 @@ def kkt_residual(solution: Solution, gains: ZfGains, es: EnergyState, beta,
     bm = as_beta_matrix(beta, es.n_bs)
     p = solution.p
     e = solution.e
-    mu = solution.mu.mu
+    mu = solution.mu
     w = gains.weights * bandwidth
     s = gains.b.T @ mu
 

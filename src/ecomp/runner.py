@@ -337,21 +337,26 @@ def _format_value(value) -> str:
     return str(value)
 
 
+def write_results(table: ResultTable, fh, fmt: str = "csv") -> None:
+    """Write a result table to an open text stream as CSV or JSON lines."""
+    if fmt == "csv":
+        fh.write(",".join(RESULT_COLUMNS) + "\n")
+        for row in table.rows:
+            fh.write(",".join(_format_value(v) for v in row.as_tuple()) + "\n")
+    else:
+        for row in table.rows:
+            record = {col: (float(f"{val:.9g}") if isinstance(val, float) else val)
+                      for col, val in zip(RESULT_COLUMNS, row.as_tuple())}
+            fh.write(json.dumps(record) + "\n")
+
+
 def emit_results(table: ResultTable, path, fmt: str = "csv") -> None:
     """Write a result table as CSV or JSON lines with stable columns."""
     if fmt not in ("csv", "jsonl"):
         raise ValueError(f"unknown format {fmt!r}")
     try:
         with open(path, "w") as fh:
-            if fmt == "csv":
-                fh.write(",".join(RESULT_COLUMNS) + "\n")
-                for row in table.rows:
-                    fh.write(",".join(_format_value(v) for v in row.as_tuple()) + "\n")
-            else:
-                for row in table.rows:
-                    record = {col: (float(f"{val:.9g}") if isinstance(val, float) else val)
-                              for col, val in zip(RESULT_COLUMNS, row.as_tuple())}
-                    fh.write(json.dumps(record) + "\n")
+            write_results(table, fh, fmt)
     except OSError as exc:
         raise OSError(f"cannot write results to {path}: {exc}") from exc
 

@@ -8,7 +8,7 @@ schema and one example per scenario kind.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,6 +69,10 @@ class Scenario:
     def __post_init__(self):
         if self.kind not in SCENARIO_KINDS:
             raise ScenarioError(f"unknown scenario kind {self.kind!r}")
+        for name, value in vars(self).items():
+            if name != "schemes" and not isinstance(value, str) \
+                    and not np.all(np.isfinite(np.asarray(value, dtype=float))):
+                raise ScenarioError(f"{name} must be finite")
         for name in ("n_bs", "m_ant", "n_mt", "n_realizations",
                      "sweep_points", "slot_stride"):
             if int(getattr(self, name)) <= 0:

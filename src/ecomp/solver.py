@@ -7,6 +7,8 @@ each BS budget with a multiplier mu_i, the per-terminal power allocation
 has a water-filling closed form, the dual is minimized with the ellipsoid
 method over the cone {mu >= 0, beta_ij mu_j <= mu_i}, and a feasible
 transfer pattern is recovered from the optimal powers with a small LP.
+``solve_p1`` is one pass of array stages: normalize, dual, powers,
+transfers, certificate.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ FLOW_FLOOR = 1e-11
 
 
 class InvalidDualError(ValueError):
-    """Dual point violates the boundedness conditions (e.g. all-zero mu)."""
+    """Dual prices leave some terminal with a zero aggregate price."""
 
 
 class ConvergenceError(RuntimeError):
@@ -40,31 +42,12 @@ class ConvergenceError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class DualState:
-    """Per-BS dual prices of the power constraints."""
-
-    mu: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "mu", np.atleast_1d(np.asarray(self.mu, dtype=float)))
-
-    def validate(self, beta=None, tol: float = 1e-10):
-        mu = self.mu
-        if np.any(mu < -tol) or np.all(mu <= tol):
-            raise InvalidDualError("dual prices must be nonnegative, not all zero")
-        if beta is not None:
-            bm = as_beta_matrix(beta, mu.size)
-            if np.max(bm * mu[None, :] - mu[:, None]) > tol:
-                raise InvalidDualError("dual prices violate the transfer cone")
-
-
-@dataclass(frozen=True)
 class Solution:
     """Primal/dual solution of the joint cooperation problem."""
 
     p: np.ndarray              # per-MT transmit powers
     e: np.ndarray              # N x N transfer pattern
-    mu: DualState
+    mu: np.ndarray             # per-BS dual prices of the power constraints
     rates: np.ndarray          # per-MT rates (bps/Hz, bandwidth share included)
     objective: float           # weighted sum rate
     net_exchange: np.ndarray   # per-BS grid draw (+) / injection (-)
@@ -73,18 +56,13 @@ class Solution:
     iterations: int
 
 
-def dual_power_alloc(gains: ZfGains, mu: DualState) -> np.ndarray:
+def dual_power_alloc(a: np.ndarray, b: np.ndarray, w: np.ndarray,
+                     mu: np.ndarray) -> np.ndarray:
     """Water-filling powers maximizing the Lagrangian at fixed prices."""
-    mu.validate()
-    s = gains.b.T @ mu.mu
+    s = b.T @ mu
     if np.any(s <= 0):
         raise InvalidDualError("some terminal sees a zero aggregate price")
-    return np.maximum(gains.weights / (LN2 * s) - 1.0 / gains.a, 0.0)
-
-
-def net_exchange(gains: ZfGains, p_star: np.ndarray, es: EnergyState) -> np.ndarray:
-    """Per-BS power drawn from (+) or injected into (-) the grid."""
-    return gains.b @ np.asarray(p_star, dtype=float) - es.budget
+    return np.maximum(w / (LN2 * s) - 1.0 / a, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -120,13 +98,14 @@ def _merge_lossless_groups(beta: np.ndarray) -> list[list[int]]:
 class _DualProblem:
     """Reduced dual problem over merged BS groups."""
 
-    def __init__(self, gains: ZfGains, es: EnergyState, beta: np.ndarray):
+    def __init__(self, a: np.ndarray, b: np.ndarray, w: np.ndarray,
+                 budget: np.ndarray, beta: np.ndarray):
         self.groups = _merge_lossless_groups(beta)
         self.n = len(self.groups)
-        self.w = gains.weights
-        self.a = gains.a
-        self.bg = np.array([gains.b[g].sum(axis=0) for g in self.groups])
-        self.eg = np.array([es.budget[g].sum() for g in self.groups])
+        self.w = w
+        self.a = a
+        self.bg = np.array([b[g].sum(axis=0) for g in self.groups])
+        self.eg = np.array([budget[g].sum() for g in self.groups])
         # Cross-group cone constraints keep the tightest (largest) efficiency.
         self.betag = np.zeros((self.n, self.n))
         for gi, grp_i in enumerate(self.groups):
@@ -405,28 +384,21 @@ def _polish_dual(prob: _DualProblem, x0: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def solve_dual(gains: ZfGains, es: EnergyState, beta, tol: float = 1e-9,
-               max_iter: int | None = None) -> DualState:
-    """Minimize the dual function over the transfer cone (ellipsoid method)."""
-    mu, _, it, converged = _solve_dual(gains, es, beta, tol, max_iter)
-    if not converged:
-        raise ConvergenceError(f"dual not converged after {it} cuts", mu)
-    return DualState(mu=mu)
-
-
-def _solve_dual(gains, es, beta, tol, max_iter):
-    bm = as_beta_matrix(beta, es.n_bs)
-    prob = _DualProblem(gains, es, bm)
+def _solve_dual(prob: _DualProblem, tol: float,
+                max_iter: int | None) -> tuple[np.ndarray, int]:
+    """Reduced dual minimizer and its step count; raises ConvergenceError."""
     if prob.n == 1:
         t, it = _minimize_dual_1d(prob, tol)
-        return prob.expand(np.array([t])), prob, it, True
+        return np.array([t]), it
     if max_iter is None:
         max_iter = 5000 * prob.n * prob.n
     x, it, converged = _minimize_dual_ellipsoid(prob, tol, max_iter)
     polished = _polish_dual(prob, x)
     if polished is not None:
         x = polished
-    return prob.expand(x), prob, it, converged
+    if not converged:
+        raise ConvergenceError(f"dual not converged after {it} cuts", prob.expand(x))
+    return x, it
 
 
 # ---------------------------------------------------------------------------
@@ -470,57 +442,52 @@ def _cancel_bidirectional(e: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return np.maximum(e, 0.0)
 
 
-def recover_transfers(p_star, es: EnergyState, beta, gains: ZfGains | None = None,
-                      b: np.ndarray | None = None, tol: float = 1e-7) -> np.ndarray:
+def recover_transfers(p_star, budget: np.ndarray, beta: np.ndarray, b: np.ndarray,
+                      tol: float = 1e-7) -> np.ndarray:
     """Feasible transfer pattern for the optimal powers (phase-1 LP).
 
-    Finds e >= 0 with spent_i <= E_i + sum_j beta_ji e_ji - sum_j e_ij at
-    every BS, then reroutes any bidirectional flows away.  Raises
+    ``budget`` holds the per-BS budgets E_i, ``beta`` the N x N efficiency
+    matrix from ``as_beta_matrix`` and ``b`` the ZF power fractions.  Finds
+    e >= 0 with spent_i <= E_i + sum_j beta_ji e_ji - sum_j e_ij at every
+    BS, then reroutes any bidirectional flows away.  Raises
     InfeasibleError when no pattern covers the deficits, which signals
     that ``p_star`` is not primal optimal.
     """
-    if b is None:
-        b = gains.b
-    n = es.n_bs
-    bm = as_beta_matrix(beta, n)
-    deficit = b @ np.asarray(p_star, dtype=float) - es.budget
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j and bm[i, j] > 0]
+    n = budget.size
+    deficit = b @ np.asarray(p_star, dtype=float) - budget
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j and beta[i, j] > 0]
     if not pairs:
-        if np.max(deficit) > tol * max(1.0, float(np.max(es.budget, initial=1.0))):
+        if np.max(deficit) > tol * max(1.0, float(np.max(budget, initial=1.0))):
             raise InfeasibleError(float(np.max(deficit)))
         return np.zeros((n, n))
     # Row i: sum_j e_ij - sum_j beta_ji e_ji + slack_i = -deficit_i.
     a_eq = np.zeros((n, len(pairs) + n))
     for col, (i, j) in enumerate(pairs):
         a_eq[i, col] += 1.0
-        a_eq[j, col] -= bm[i, j]
+        a_eq[j, col] -= beta[i, j]
     a_eq[:, len(pairs):] = np.eye(n)
     x = phase1_feasible(a_eq, -deficit, tol=tol)
     e = np.zeros((n, n))
     for col, (i, j) in enumerate(pairs):
         e[i, j] = x[col]
-    return _cancel_bidirectional(e, bm)
+    return _cancel_bidirectional(e, beta)
 
 
 # ---------------------------------------------------------------------------
 # full pipeline
 
 
-def _forced_zero_terminals(gains: ZfGains, es: EnergyState,
-                           bm: np.ndarray) -> np.ndarray:
-    """Terminals whose power is pinned to zero by an unreachable budget.
+def _unreachable_stations(budget: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Stations no positive budget reaches, even over several hops.
 
-    A BS with zero budget and no (possibly multi-hop) inflow from a
-    positive-budget BS forces p_k = 0 for every terminal it must power.
+    Such a station forces p_k = 0 for every terminal it must power.
     """
-    n = es.n_bs
-    eff = bm.copy()
+    n = budget.size
+    eff = beta.copy()
     for m in range(n):          # best multi-hop transfer efficiency
         eff = np.maximum(eff, np.outer(eff[:, m], eff[m, :]))
         np.fill_diagonal(eff, 0.0)
-    reachable = es.budget + eff.T @ es.budget
-    dead = reachable <= 0.0
-    return np.any((gains.b > 1e-12) & dead[:, None], axis=0)
+    return budget + eff.T @ budget <= 0.0
 
 
 def solve_p1(gains: ZfGains, es: EnergyState, beta, tol: float = 1e-9,
@@ -533,44 +500,45 @@ def solve_p1(gains: ZfGains, es: EnergyState, beta, tol: float = 1e-9,
     """
     if gains.n_bs != es.n_bs:
         raise ValueError("gains and energy state disagree on the BS count")
-    bm = as_beta_matrix(beta, es.n_bs)
-    k_all = gains.n_mt
-    w_eff = gains.weights * bandwidth
+    a, b, budget = gains.a, gains.b, es.budget
+    n, k_all = b.shape
+    bm = as_beta_matrix(beta, n)
+    w = gains.weights * bandwidth
+    dead = _unreachable_stations(budget, bm)
+    keep = ~np.any((b > 1e-12) & dead[:, None], axis=0)
 
-    zero_mask = _forced_zero_terminals(gains, es, bm)
-    keep = ~zero_mask
     p = np.zeros(k_all)
-    if not np.any(keep):
-        mu = DualState(mu=np.ones(es.n_bs))
-        zeros = np.zeros((es.n_bs, es.n_bs))
-        return Solution(p=p, e=zeros, mu=mu, rates=np.zeros(k_all), objective=0.0,
-                        net_exchange=-es.budget.copy(), dual_value=0.0,
-                        duality_gap=0.0, iterations=0)
+    e = np.zeros((n, n))
+    mu = np.zeros(n)
+    dual_value, iters = 0.0, 0
+    if np.any(keep):
+        # Normalize the budget scale: p = scale * q maps the problem onto
+        # one with O(1) budgets and gains a * scale, which keeps the
+        # absolute solver tolerances meaningful at any energy level.
+        scale = float(np.max(budget))
+        a_s, b_s, budget_s = a[keep] * scale, b[:, keep], budget / scale
+        prob = _DualProblem(a_s, b_s, w[keep], budget_s, bm)
+        x, iters = _solve_dual(prob, tol, max_iter)
+        mu_s = prob.expand(x)
+        q = np.zeros(k_all)
+        q[keep] = dual_power_alloc(a_s, b_s, w[keep], mu_s)
+        e = scale * recover_transfers(q, budget_s, bm, b, tol=max(tol, 1e-7))
+        p = scale * q
+        mu = mu_s / scale
+        dual_value = prob.value(x)
+    if np.any(dead):
+        # One common price on the unreachable stations: it prices every
+        # pinned terminal at least at its marginal rate at zero power, and
+        # it covers beta_ij mu_j toward each reachable j.  No positive-
+        # efficiency edge runs from a reachable station to an unreachable
+        # one, so the prices stay in the cone.
+        pinned = ~keep
+        cap = w[pinned] * a[pinned] / (LN2 * b[dead][:, pinned].max(axis=0))
+        mu[dead] = max(np.max(cap, initial=0.0),
+                       np.max(bm[dead][:, ~dead] * mu[~dead], initial=0.0))
 
-    # Normalize the budget scale: p = scale * q maps the problem onto one
-    # with O(1) budgets and gains a * scale, which keeps the absolute
-    # solver tolerances meaningful at any energy level.
-    scale = float(np.max(es.budget))
-    es_s = EnergyState(re=es.budget / scale)
-    sub = ZfGains(a=gains.a[keep] * scale, b=gains.b[:, keep],
-                  t_dir=gains.t_dir[keep], weights=w_eff[keep])
-    mu_vec, prob, iters, converged = _solve_dual(sub, es_s, bm, tol, max_iter)
-    if not converged:
-        raise ConvergenceError(f"dual not converged after {iters} cuts", mu_vec)
-
-    dual_s = DualState(mu=mu_vec)
-    q = np.zeros(k_all)
-    q[keep] = dual_power_alloc(sub, dual_s)
-    e = scale * recover_transfers(q, es_s, bm, b=gains.b, tol=max(tol, 1e-7))
-    p = scale * q
-    dual = DualState(mu=mu_vec / scale)
-
-    rates = bandwidth * np.log2(1.0 + gains.a * p)
+    rates = bandwidth * np.log2(1.0 + a * p)
     objective = float(gains.weights @ rates)
-    x_red = np.array([mu_vec[g[0]] for g in prob.groups])
-    dual_value = prob.value(x_red)
-    return Solution(p=p, e=e, mu=dual, rates=rates, objective=objective,
-                    net_exchange=net_exchange(gains, p, es),
-                    dual_value=dual_value,
-                    duality_gap=float(dual_value - objective),
-                    iterations=iters)
+    return Solution(p=p, e=e, mu=mu, rates=rates, objective=objective,
+                    net_exchange=b @ p - budget, dual_value=dual_value,
+                    duality_gap=float(dual_value - objective), iterations=iters)

@@ -183,9 +183,12 @@ def test_criterion_4_special_case_collapse():
     rng = np.random.default_rng(404)
     ch = generate_rayleigh(2, 1, 2, np.ones((2, 2)), rng)
     es = EnergyState(re=np.array([10.0, 0.0]))
-    sol = solve_p1(zf_gains(ch), es, beta=0.0)
+    g = zf_gains(ch)
+    sol = solve_p1(g, es, beta=0.0)
     assert sol.objective == 0.0
     assert np.all(sol.p == 0.0)
+    # The empty station's price certifies the zero powers.
+    assert kkt_residual(sol, g, es, beta=0.0) <= 1e-9
 
 
 def test_criterion_5_two_cell_energy_sweep():

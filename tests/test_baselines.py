@@ -6,6 +6,7 @@ import pytest
 from ecomp import (
     EnergyState,
     generate_rayleigh,
+    kkt_residual,
     per_bs_zf_gains,
     solve_comm_only,
     solve_energy_only,
@@ -71,7 +72,12 @@ def test_energy_only_pools_budgets_at_full_efficiency():
 
 
 def test_no_coop_with_empty_station_still_serves_the_other_cell():
-    ch, _, _, assoc = _instance(4)
-    es = EnergyState(re=np.array([10.0, 0.0]))
-    sol = solve_no_coop(ch, assoc, es)
-    assert sol.objective > 0.0
+    # The empty station's terminals are pinned to zero power; its price
+    # must still certify that, so the KKT check runs on per-BS gains.
+    for seed, n_bs, m_ant, n_mt in ((4, 2, 1, 2), (5, 3, 2, 5)):
+        ch, _, _, assoc = _instance(seed, n_bs, m_ant, n_mt)
+        es = EnergyState(re=np.array([10.0, 0.0, 10.0][:n_bs]))
+        sol = solve_no_coop(ch, assoc, es)
+        assert sol.objective > 0.0
+        gains = per_bs_zf_gains(ch, assoc)
+        assert kkt_residual(sol, gains, es, 0.0, bandwidth=1.0 / n_bs) <= 1e-9

@@ -61,6 +61,14 @@ def test_run_to_stdout(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == ",".join(RESULT_COLUMNS)
     assert len(lines) == 5
+    # Without --out the same bytes go to stdout, in either format.
+    for fmt in ("csv", "jsonl"):
+        out = tmp_path / f"out.{fmt}"
+        assert main(["run", _micro_path(tmp_path), "--format", fmt]) == 0
+        printed = capsys.readouterr().out
+        assert main(["run", _micro_path(tmp_path), "--format", fmt,
+                     "--out", str(out)]) == 0
+        assert printed.encode() == out.read_bytes()
 
 
 def test_run_overrides_seed_and_realizations(tmp_path):

@@ -5,10 +5,7 @@ import pytest
 
 from ecomp import (
     EnergyState,
-    TransferModel,
     as_beta_matrix,
-    available_power,
-    grid_neutrality_check,
     power_region_boundary,
 )
 
@@ -24,8 +21,12 @@ def test_energy_state_rejects_negative_supply():
         EnergyState(re=np.array([-1.0, 2.0]))
     with pytest.raises(ValueError):
         EnergyState(re=np.array([1.0]), grid=0.0, circuit=1.0)
-    with pytest.raises(ValueError):
-        EnergyState(re=np.array([1.0]), pa_eff=0.0)
+    nan, inf = float("nan"), float("inf")
+    for kwargs in ({"re": [1.0, nan]}, {"re": [inf]}, {"re": [1.0], "grid": nan},
+                   {"re": [1.0], "grid": inf, "circuit": inf},
+                   {"re": [1.0], "circuit": nan}):
+        with pytest.raises(ValueError, match="finite"):
+            EnergyState(**kwargs)
 
 
 def test_as_beta_matrix_scalar_expansion():
@@ -50,32 +51,6 @@ def test_as_beta_matrix_validates_range_and_shape():
     # Only off-diagonal entries are efficiencies; the diagonal is ignored.
     assert as_beta_matrix(np.array([[np.nan, 0.3], [0.5, 7.0]]), 2)[0, 1] == 0.3
     assert as_beta_matrix(1.0, 1).shape == (1, 1)
-
-
-def test_transfer_model_rejects_relay_dominated_efficiencies():
-    # A direct link may not be weaker than relaying through a third station.
-    beta = np.array([[0.0, 0.3, 0.9], [0.9, 0.0, 0.9], [0.9, 0.9, 0.0]])
-    with pytest.raises(ValueError):
-        TransferModel(beta=beta)
-
-
-def test_available_power_accounts_for_flows():
-    beta = as_beta_matrix(0.5, 2)
-    e = np.array([[0.0, 4.0], [0.0, 0.0]])
-    tm = TransferModel(beta=beta, e=e)
-    es = EnergyState(re=np.array([10.0, 3.0]))
-    assert available_power(es, tm, 0) == pytest.approx(6.0)   # sent 4
-    assert available_power(es, tm, 1) == pytest.approx(5.0)   # received 2
-
-
-def test_grid_neutrality_balances_injection_draw_and_loss():
-    beta = as_beta_matrix(0.6, 3)
-    e = np.array([[0.0, 2.0, 1.0], [0.0, 0.0, 0.5], [0.0, 0.0, 0.0]])
-    tm = TransferModel(beta=beta, e=e)
-    injected, drawn, lost = grid_neutrality_check(tm)
-    assert injected == pytest.approx(3.5)
-    assert drawn + lost == pytest.approx(injected)
-    assert drawn == pytest.approx(0.6 * 3.5)
 
 
 def test_power_region_contains_the_no_transfer_corner():

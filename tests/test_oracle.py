@@ -13,7 +13,7 @@ from ecomp import (
     waterfill_sum_power,
     zf_gains,
 )
-from ecomp.solver import DualState, Solution
+from ecomp.solver import Solution
 
 
 def _gains(a, b, weights=None):

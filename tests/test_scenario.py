@@ -112,6 +112,21 @@ def test_validation_rejects_bad_shapes():
     with pytest.raises(ScenarioError):
         Scenario(kind="two_cell_random", n_bs=2, m_ant=1, n_mt=2,
                  schemes=(SchemeSpec("joint", 0.9),), energy_db=(10.0, 0.0))
+    # Every float field must be finite: NaN slips past the range checks.
+    nan, inf = float("nan"), float("inf")
+    sweep = {"kind": "two_cell_sweep", "betas": "0.5"}
+    for key, raw in (("sum_energy", "nan"), ("noise", "nan"), ("noise", "inf"),
+                     ("cross_gain", "nan"), ("weights", "1, nan")):
+        with pytest.raises(ScenarioError, match=f"{key} must be finite"):
+            scenario_from_mapping({**sweep, key: raw})
+    for key, raw in (("ebar_dbw", "nan"), ("ebar_dbw", "-inf"),
+                     ("mixes", "1:nan; 1:1; 1:1")):
+        with pytest.raises(ScenarioError, match=f"{key} must be finite"):
+            scenario_from_mapping({"kind": "three_cell_profile", key: raw})
+    for energy_db in ((0.0, nan), (0.0, inf)):
+        with pytest.raises(ScenarioError, match="energy_db must be finite"):
+            Scenario(kind="two_cell_random", n_bs=2, m_ant=1, n_mt=2,
+                     schemes=(SchemeSpec("joint", 0.9),), energy_db=energy_db)
 
 
 def test_validation_rejects_bad_beta_and_skew():

@@ -13,7 +13,6 @@ from ecomp import (
     grid_search_p1,
     kkt_residual,
     recover_transfers,
-    solve_dual,
     solve_p1,
     waterfill_sum_power,
     zf_gains,
@@ -104,6 +103,8 @@ def test_isolated_zero_budget_station_kills_the_rate():
     sol = solve_p1(g, es, 0.0)
     assert sol.objective == 0.0
     assert np.all(sol.p == 0.0)
+    # The empty station's price certifies that no terminal gains from power.
+    assert kkt_residual(sol, g, es, 0.0) <= 1e-9
 
 
 def test_transfers_rescue_the_zero_budget_station():
@@ -137,8 +138,7 @@ def test_weights_tilt_the_allocation():
 
 def test_dual_prices_satisfy_the_transfer_cone():
     g, es = _instance(10, n_bs=3, m_ant=2, n_mt=4)
-    dual = solve_dual(g, es, 0.8)
-    mu = dual.mu
+    mu = solve_p1(g, es, 0.8).mu
     bm = as_beta_matrix(0.8, 3)
     assert np.all(mu >= 0)
     assert np.all(bm * mu[None, :] - mu[:, None] <= 1e-8 * max(mu.max(), 1.0))
@@ -147,8 +147,8 @@ def test_dual_prices_satisfy_the_transfer_cone():
 def test_recover_transfers_balances_the_books():
     g, es = _instance(11)
     sol = solve_p1(g, es, 0.7)
-    e = recover_transfers(sol.p, es, 0.7, b=g.b)
     bm = as_beta_matrix(0.7, 2)
+    e = recover_transfers(sol.p, es.budget, bm, g.b)
     avail = es.budget + (bm * e).sum(axis=0) - e.sum(axis=1)
     assert np.all(g.b @ sol.p <= avail + 1e-7)
 
@@ -273,7 +273,7 @@ def _dual_problems(count):
             beta[u > 0.8] = 1.0
             if seed % 3 == 0:
                 beta[0, 1] = beta[1, 0] = 1.0
-        yield _DualProblem(g, es, as_beta_matrix(beta, n))
+        yield _DualProblem(g.a, g.b, g.weights, es.budget, as_beta_matrix(beta, n))
 
 
 def _probe_points(prob, rng):
@@ -321,7 +321,7 @@ def test_violated_cut_keeps_the_argmax_rule_on_ties_and_zero_pairs():
                      [0.5, 0.5, 0.0, 0.0],
                      [0.5, 0.0, 0.0, 0.0]])
     g, es = _instance(300, n_bs=4, m_ant=2, n_mt=5)
-    prob = _DualProblem(g, es, beta)
+    prob = _DualProblem(g.a, g.b, g.weights, es.budget, beta)
     assert prob.n == 4
     for _ in range(3000):
         x = rng.choice([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0], size=4)
@@ -349,7 +349,7 @@ def test_bisection_stops_at_its_last_float_with_the_same_bits():
     for n in range(1, 7):
         g, es = _instance(200 + n, n_bs=n, m_ant=2, n_mt=n + 1)
         for scale in (1e-4, 1.0, 1e4):
-            prob = _DualProblem(g, EnergyState(re=es.budget * scale),
+            prob = _DualProblem(g.a, g.b, g.weights, es.budget * scale,
                                 as_beta_matrix(1.0, n))
             assert prob.n == 1
             hi, steps = _minimize_dual_1d(prob, 1e-9)
