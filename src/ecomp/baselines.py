@@ -25,21 +25,21 @@ from .energy import EnergyState
 from .solver import Solution, solve_p1
 
 
-def solve_comm_only(gains: ZfGains, es: EnergyState, tol: float = 1e-9) -> Solution:
+def solve_comm_only(gains: ZfGains, es: EnergyState) -> Solution:
     """Cluster-wide ZF with no energy transfers (beta = 0)."""
-    return solve_p1(gains, es, beta=0.0, tol=tol)
+    return solve_p1(gains, es, beta=0.0)
 
 
 def solve_energy_only(ch: ClusterChannel, association, es: EnergyState, beta,
-                      weights=None, tol: float = 1e-9) -> Solution:
+                      weights=None) -> Solution:
     """Per-BS ZF over orthogonal 1/N band shares, with energy transfers."""
     gains = per_bs_zf_gains(ch, association, weights)
-    return solve_p1(gains, es, beta=beta, tol=tol, bandwidth=1.0 / ch.n_bs)
+    return solve_p1(gains, es, beta=beta, bandwidth=1.0 / ch.n_bs)
 
 
 def solve_no_coop(ch: ClusterChannel, association, es: EnergyState,
-                  weights=None, tol: float = 1e-9) -> Solution:
+                  weights=None) -> Solution:
     """Per-BS ZF, per-BS budgets, no transfers."""
-    sol = solve_energy_only(ch, association, es, beta=0.0, weights=weights, tol=tol)
+    sol = solve_energy_only(ch, association, es, beta=0.0, weights=weights)
     assert np.all(sol.e == 0.0)
     return sol

@@ -58,8 +58,10 @@ class ClusterChannel:
         if h.shape != (self.n_mt, self.m_ant * self.n_bs):
             raise ValueError(f"channel matrix has shape {h.shape}, "
                              f"expected {(self.n_mt, self.m_ant * self.n_bs)}")
-        if nv.shape != (self.n_mt,) or np.any(nv <= 0):
-            raise ValueError("noise_var must be positive, one entry per terminal")
+        if not np.all(np.isfinite(h)):
+            raise ValueError("channel matrix must be finite")
+        if nv.shape != (self.n_mt,) or not np.all(np.isfinite(nv) & (nv > 0)):
+            raise ValueError("noise_var must be positive and finite, one entry per terminal")
         if np.any(np.linalg.norm(h, axis=1) == 0.0):
             raise DegeneracyError("channel matrix has an all-zero row")
 
@@ -169,6 +171,14 @@ def _null_space(mat: np.ndarray, dim: int) -> np.ndarray:
     return vh[rank:].conj().T
 
 
+def _rate_weights(weights, k_mt: int) -> np.ndarray:
+    """Validated rate weights, all ones when ``weights`` is None."""
+    w = np.ones(k_mt) if weights is None else np.asarray(weights, dtype=float)
+    if w.shape != (k_mt,) or not np.all(np.isfinite(w) & (w > 0)):
+        raise ValueError("weights must be positive and finite, one per terminal")
+    return w
+
+
 def zf_gains(ch: ClusterChannel, weights=None) -> ZfGains:
     """Cooperative ZF precoding across all BSs of the cluster.
 
@@ -178,9 +188,7 @@ def zf_gains(ch: ClusterChannel, weights=None) -> ZfGains:
     norm of the direction's BS-i antenna block.
     """
     k_mt, mn = ch.h.shape
-    w = np.ones(k_mt) if weights is None else np.asarray(weights, dtype=float)
-    if w.shape != (k_mt,) or np.any(w <= 0):
-        raise ValueError("weights must be positive, one per terminal")
+    w = _rate_weights(weights, k_mt)
 
     a = np.empty(k_mt)
     b = np.empty((ch.n_bs, k_mt))
@@ -215,7 +223,7 @@ def per_bs_zf_gains(ch: ClusterChannel, association, weights=None) -> ZfGains:
     association indicator.
     """
     k_mt = ch.n_mt
-    w = np.ones(k_mt) if weights is None else np.asarray(weights, dtype=float)
+    w = _rate_weights(weights, k_mt)
     assoc = [list(g) for g in association]
     if len(assoc) != ch.n_bs:
         raise FeasibilityError("association must have one terminal set per BS")

@@ -162,6 +162,14 @@ def _parse_mixes(text: str) -> tuple:
     return tuple(mixes)
 
 
+def _convert(key: str, raw: str, convert):
+    """``convert(raw)``, with a failure reported as a ScenarioError on ``key``."""
+    try:
+        return convert(raw)
+    except (ValueError, OverflowError) as exc:
+        raise ScenarioError(f"{key}: {exc}") from None
+
+
 _KIND_DEFAULTS = {
     "two_cell_sweep": dict(n_bs=2, m_ant=1, n_mt=2, noise=1.0),
     "two_cell_random": dict(n_bs=2, m_ant=1, n_mt=2, noise=1.0),
@@ -181,31 +189,24 @@ def scenario_from_mapping(values: dict) -> Scenario:
         raise ScenarioError(f"unknown scenario kind {kind!r}")
     fields: dict = dict(_KIND_DEFAULTS[kind])
     fields["kind"] = kind
-    default_beta = float(values.pop("beta", 0.9))
-    fields["beta"] = default_beta
+    fields["beta"] = default_beta = _convert("beta", values.pop("beta", "0.9"), float)
 
     converters = {
         "n_bs": int, "m_ant": int, "n_mt": int, "n_realizations": int,
         "sweep_points": int, "slot_stride": int, "seed": int,
         "sum_energy": float, "ebar_dbw": float, "budget_skew": float,
-        "profile": str,
+        "noise": float, "profile": str,
         "betas": _parse_floats, "weights": _parse_floats,
         "energy_db": _parse_floats,
         "mixes": _parse_mixes,
+        "schemes": lambda raw: _parse_schemes(raw, default_beta),
+        "noise_dbm": lambda raw: 10.0 ** ((float(raw) - 30.0) / 10.0),
+        "cross_gain": lambda raw: "random" if raw.strip() == "random" else float(raw),
     }
     for key, raw in values.items():
-        if key == "schemes":
-            fields["schemes"] = _parse_schemes(raw, default_beta)
-        elif key == "noise_dbm":
-            fields["noise"] = 10.0 ** ((float(raw) - 30.0) / 10.0)
-        elif key == "noise":
-            fields["noise"] = float(raw)
-        elif key == "cross_gain":
-            fields["cross_gain"] = "random" if raw.strip() == "random" else float(raw)
-        elif key in converters:
-            fields[key] = converters[key](raw)
-        else:
+        if key not in converters:
             raise ScenarioError(f"unknown scenario key {key!r}")
+        fields["noise" if key == "noise_dbm" else key] = _convert(key, raw, converters[key])
 
     if "schemes" not in fields:
         if kind == "two_cell_sweep":

@@ -69,30 +69,26 @@ def dual_power_alloc(a: np.ndarray, b: np.ndarray, w: np.ndarray,
 # dual minimization
 
 
+def _best_paths(eff: np.ndarray) -> np.ndarray:
+    """Best multi-hop efficiency between all station pairs, zero diagonal."""
+    for m in range(eff.shape[0]):
+        eff = np.maximum(eff, eff[:, m, None] * eff[m])
+        np.fill_diagonal(eff, 0.0)
+    return eff
+
+
 def _merge_lossless_groups(beta: np.ndarray) -> list[list[int]]:
-    """Union BSs connected by loss-free transfers in both directions.
+    """Stations joined by chains of loss-free transfers in both directions.
 
     beta_ij = beta_ji = 1 forces mu_i = mu_j in the dual cone, which makes
     the feasible set lower-dimensional; collapsing those BSs into one dual
-    variable keeps the ellipsoid method well posed.
+    variable keeps the ellipsoid method well posed.  Groups come in
+    ascending order of their first member.
     """
-    n = beta.shape[0]
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if beta[i, j] >= 1.0 and beta[j, i] >= 1.0:
-                parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return sorted(groups.values())
+    linked = _best_paths(((beta >= 1.0) & (beta.T >= 1.0)).astype(float)) > 0
+    np.fill_diagonal(linked, True)
+    rows = {tuple(j for j, on in enumerate(row) if on) for row in linked.tolist()}
+    return [list(g) for g in sorted(rows)]
 
 
 class _DualProblem:
@@ -102,16 +98,17 @@ class _DualProblem:
                  budget: np.ndarray, beta: np.ndarray):
         self.groups = _merge_lossless_groups(beta)
         self.n = len(self.groups)
+        self.label = np.empty(beta.shape[0], dtype=int)     # group of each BS
+        for gi, grp in enumerate(self.groups):
+            self.label[grp] = gi
         self.w = w
         self.a = a
         self.bg = np.array([b[g].sum(axis=0) for g in self.groups])
         self.eg = np.array([budget[g].sum() for g in self.groups])
         # Cross-group cone constraints keep the tightest (largest) efficiency.
         self.betag = np.zeros((self.n, self.n))
-        for gi, grp_i in enumerate(self.groups):
-            for gj, grp_j in enumerate(self.groups):
-                if gi != gj:
-                    self.betag[gi, gj] = beta[np.ix_(grp_i, grp_j)].max()
+        np.maximum.at(self.betag, (self.label[:, None], self.label), beta)
+        np.fill_diagonal(self.betag, 0.0)
         self.edges = [(i, j, float(self.betag[i, j])) for i in range(self.n)
                       for j in range(self.n) if i != j and self.betag[i, j] > 0]
         self.inv_a = 1.0 / self.a
@@ -163,10 +160,7 @@ class _DualProblem:
         return g
 
     def expand(self, x: np.ndarray) -> np.ndarray:
-        mu = np.empty(sum(len(g) for g in self.groups))
-        for gi, grp in enumerate(self.groups):
-            mu[grp] = x[gi]
-        return mu
+        return x[self.label]
 
     def radius(self) -> float:
         """Ball around the init point guaranteed to contain a dual optimum.
@@ -240,82 +234,60 @@ def _minimize_dual_ellipsoid(prob: _DualProblem, tol: float,
 def _polish_dual(prob: _DualProblem, x0: np.ndarray) -> np.ndarray | None:
     """Newton refinement of the reduced KKT system at the ellipsoid point.
 
-    The active structure at x0 fixes a square smooth system: water-filling
-    stationarity for transmitting terminals, budget balance for positive
-    prices, and equality on the active cone edges (whose multipliers are
-    the group-level transfer flows).  Returns the refined price vector, or
-    None when the active-set guess does not validate.
+    The active structure at x0 fixes a square smooth system.  Its columns
+    are the free prices, the transmitting powers and the active-edge flows
+    (the group-level transfers); its rows are water-filling stationarity,
+    budget balance and equality on the active cone edges.  Only a
+    stationarity row's own power enters nonlinearly, so each active-set
+    round builds the Jacobian once and each Newton step rewrites its
+    stationarity diagonal.  Returns the refined price vector, or None when
+    the active-set guess does not validate.
     """
     n = prob.n
     scale = max(float(np.max(x0)), 1e-12)
     p0 = prob.powers(x0)
-    active_p = set(np.where(p0 > 1e-8 * max(float(np.max(p0, initial=0.0)), 1.0))[0])
-    free = set(np.where(x0 > 1e-7 * scale)[0])
+    active_p = p0 > 1e-8 * max(float(np.max(p0, initial=0.0)), 1.0)
+    free = x0 > 1e-7 * scale
+    src, dst = np.nonzero(prob.betag > 0)       # the cone edges, as in prob.edges
+    eff = prob.betag[src, dst]
     # Over-include nearly-active edges: spurious ones are pruned when their
     # flow comes out negative, while a missing edge leaves the balance
     # equations inconsistent and stalls the Newton iteration.
-    edges = [(g, h) for (g, h, _) in prob.edges
-             if prob.betag[g, h] * x0[h] - x0[g] > -1e-3 * scale]
+    edges = eff * x0[dst] - x0[src] > -1e-3 * scale
 
     for _ in range(6):          # active-set adjustment rounds
-        ks = sorted(active_p)
-        gs = sorted(free)
-        if not ks or not gs:
+        ks, gs = np.flatnonzero(active_p), np.flatnonzero(free)
+        if not ks.size or not gs.size:
             return None
-        nv = len(gs) + len(ks) + len(edges)
-        xi = {g: i for i, g in enumerate(gs)}
-        pi = {k: len(gs) + i for i, k in enumerate(ks)}
-        ei = {gh: len(gs) + len(ks) + i for i, gh in enumerate(edges)}
+        nk, ng = ks.size, gs.size
+        # col[g]: column of price g, and its budget row is nk + col[g].
+        col = np.full(n, -1)
+        col[gs] = np.arange(ng)
+        e_src, e_dst, e_eff = col[src[edges]], col[dst[edges]], eff[edges]
+        # Edge e has flow column and equality row nk + ng + e.
+        tail = nk + ng + np.arange(e_eff.size)
+        out, into = e_src >= 0, e_dst >= 0
+        jac = np.zeros((tail.size + nk + ng,) * 2)
+        bgk = prob.bg[gs][:, ks]
+        jac[:nk, :ng] = -bgk.T
+        jac[nk:nk + ng, ng:ng + nk] = bgk
+        jac[nk + e_src[out], tail[out]] = 1.0
+        jac[nk + e_dst[into], tail[into]] = -e_eff[into]
+        jac[tail[out], e_src[out]] = -1.0
+        jac[tail[into], e_dst[into]] = e_eff[into]
+        rhs = np.zeros(jac.shape[0])
+        rhs[nk:nk + ng] = -prob.eg[gs]
+        diag = (np.arange(nk), ng + np.arange(nk))
+        a, w = prob.a[ks], prob.w[ks]
 
-        x = x0.copy()
-        x[[g for g in range(n) if g not in free]] = 0.0
-        p = p0.copy()
-        e = np.zeros(len(edges))
-
-        def unpack(v):
-            xx = np.zeros(n)
-            for g in gs:
-                xx[g] = v[xi[g]]
-            pp = np.zeros(prob.a.size)
-            for k in ks:
-                pp[k] = v[pi[k]]
-            return xx, pp, v[len(gs) + len(ks):]
-
-        v = np.concatenate([[x[g] for g in gs], [p[k] for k in ks], e])
+        v = np.concatenate([x0[gs], p0[ks], np.zeros(tail.size)])
         ok = False
         for _ in range(60):
-            xx, pp, ee = unpack(v)
-            f = np.zeros(nv)
-            jac = np.zeros((nv, nv))
-            row = 0
-            for k in ks:        # stationarity in p
-                s_k = float(prob.bg[:, k] @ xx)
-                denom = 1.0 + prob.a[k] * pp[k]
-                f[row] = prob.w[k] * prob.a[k] / (LN2 * denom) - s_k
-                jac[row, pi[k]] = -prob.w[k] * prob.a[k] ** 2 / (LN2 * denom ** 2)
-                for g in gs:
-                    jac[row, xi[g]] = -prob.bg[g, k]
-                row += 1
-            for g in gs:        # budget balance (complementary slackness)
-                f[row] = float(prob.bg[g] @ pp) - prob.eg[g]
-                for k in ks:
-                    jac[row, pi[k]] = prob.bg[g, k]
-                for idx, (gi, gj) in enumerate(edges):
-                    col = ei[(gi, gj)]
-                    if gj == g:
-                        f[row] -= prob.betag[gi, gj] * ee[idx]
-                        jac[row, col] = -prob.betag[gi, gj]
-                    if gi == g:
-                        f[row] += ee[idx]
-                        jac[row, col] = 1.0
-                row += 1
-            for (gi, gj) in edges:   # active cone edges
-                f[row] = prob.betag[gi, gj] * xx[gj] - xx[gi]
-                if gj in xi:
-                    jac[row, xi[gj]] = prob.betag[gi, gj]
-                if gi in xi:
-                    jac[row, xi[gi]] = -1.0
-                row += 1
+            denom = 1.0 + a * v[ng:ng + nk]
+            jac[diag] = 0.0
+            f = jac @ v + rhs
+            f[:nk] += w * a / (LN2 * denom)
+            jac[diag] = -w * a ** 2 / (LN2 * denom ** 2)
             # The residual lives in price units while the powers respond with
             # a factor ~1/s^2, so take one more step after the residual test
             # before accepting: quadratic convergence squares the power error.
@@ -343,35 +315,26 @@ def _polish_dual(prob: _DualProblem, x0: np.ndarray) -> np.ndarray | None:
             # tight budget, making the balance equations inconsistent.
             # Drop the free group with the largest surplus and retry.
             slack = prob.subgradient(x0)
-            g_drop = max(free, key=lambda g: slack[g])
-            if len(free) > 1 and slack[g_drop] > 0:
-                free.discard(g_drop)
+            g_drop = gs[np.argmax(slack[gs])]
+            if ng > 1 and slack[g_drop] > 0:
+                free[g_drop] = False
                 continue
             return None
-        xx, pp, ee = unpack(v)
+        xx = np.zeros(n)
+        xx[gs] = v[:ng]
         # Validate the active-set guess; shrink it where signs flipped.
-        changed = False
-        for idx, (gi, gj) in enumerate(list(edges)):
-            if ee[idx] < -1e-9 * max(scale, 1.0):
-                edges.remove((gi, gj))
-                changed = True
-        for k in list(active_p):
-            if pp[k] < -1e-10:
-                active_p.remove(k)
-                changed = True
         # Terminals left out of the active set can come back above the water
         # level at the refined prices; transfer recovery sees their power, so
         # the balance equations must too.
-        pw = prob.powers(np.maximum(xx, 0.0))
-        for k in range(prob.a.size):
-            if k not in active_p and pw[k] > 0.0:
-                active_p.add(k)
-                changed = True
-        for g in list(free):
-            if xx[g] < -1e-10 * scale:
-                free.remove(g)
-                changed = True
-        if changed:
+        neg_e = v[ng + nk:] < -1e-9 * max(scale, 1.0)
+        neg_k = ks[v[ng:ng + nk] < -1e-10]
+        rises = prob.powers(np.maximum(xx, 0.0)) > 0.0
+        neg_x = xx < -1e-10 * scale
+        if neg_e.any() or neg_k.size or np.any(rises & ~active_p) or neg_x.any():
+            edges[np.flatnonzero(edges)[neg_e]] = False
+            active_p[neg_k] = False
+            active_p |= rises
+            free &= ~neg_x
             continue
         xx = np.maximum(xx, 0.0)
         cone = prob.betag * xx[None, :] - xx[:, None]
@@ -384,15 +347,12 @@ def _polish_dual(prob: _DualProblem, x0: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def _solve_dual(prob: _DualProblem, tol: float,
-                max_iter: int | None) -> tuple[np.ndarray, int]:
+def _solve_dual(prob: _DualProblem, tol: float) -> tuple[np.ndarray, int]:
     """Reduced dual minimizer and its step count; raises ConvergenceError."""
     if prob.n == 1:
         t, it = _minimize_dual_1d(prob, tol)
         return np.array([t]), it
-    if max_iter is None:
-        max_iter = 5000 * prob.n * prob.n
-    x, it, converged = _minimize_dual_ellipsoid(prob, tol, max_iter)
+    x, it, converged = _minimize_dual_ellipsoid(prob, tol, 5000 * prob.n * prob.n)
     polished = _polish_dual(prob, x)
     if polished is not None:
         x = polished
@@ -477,21 +437,8 @@ def recover_transfers(p_star, budget: np.ndarray, beta: np.ndarray, b: np.ndarra
 # full pipeline
 
 
-def _unreachable_stations(budget: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Stations no positive budget reaches, even over several hops.
-
-    Such a station forces p_k = 0 for every terminal it must power.
-    """
-    n = budget.size
-    eff = beta.copy()
-    for m in range(n):          # best multi-hop transfer efficiency
-        eff = np.maximum(eff, np.outer(eff[:, m], eff[m, :]))
-        np.fill_diagonal(eff, 0.0)
-    return budget + eff.T @ budget <= 0.0
-
-
 def solve_p1(gains: ZfGains, es: EnergyState, beta, tol: float = 1e-9,
-             max_iter: int | None = None, bandwidth: float = 1.0) -> Solution:
+             bandwidth: float = 1.0) -> Solution:
     """Solve the joint power-allocation and energy-transfer problem.
 
     ``bandwidth`` scales every rate (used by the per-BS baseline, which
@@ -504,7 +451,9 @@ def solve_p1(gains: ZfGains, es: EnergyState, beta, tol: float = 1e-9,
     n, k_all = b.shape
     bm = as_beta_matrix(beta, n)
     w = gains.weights * bandwidth
-    dead = _unreachable_stations(budget, bm)
+    # Stations no positive budget reaches, even over several hops, force
+    # p_k = 0 for every terminal they must power.
+    dead = budget + _best_paths(bm).T @ budget <= 0.0
     keep = ~np.any((b > 1e-12) & dead[:, None], axis=0)
 
     p = np.zeros(k_all)
@@ -518,7 +467,7 @@ def solve_p1(gains: ZfGains, es: EnergyState, beta, tol: float = 1e-9,
         scale = float(np.max(budget))
         a_s, b_s, budget_s = a[keep] * scale, b[:, keep], budget / scale
         prob = _DualProblem(a_s, b_s, w[keep], budget_s, bm)
-        x, iters = _solve_dual(prob, tol, max_iter)
+        x, iters = _solve_dual(prob, tol)
         mu_s = prob.expand(x)
         q = np.zeros(k_all)
         q[keep] = dual_power_alloc(a_s, b_s, w[keep], mu_s)

@@ -152,3 +152,23 @@ def test_variance_matrix_covers_all_links():
     assert var.shape == (2, 2)
     assert var[0, 0] > var[0, 1]        # nearer station sees the larger gain
     assert var[1, 1] > var[1, 0]
+
+
+def test_channel_and_weights_must_be_finite():
+    rng = np.random.default_rng(18)
+    ch = _random_channel(rng, n_bs=2, m_ant=2, n_mt=4)
+    for bad in (np.nan, np.inf, -np.inf):
+        h = ch.h.copy()
+        h[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ClusterChannel(n_bs=2, m_ant=2, n_mt=4, h=h, noise_var=1.0)
+        with pytest.raises(ValueError, match="finite"):
+            ClusterChannel(n_bs=2, m_ant=2, n_mt=4, h=ch.h, noise_var=[1.0, bad, 1.0, 1.0])
+        for weights in ([bad, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, bad]):
+            with pytest.raises(ValueError, match="finite"):
+                zf_gains(ch, weights)
+            with pytest.raises(ValueError, match="finite"):
+                per_bs_zf_gains(ch, [[0, 1], [2, 3]], weights)
+    for weights in ([0.0, 1.0, 1.0, 1.0], [1.0, -2.0, 1.0, 1.0], [1.0, 1.0]):
+        with pytest.raises(ValueError, match="weights"):
+            per_bs_zf_gains(ch, [[0, 1], [2, 3]], weights)

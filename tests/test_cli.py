@@ -46,6 +46,22 @@ def test_validate_bad_scenario(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, raw", [
+    ("n_realizations", "2.5"),
+    ("sum_energy", "abc"),
+    ("mixes", "a:b; 1:0; 0:1"),
+    ("schemes", "joint@x"),
+    ("beta", "high"),
+])
+def test_validate_malformed_number_is_a_parse_error(tmp_path, capsys, key, raw):
+    kind = "three_cell_profile" if key == "mixes" else "two_cell_sweep"
+    path = tmp_path / "bad.scn"
+    path.write_text(f"kind = {kind}\nbetas = 0.5\n{key} = {raw}\n")
+    rc = main(["validate", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: {path}: {key}: ")
+
 def test_run_writes_csv(tmp_path):
     out = tmp_path / "out.csv"
     rc = main(["run", _micro_path(tmp_path), "--out", str(out)])

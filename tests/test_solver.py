@@ -17,8 +17,9 @@ from ecomp import (
     waterfill_sum_power,
     zf_gains,
 )
-from ecomp.solver import (_DualProblem, _minimize_dual_1d,
-                          _minimize_dual_ellipsoid)
+from ecomp.solver import (_DualProblem, _merge_lossless_groups,
+                          _minimize_dual_1d, _minimize_dual_ellipsoid,
+                          _polish_dual)
 
 
 def _instance(seed, n_bs=2, m_ant=1, n_mt=2, e_hi=30.0):
@@ -253,6 +254,184 @@ def _ref_bisection(prob, tol):
     return hi, it + 1
 
 
+# The lossless groups as a union-find, and the polish with a per-step loop
+# assembly of its KKT system.  The solver sums the polish's linear terms in
+# another order, so the polish agrees to rounding, not bit for bit.
+
+
+def _ref_groups(beta: np.ndarray) -> list[list[int]]:
+    """Union BSs connected by loss-free transfers in both directions.
+
+    beta_ij = beta_ji = 1 forces mu_i = mu_j in the dual cone, which makes
+    the feasible set lower-dimensional; collapsing those BSs into one dual
+    variable keeps the ellipsoid method well posed.
+    """
+    n = beta.shape[0]
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if beta[i, j] >= 1.0 and beta[j, i] >= 1.0:
+                parent[find(i)] = find(j)
+    groups: dict[int, list[int]] = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return sorted(groups.values())
+
+
+def _ref_polish(prob: _DualProblem, x0: np.ndarray) -> np.ndarray | None:
+    """Newton refinement of the reduced KKT system at the ellipsoid point.
+
+    The active structure at x0 fixes a square smooth system: water-filling
+    stationarity for transmitting terminals, budget balance for positive
+    prices, and equality on the active cone edges (whose multipliers are
+    the group-level transfer flows).  Returns the refined price vector, or
+    None when the active-set guess does not validate.
+    """
+    n = prob.n
+    scale = max(float(np.max(x0)), 1e-12)
+    p0 = prob.powers(x0)
+    active_p = set(np.where(p0 > 1e-8 * max(float(np.max(p0, initial=0.0)), 1.0))[0])
+    free = set(np.where(x0 > 1e-7 * scale)[0])
+    # Over-include nearly-active edges: spurious ones are pruned when their
+    # flow comes out negative, while a missing edge leaves the balance
+    # equations inconsistent and stalls the Newton iteration.
+    edges = [(g, h) for (g, h, _) in prob.edges
+             if prob.betag[g, h] * x0[h] - x0[g] > -1e-3 * scale]
+
+    for _ in range(6):          # active-set adjustment rounds
+        ks = sorted(active_p)
+        gs = sorted(free)
+        if not ks or not gs:
+            return None
+        nv = len(gs) + len(ks) + len(edges)
+        xi = {g: i for i, g in enumerate(gs)}
+        pi = {k: len(gs) + i for i, k in enumerate(ks)}
+        ei = {gh: len(gs) + len(ks) + i for i, gh in enumerate(edges)}
+
+        x = x0.copy()
+        x[[g for g in range(n) if g not in free]] = 0.0
+        p = p0.copy()
+        e = np.zeros(len(edges))
+
+        def unpack(v):
+            xx = np.zeros(n)
+            for g in gs:
+                xx[g] = v[xi[g]]
+            pp = np.zeros(prob.a.size)
+            for k in ks:
+                pp[k] = v[pi[k]]
+            return xx, pp, v[len(gs) + len(ks):]
+
+        v = np.concatenate([[x[g] for g in gs], [p[k] for k in ks], e])
+        ok = False
+        for _ in range(60):
+            xx, pp, ee = unpack(v)
+            f = np.zeros(nv)
+            jac = np.zeros((nv, nv))
+            row = 0
+            for k in ks:        # stationarity in p
+                s_k = float(prob.bg[:, k] @ xx)
+                denom = 1.0 + prob.a[k] * pp[k]
+                f[row] = prob.w[k] * prob.a[k] / (LN2 * denom) - s_k
+                jac[row, pi[k]] = -prob.w[k] * prob.a[k] ** 2 / (LN2 * denom ** 2)
+                for g in gs:
+                    jac[row, xi[g]] = -prob.bg[g, k]
+                row += 1
+            for g in gs:        # budget balance (complementary slackness)
+                f[row] = float(prob.bg[g] @ pp) - prob.eg[g]
+                for k in ks:
+                    jac[row, pi[k]] = prob.bg[g, k]
+                for idx, (gi, gj) in enumerate(edges):
+                    col = ei[(gi, gj)]
+                    if gj == g:
+                        f[row] -= prob.betag[gi, gj] * ee[idx]
+                        jac[row, col] = -prob.betag[gi, gj]
+                    if gi == g:
+                        f[row] += ee[idx]
+                        jac[row, col] = 1.0
+                row += 1
+            for (gi, gj) in edges:   # active cone edges
+                f[row] = prob.betag[gi, gj] * xx[gj] - xx[gi]
+                if gj in xi:
+                    jac[row, xi[gj]] = prob.betag[gi, gj]
+                if gi in xi:
+                    jac[row, xi[gi]] = -1.0
+                row += 1
+            # The residual lives in price units while the powers respond with
+            # a factor ~1/s^2, so take one more step after the residual test
+            # before accepting: quadratic convergence squares the power error.
+            if ok:
+                break
+            if float(np.max(np.abs(f))) < 1e-12 * max(scale, 1.0):
+                ok = True
+            # Equilibrate: stationarity rows are O(a^2) while budget rows are
+            # O(1), and the raw system's conditioning caps lstsq accuracy.
+            row_s = np.max(np.abs(jac), axis=1)
+            row_s[row_s == 0.0] = 1.0
+            jac_r = jac / row_s[:, None]
+            col_s = np.max(np.abs(jac_r), axis=0)
+            col_s[col_s == 0.0] = 1.0
+            try:
+                step = np.linalg.lstsq(jac_r / col_s[None, :], -f / row_s,
+                                       rcond=None)[0] / col_s
+            except np.linalg.LinAlgError:
+                return None
+            if not np.all(np.isfinite(step)):
+                return None
+            v = v + step
+        if not ok:
+            # Newton can stall when a nearly-zero price was misread as a
+            # tight budget, making the balance equations inconsistent.
+            # Drop the free group with the largest surplus and retry.
+            slack = prob.subgradient(x0)
+            g_drop = max(free, key=lambda g: slack[g])
+            if len(free) > 1 and slack[g_drop] > 0:
+                free.discard(g_drop)
+                continue
+            return None
+        xx, pp, ee = unpack(v)
+        # Validate the active-set guess; shrink it where signs flipped.
+        changed = False
+        for idx, (gi, gj) in enumerate(list(edges)):
+            if ee[idx] < -1e-9 * max(scale, 1.0):
+                edges.remove((gi, gj))
+                changed = True
+        for k in list(active_p):
+            if pp[k] < -1e-10:
+                active_p.remove(k)
+                changed = True
+        # Terminals left out of the active set can come back above the water
+        # level at the refined prices; transfer recovery sees their power, so
+        # the balance equations must too.
+        pw = prob.powers(np.maximum(xx, 0.0))
+        for k in range(prob.a.size):
+            if k not in active_p and pw[k] > 0.0:
+                active_p.add(k)
+                changed = True
+        for g in list(free):
+            if xx[g] < -1e-10 * scale:
+                free.remove(g)
+                changed = True
+        if changed:
+            continue
+        xx = np.maximum(xx, 0.0)
+        cone = prob.betag * xx[None, :] - xx[:, None]
+        np.fill_diagonal(cone, -np.inf)
+        if float(np.max(cone)) > 1e-9 * max(scale, 1.0):
+            return None
+        if prob.value(xx) > prob.value(x0) + 1e-9 * max(scale, 1.0):
+            return None
+        return xx
+    return None
+
+
 def _dual_problems(count):
     """Seeded reduced duals: N in 2..6, K in [N, 2N], scalar and matrix beta.
 
@@ -356,3 +535,50 @@ def test_bisection_stops_at_its_last_float_with_the_same_bits():
             hi_ref, steps_ref = _ref_bisection(prob, 1e-9)
             assert hi == hi_ref
             assert steps <= steps_ref and steps < 200
+
+
+def _low_snr_problems(count):
+    """Reduced duals as ``solve_p1`` builds them at budgets of 1e-5 to 1e-3.
+
+    Few terminals transmit there, so the polish often misreads a zero
+    price as a tight budget and drops that price to retry.
+    """
+    for seed in range(count):
+        rng = np.random.default_rng([seed, 66])
+        n = 2 + seed % 4
+        g, _ = _instance(500 + seed, n_bs=n, m_ant=1, n_mt=n)
+        budget = rng.uniform(size=n) * 10.0 ** rng.uniform(-5.0, -3.0)
+        scale = budget.max()
+        yield _DualProblem(g.a * scale, g.b, g.weights, budget / scale,
+                           as_beta_matrix((0.0, 0.5)[seed % 2], n))
+
+
+def test_polish_matches_the_loop_reference():
+    # Looser ellipsoid points make the polish prune its active-set guess
+    # and reject more often.
+    points = [(prob, tol) for prob in _dual_problems(40) if prob.n > 1
+              for tol in (1e-9, 1e-4, 1e-2)]
+    points += [(prob, 1e-9) for prob in _low_snr_problems(40) if prob.n > 1]
+    polished = rejected = 0
+    for prob, tol in points:
+        x0 = _minimize_dual_ellipsoid(prob, tol, 5000 * prob.n * prob.n)[0]
+        got, ref = _polish_dual(prob, x0), _ref_polish(prob, x0)
+        assert (got is None) == (ref is None)
+        if ref is None:
+            rejected += 1
+            continue
+        polished += 1
+        assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
+    assert polished >= 80 and rejected >= 20
+
+
+def test_lossless_groups_match_the_union_find_reference():
+    rng = np.random.default_rng(404)
+    for trial in range(3000):
+        n = 1 + trial % 7
+        beta = rng.uniform(size=(n, n))
+        u = rng.random((n, n))
+        ones = rng.uniform(0.3, 0.9)
+        beta[u < 0.1] = 0.0
+        beta[u > 1.0 - ones] = 1.0
+        assert _merge_lossless_groups(beta) == _ref_groups(beta)
