@@ -97,6 +97,8 @@ class Scenario:
             raise ScenarioError("noise power must be positive")
         if self.weights and len(self.weights) != self.n_mt:
             raise ScenarioError("weights length must equal n_mt")
+        if any(wt <= 0 for wt in self.weights):
+            raise ScenarioError("weights must be positive")
         if self.kind == "two_cell_sweep":
             if self.sum_energy <= 0:
                 raise ScenarioError("sum_energy must be positive")

@@ -28,6 +28,9 @@ LN2 = math.log(2.0)
 # during the unidirectionality post-processing.
 FLOW_FLOOR = 1e-11
 
+# Ellipsoid widths at which the best point so far is polished early.
+POLISH_AT = (1e-3, 1e-6)
+
 
 class InvalidDualError(ValueError):
     """Dual prices leave some terminal with a zero aggregate price."""
@@ -53,7 +56,7 @@ class Solution:
     net_exchange: np.ndarray   # per-BS grid draw (+) / injection (-)
     dual_value: float
     duality_gap: float
-    iterations: int
+    iterations: int            # cuts up to the accepted polish, or bisection steps
 
 
 def dual_power_alloc(a: np.ndarray, b: np.ndarray, w: np.ndarray,
@@ -196,12 +199,21 @@ def _minimize_dual_1d(prob: _DualProblem, tol: float) -> tuple[float, int]:
 
 def _minimize_dual_ellipsoid(prob: _DualProblem, tol: float,
                              max_iter: int) -> tuple[np.ndarray, int, bool]:
+    """Central-cut ellipsoid on the reduced dual, ended by the Newton polish.
+
+    When an objective cut's width first reaches a width in ``POLISH_AT``
+    above ``tol``, the best point so far is polished; an accepted polish
+    ends the run, and a rejected one lets the same cut sequence go on.
+    Every other exit polishes its final point once and keeps the raw point
+    when the polish rejects it.
+    """
     n = prob.n
     x = np.ones(n)
     r = prob.radius()
     a_mat = (r * r) * np.eye(n)
     best_x, best_f = None, np.inf
     converged = False
+    polish_at = [m for m in POLISH_AT if m > tol]
     it = 0
     for it in range(1, max_iter + 1):
         g = prob.violated_cut(x)
@@ -222,13 +234,19 @@ def _minimize_dual_ellipsoid(prob: _DualProblem, tol: float,
         if width <= 1e-18:
             converged = best_x is not None
             break
+        if objective_cut and polish_at and width <= polish_at[0]:
+            polish_at = [m for m in polish_at if m < width]
+            polished = _polish_dual(prob, best_x)
+            if polished is not None:
+                return polished, it, True
         gn = ag / width
         x = x - gn / (n + 1)
         # gn_i * gn_j == gn_j * gn_i, so the update keeps a_mat exactly symmetric.
         a_mat = (n * n) / (n * n - 1.0) * (a_mat - (2.0 / (n + 1)) * (gn[:, None] * gn))
     if best_x is None:
         best_x = np.maximum(x, 0.0)
-    return best_x, it, converged
+    polished = _polish_dual(prob, best_x)
+    return (best_x if polished is None else polished), it, converged
 
 
 def _polish_dual(prob: _DualProblem, x0: np.ndarray) -> np.ndarray | None:
@@ -282,7 +300,9 @@ def _polish_dual(prob: _DualProblem, x0: np.ndarray) -> np.ndarray | None:
 
         v = np.concatenate([x0[gs], p0[ks], np.zeros(tail.size)])
         ok = False
-        for _ in range(60):
+        # Converging rounds pass the residual test within about 17 steps;
+        # a round still short of it after 20 has stalled.
+        for _ in range(20):
             denom = 1.0 + a * v[ng:ng + nk]
             jac[diag] = 0.0
             f = jac @ v + rhs
@@ -353,9 +373,6 @@ def _solve_dual(prob: _DualProblem, tol: float) -> tuple[np.ndarray, int]:
         t, it = _minimize_dual_1d(prob, tol)
         return np.array([t]), it
     x, it, converged = _minimize_dual_ellipsoid(prob, tol, 5000 * prob.n * prob.n)
-    polished = _polish_dual(prob, x)
-    if polished is not None:
-        x = polished
     if not converged:
         raise ConvergenceError(f"dual not converged after {it} cuts", prob.expand(x))
     return x, it

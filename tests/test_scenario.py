@@ -123,6 +123,9 @@ def test_validation_rejects_bad_shapes():
                      ("mixes", "1:nan; 1:1; 1:1")):
         with pytest.raises(ScenarioError, match=f"{key} must be finite"):
             scenario_from_mapping({"kind": "three_cell_profile", key: raw})
+    for raw in ("0, 1", "1, -1"):
+        with pytest.raises(ScenarioError, match="weights must be positive"):
+            scenario_from_mapping({**sweep, "weights": raw})
     for energy_db in ((0.0, nan), (0.0, inf)):
         with pytest.raises(ScenarioError, match="energy_db must be finite"):
             Scenario(kind="two_cell_random", n_bs=2, m_ant=1, n_mt=2,

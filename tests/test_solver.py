@@ -204,13 +204,19 @@ def _ref_violated_cut(prob, x):
     return cut
 
 
-def _ref_ellipsoid(prob, tol, max_iter):
+def _ref_ellipsoid(prob, tol, max_iter, polish=_polish_dual):
+    """The cut loop, polished at widths 1e-3 and 1e-6 and at its exit.
+
+    With ``polish=None`` it is the bare cut loop, which returns the raw
+    best point.
+    """
     n = prob.n
     x = np.ones(n)
     r = prob.radius()
     a_mat = (r * r) * np.eye(n)
     best_x, best_f = None, np.inf
     converged = False
+    milestones = [m for m in (1e-3, 1e-6) if m > tol] if polish else []
     for it in range(1, max_iter + 1):
         g = _ref_violated_cut(prob, x)
         objective_cut = g is None
@@ -231,13 +237,20 @@ def _ref_ellipsoid(prob, tol, max_iter):
         if width <= 1e-18:
             converged = best_x is not None
             break
+        if objective_cut and milestones and width <= milestones[0]:
+            while milestones and width <= milestones[0]:
+                milestones.pop(0)
+            polished = polish(prob, best_x)
+            if polished is not None:
+                return polished, it, True
         gn = ag / width
         x = x - gn / (n + 1)
         a_mat = (n * n) / (n * n - 1.0) * (a_mat - (2.0 / (n + 1)) * np.outer(gn, gn))
         a_mat = 0.5 * (a_mat + a_mat.T)
     if best_x is None:
         best_x = np.maximum(x, 0.0)
-    return best_x, it, converged
+    polished = polish(prob, best_x) if polish else None
+    return (best_x if polished is None else polished), it, converged
 
 
 def _ref_bisection(prob, tol):
@@ -511,17 +524,32 @@ def test_violated_cut_keeps_the_argmax_rule_on_ties_and_zero_pairs():
 
 
 def test_ellipsoid_matches_the_numpy_reference_bit_for_bit():
-    tried = 0
-    for prob in _dual_problems(10):
+    # The low-SNR duals reject most polishes, so they also run the cut loop
+    # to its end.
+    early = late = 0
+    for prob in [*_dual_problems(40), *_low_snr_problems(10)]:
         if prob.n < 2:
             continue
-        tried += 1
         max_iter = 5000 * prob.n * prob.n
         x, cuts, converged = _minimize_dual_ellipsoid(prob, 1e-9, max_iter)
         x_ref, cuts_ref, converged_ref = _ref_ellipsoid(prob, 1e-9, max_iter)
         assert np.array_equal(x, x_ref)
         assert (cuts, converged) == (cuts_ref, converged_ref)
-    assert tried >= 5
+        raw, raw_cuts, raw_converged = _ref_ellipsoid(prob, 1e-9, max_iter, polish=None)
+        polished = _polish_dual(prob, raw)
+        if cuts < raw_cuts:
+            # An early accept is the point the polish reaches from the
+            # fully converged one.
+            early += 1
+            assert polished is not None
+            assert np.max(np.abs(x - polished)) <= 1e-12 * np.max(np.abs(polished))
+        else:
+            # Otherwise the result is the full loop's point, polished once
+            # where the polish accepts it.
+            late += 1
+            assert np.array_equal(x, raw if polished is None else polished)
+            assert (cuts, converged) == (raw_cuts, raw_converged)
+    assert early >= 30 and late >= 5
 
 
 def test_bisection_stops_at_its_last_float_with_the_same_bits():
@@ -556,12 +584,21 @@ def _low_snr_problems(count):
 def test_polish_matches_the_loop_reference():
     # Looser ellipsoid points make the polish prune its active-set guess
     # and reject more often.
-    points = [(prob, tol) for prob in _dual_problems(40) if prob.n > 1
-              for tol in (1e-9, 1e-4, 1e-2)]
-    points += [(prob, 1e-9) for prob in _low_snr_problems(40) if prob.n > 1]
+    starts = []
+    for prob in _dual_problems(40):
+        if prob.n > 1:
+            max_iter = 5000 * prob.n * prob.n
+            starts += [(prob, _ref_ellipsoid(prob, tol, max_iter, polish=None)[0])
+                       for tol in (1e-9, 1e-4, 1e-2)]
+            # Scaling a dual optimum keeps it in the cone but moves the water
+            # level: at half the prices extra terminals look active and must
+            # be pruned, at twice the prices some drop out and must rise back.
+            x_opt = _minimize_dual_ellipsoid(prob, 1e-9, max_iter)[0]
+            starts += [(prob, 0.5 * x_opt), (prob, 2.0 * x_opt)]
+    starts += [(prob, _ref_ellipsoid(prob, 1e-9, 5000 * prob.n * prob.n, polish=None)[0])
+               for prob in _low_snr_problems(40) if prob.n > 1]
     polished = rejected = 0
-    for prob, tol in points:
-        x0 = _minimize_dual_ellipsoid(prob, tol, 5000 * prob.n * prob.n)[0]
+    for prob, x0 in starts:
         got, ref = _polish_dual(prob, x0), _ref_polish(prob, x0)
         assert (got is None) == (ref is None)
         if ref is None:
@@ -569,7 +606,7 @@ def test_polish_matches_the_loop_reference():
             continue
         polished += 1
         assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
-    assert polished >= 80 and rejected >= 20
+    assert polished >= 150 and rejected >= 30
 
 
 def test_lossless_groups_match_the_union_find_reference():
