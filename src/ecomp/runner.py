@@ -1,11 +1,12 @@
 """Monte-Carlo experiment runner and result emission.
 
-Each scenario kind expands into a list of sweep points; every point is
-evaluated independently (optionally in parallel, see ECOMP_WORKERS) with
-seeds derived from (scenario seed, point, realization), so results are
-deterministic regardless of worker count.  Channel draws are shared
-across sweep points where the sweep only rescales energies, which keeps
-the emitted curves comparable point to point.
+Each scenario kind expands into a list of sweep points, and every point
+is a sweep key, a slot, its schemes and a generator of realizations.
+Points are evaluated independently (optionally in parallel, see
+ECOMP_WORKERS) with seeds derived from (scenario seed, slot, realization),
+so results are deterministic regardless of worker count.  Channel draws
+are shared across sweep points where the sweep only rescales energies,
+which keeps the emitted curves comparable point to point.
 """
 
 from __future__ import annotations
@@ -82,18 +83,14 @@ def _aggregate(samples) -> tuple[float, float, int]:
     return mean, stderr, n
 
 
-def _scheme_beta(spec: SchemeSpec) -> float:
-    return 0.0 if spec.beta is None else spec.beta
-
-
 def _evaluate_instance(ch, variances, budgets, specs, weights):
-    """Sum-rate of each scheme on one channel/energy draw.
+    """Sum-rate of each scheme on one channel/energy draw, keyed by label.
 
-    Returns (rates dict, errors dict) keyed by scheme label; a scheme that
-    raises one of SOLVER_ERRORS is recorded and does not abort the others.
+    A scheme that raises one of SOLVER_ERRORS gets its error message
+    instead of a rate and does not abort the others.
     """
     es = EnergyState(re=budgets)
-    rates, errors = {}, {}
+    out = {}
     joint_gains = None
     association = None
     for spec in specs:
@@ -112,38 +109,14 @@ def _evaluate_instance(ch, variances, budgets, specs, weights):
                     sol = solve_energy_only(ch, association, es, spec.beta, weights)
                 else:
                     sol = solve_no_coop(ch, association, es, weights)
-            rates[spec.label()] = sol.objective
+            out[spec.label()] = sol.objective
         except SOLVER_ERRORS as exc:
-            errors[spec.label()] = f"{type(exc).__name__}: {exc}"
-    return rates, errors
-
-
-def _collect_rows(sweep_key, slot, specs, samples, errors, table_rows, table_errors):
-    for spec in specs:
-        label = spec.label()
-        mean, stderr, n = _aggregate(samples[label])
-        table_rows.append(ResultRow(sweep_key, slot, label, _scheme_beta(spec),
-                                    mean, stderr, n))
-        for msg in errors[label]:
-            table_errors.append((f"{sweep_key}/{slot}/{label}", msg))
-
-
-def _run_realizations(scenario, specs, instances):
-    """Evaluate all schemes over an iterable of (ch, variances, budgets)."""
-    samples = {spec.label(): [] for spec in specs}
-    errors = {spec.label(): [] for spec in specs}
-    weights = scenario.weight_vector
-    for ch, variances, budgets in instances:
-        rates, errs = _evaluate_instance(ch, variances, budgets, specs, weights)
-        for label, rate in rates.items():
-            samples[label].append(rate)
-        for label, msg in errs.items():
-            errors[label].append(msg)
-    return samples, errors
+            out[spec.label()] = f"{type(exc).__name__}: {exc}"
+    return out
 
 
 # ---------------------------------------------------------------------------
-# Sweep-point expansion per scenario kind
+# Realizations of a sweep point: (channel, variances, budgets) per draw
 
 
 def _two_cell_variances(scenario, rng):
@@ -159,48 +132,22 @@ def _two_cell_variances(scenario, rng):
     return var
 
 
-def _point_two_cell_sweep(scenario, profile, pi):
-    e1_grid = np.linspace(0.0, scenario.sum_energy, scenario.sweep_points)
-    e1 = float(e1_grid[pi])
-    specs = [SchemeSpec("joint", b) for b in scenario.betas]
-    budgets = np.array([e1, scenario.sum_energy - e1])
+def _two_cell_draws(scenario, budgets=None, e_sum=None):
+    """Two-cell realizations with fixed ``budgets``, or drawn around ``e_sum``.
 
-    def instances():
-        for r in range(scenario.n_realizations):
-            rng = np.random.default_rng([scenario.seed, r])
-            var = _two_cell_variances(scenario, rng)
-            ch = generate_rayleigh(2, scenario.m_ant, scenario.n_mt, var, rng,
-                                   noise_var=scenario.noise)
-            yield ch, var, budgets
-
-    samples, errors = _run_realizations(scenario, specs, instances())
-    rows, errs = [], []
-    _collect_rows(f"{e1:g}", -1, specs, samples, errors, rows, errs)
-    return rows, errs
-
-
-def _point_two_cell_random(scenario, profile, pi):
-    e_db = scenario.energy_db[pi]
-    e_sum = 10.0 ** (e_db / 10.0)
-    specs = list(scenario.schemes)
-
-    def instances():
-        for r in range(scenario.n_realizations):
-            rng = np.random.default_rng([scenario.seed, r])
-            var = _two_cell_variances(scenario, rng)
-            # same uniforms at every sweep point, scaled by the mean energy;
-            # budget_skew < 1 tilts the harvest toward station 2 while
-            # keeping the expected total at e_sum
-            caps = np.array([scenario.budget_skew, 2.0 - scenario.budget_skew])
+    Drawn budgets use the same uniforms at every sweep point, scaled by
+    the mean energy; budget_skew < 1 tilts the harvest toward station 2
+    while keeping the expected total at e_sum.
+    """
+    caps = np.array([scenario.budget_skew, 2.0 - scenario.budget_skew])
+    for r in range(scenario.n_realizations):
+        rng = np.random.default_rng([scenario.seed, r])
+        var = _two_cell_variances(scenario, rng)
+        if e_sum is not None:
             budgets = rng.uniform(0.0, 1.0, size=2) * caps * e_sum
-            ch = generate_rayleigh(2, scenario.m_ant, scenario.n_mt, var, rng,
-                                   noise_var=scenario.noise)
-            yield ch, var, budgets
-
-    samples, errors = _run_realizations(scenario, specs, instances())
-    rows, errs = [], []
-    _collect_rows(f"{e_db:g}", -1, specs, samples, errors, rows, errs)
-    return rows, errs
+        ch = generate_rayleigh(2, scenario.m_ant, scenario.n_mt, var, rng,
+                               noise_var=scenario.noise)
+        yield ch, var, budgets
 
 
 def _sample_hex_mts(rng, n_bs, per_cell):
@@ -223,70 +170,55 @@ def _sample_hex_mts(rng, n_bs, per_cell):
     return np.array(points)
 
 
-def _three_cell_instance(scenario, rng, budgets):
+def _three_cell_draws(scenario, profile, slots):
+    """Three-cell realizations over ``slots`` of ``profile``, fresh positions each."""
     per_cell = scenario.n_mt // scenario.n_bs
-    mt_pos = _sample_hex_mts(rng, scenario.n_bs, per_cell)
-    geo = ScenarioGeometry(bs_positions=_BS_POSITIONS_3, mt_positions=mt_pos)
-    var = variance_matrix(geo)
-    ch = generate_rayleigh(scenario.n_bs, scenario.m_ant, scenario.n_mt, var,
-                           rng, noise_var=scenario.noise)
-    return ch, var, budgets
-
-
-def _profile_slots(scenario, profile):
-    return list(range(0, len(profile), scenario.slot_stride))
-
-
-def _point_three_cell_profile(scenario, profile, pi):
-    slot = _profile_slots(scenario, profile)[pi]
-    budgets = bs_budgets_at(profile, slot)
-    specs = list(scenario.schemes)
-
-    def instances():
+    for slot in slots:
+        budgets = bs_budgets_at(profile, slot)
         for r in range(scenario.n_realizations):
             rng = np.random.default_rng([scenario.seed, slot, r])
-            yield _three_cell_instance(scenario, rng, budgets)
-
-    samples, errors = _run_realizations(scenario, specs, instances())
-    hours = (profile.timestamps[slot] - profile.timestamps[0]).total_seconds() / 3600.0
-    rows, errs = [], []
-    _collect_rows(f"{hours:g}", slot, specs, samples, errors, rows, errs)
-    return rows, errs
-
-
-def _point_three_cell_sweep(scenario, profile, pi):
-    e_db = scenario.energy_db[pi]
-    ebar = 10.0 ** (e_db / 10.0)
-    scaled = profile.with_mix(profile.mixes, ebar)
-    specs = list(scenario.schemes)
-
-    def instances():
-        for slot in _profile_slots(scenario, scaled):
-            budgets = bs_budgets_at(scaled, slot)
-            for r in range(scenario.n_realizations):
-                rng = np.random.default_rng([scenario.seed, slot, r])
-                yield _three_cell_instance(scenario, rng, budgets)
-
-    samples, errors = _run_realizations(scenario, specs, instances())
-    rows, errs = [], []
-    _collect_rows(f"{e_db:g}", -1, specs, samples, errors, rows, errs)
-    return rows, errs
+            mt_pos = _sample_hex_mts(rng, scenario.n_bs, per_cell)
+            var = variance_matrix(ScenarioGeometry(bs_positions=_BS_POSITIONS_3,
+                                                   mt_positions=mt_pos))
+            ch = generate_rayleigh(scenario.n_bs, scenario.m_ant, scenario.n_mt,
+                                   var, rng, noise_var=scenario.noise)
+            yield ch, var, budgets
 
 
-_POINT_FUNCS = {
-    "two_cell_sweep": _point_two_cell_sweep,
-    "two_cell_random": _point_two_cell_random,
-    "three_cell_profile": _point_three_cell_profile,
-    "three_cell_sweep": _point_three_cell_sweep,
-}
+# ---------------------------------------------------------------------------
+# Sweep points
 
 
 def _n_points(scenario, profile):
     if scenario.kind == "two_cell_sweep":
         return scenario.sweep_points
-    if scenario.kind in ("two_cell_random", "three_cell_sweep"):
-        return len(scenario.energy_db)
-    return len(_profile_slots(scenario, profile))
+    if scenario.kind == "three_cell_profile":
+        return len(range(0, len(profile), scenario.slot_stride))
+    return len(scenario.energy_db)
+
+
+def _point(scenario, profile, pi):
+    """``(sweep_key, slot, specs, realizations)`` of sweep point ``pi``."""
+    if scenario.kind == "two_cell_sweep":
+        e1 = float(np.linspace(0.0, scenario.sum_energy, scenario.sweep_points)[pi])
+        budgets = np.array([e1, scenario.sum_energy - e1])
+        return (f"{e1:g}", -1, [SchemeSpec("joint", b) for b in scenario.betas],
+                _two_cell_draws(scenario, budgets=budgets))
+    specs = list(scenario.schemes)
+    if scenario.kind == "three_cell_profile":
+        slot = pi * scenario.slot_stride
+        hours = (profile.timestamps[slot] - profile.timestamps[0]).total_seconds() / 3600.0
+        return f"{hours:g}", slot, specs, _three_cell_draws(scenario, profile, [slot])
+    e_db = scenario.energy_db[pi]
+    level = 10.0 ** (e_db / 10.0)
+    if scenario.kind == "two_cell_random":
+        draws = _two_cell_draws(scenario, e_sum=level)
+    else:
+        # three_cell_sweep: every slot of the profile rescaled to the level
+        scaled = profile.with_mix(profile.mixes, level)
+        draws = _three_cell_draws(scenario, scaled,
+                                  range(0, len(scaled), scenario.slot_stride))
+    return f"{e_db:g}", -1, specs, draws
 
 
 def _resolve_profile(scenario, profile):
@@ -300,8 +232,20 @@ def _resolve_profile(scenario, profile):
 
 
 def _eval_point(args):
-    scenario, profile, pi = args
-    return pi, _POINT_FUNCS[scenario.kind](scenario, profile, pi)
+    """Result rows and ``(context, message)`` errors of one sweep point."""
+    sweep_key, slot, specs, draws = _point(*args)
+    weights = args[0].weight_vector
+    outcomes = [_evaluate_instance(ch, var, budgets, specs, weights)
+                for ch, var, budgets in draws]
+    rows, errors = [], []
+    for spec in specs:
+        label = spec.label()
+        got = [out[label] for out in outcomes]
+        rates = [v for v in got if not isinstance(v, str)]
+        rows.append(ResultRow(sweep_key, slot, label, spec.beta or 0.0,
+                              *_aggregate(rates)))
+        errors += [(f"{sweep_key}/{slot}/{label}", v) for v in got if isinstance(v, str)]
+    return rows, errors
 
 
 def run_scenario(scenario: Scenario, profile: EnergyProfile = None) -> ResultTable:
@@ -319,9 +263,8 @@ def run_scenario(scenario: Scenario, profile: EnergyProfile = None) -> ResultTab
             results = list(pool.map(_eval_point, points))
     else:
         results = [_eval_point(p) for p in points]
-    results.sort(key=lambda item: item[0])
     table = ResultTable()
-    for _, (rows, errs) in results:
+    for rows, errs in results:
         table.rows.extend(rows)
         table.errors.extend(errs)
     return table

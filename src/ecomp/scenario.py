@@ -210,11 +210,13 @@ def scenario_from_mapping(values: dict) -> Scenario:
             raise ScenarioError(f"unknown scenario key {key!r}")
         fields["noise" if key == "noise_dbm" else key] = _convert(key, raw, converters[key])
 
-    if "schemes" not in fields:
-        if kind == "two_cell_sweep":
-            fields["schemes"] = (SchemeSpec("joint", default_beta),)
-        else:
-            fields["schemes"] = _parse_schemes(",".join(DEFAULT_SCHEMES), default_beta)
+    if kind == "two_cell_sweep":
+        if "schemes" in fields:
+            raise ScenarioError("schemes: two_cell_sweep runs joint@<beta> "
+                                "for each betas entry; set betas instead")
+        fields["schemes"] = (SchemeSpec("joint", default_beta),)
+    elif "schemes" not in fields:
+        fields["schemes"] = _parse_schemes(",".join(DEFAULT_SCHEMES), default_beta)
     try:
         return Scenario(**fields)
     except TypeError as exc:

@@ -28,8 +28,11 @@ LN2 = math.log(2.0)
 # during the unidirectionality post-processing.
 FLOW_FLOOR = 1e-11
 
-# Ellipsoid widths at which the best point so far is polished early.
+# Final ellipsoid width and the widths at which its best point so far is
+# polished early (normalized budget units); phase-1 residual of recovery.
+DUAL_TOL = 1e-9
 POLISH_AT = (1e-3, 1e-6)
+RECOVERY_TOL = 1e-7
 
 
 class InvalidDualError(ValueError):
@@ -178,10 +181,10 @@ class _DualProblem:
         return float(np.linalg.norm(upper) + math.sqrt(self.n) + 1.0)
 
 
-def _minimize_dual_1d(prob: _DualProblem, tol: float) -> tuple[float, int]:
+def _minimize_dual_1d(prob: _DualProblem) -> tuple[float, int]:
     """Bisection on the scalar dual when all groups merged (or N = 1)."""
     hi = max(float(np.max(prob.w * prob.a / (LN2 * np.maximum(prob.bg[0], 1e-12)))), 1.0)
-    lo = min(tol, 1e-12) * 1e-3
+    lo = 1e-15
     it = 0
     for it in range(200):
         mid = 0.5 * (lo + hi)
@@ -197,15 +200,14 @@ def _minimize_dual_1d(prob: _DualProblem, tol: float) -> tuple[float, int]:
     return hi, it + 1
 
 
-def _minimize_dual_ellipsoid(prob: _DualProblem, tol: float,
-                             max_iter: int) -> tuple[np.ndarray, int, bool]:
+def _minimize_dual_ellipsoid(prob: _DualProblem) -> tuple[np.ndarray, int, bool]:
     """Central-cut ellipsoid on the reduced dual, ended by the Newton polish.
 
-    When an objective cut's width first reaches a width in ``POLISH_AT``
-    above ``tol``, the best point so far is polished; an accepted polish
-    ends the run, and a rejected one lets the same cut sequence go on.
-    Every other exit polishes its final point once and keeps the raw point
-    when the polish rejects it.
+    When an objective cut's width first reaches a width in ``POLISH_AT``,
+    the best point so far is polished; an accepted polish ends the run,
+    and a rejected one lets the same cut sequence go on.  Every other exit
+    (width ``DUAL_TOL``, or 5000 n^2 cuts) polishes its final point once
+    and keeps the raw point when the polish rejects it.
     """
     n = prob.n
     x = np.ones(n)
@@ -213,9 +215,9 @@ def _minimize_dual_ellipsoid(prob: _DualProblem, tol: float,
     a_mat = (r * r) * np.eye(n)
     best_x, best_f = None, np.inf
     converged = False
-    polish_at = [m for m in POLISH_AT if m > tol]
+    polish_at = list(POLISH_AT)
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, 5000 * n * n + 1):
         g = prob.violated_cut(x)
         objective_cut = g is None
         if objective_cut:
@@ -228,7 +230,7 @@ def _minimize_dual_ellipsoid(prob: _DualProblem, tol: float,
             converged = best_x is not None
             break
         width = math.sqrt(gag)
-        if objective_cut and width <= tol:
+        if objective_cut and width <= DUAL_TOL:
             converged = True
             break
         if width <= 1e-18:
@@ -367,12 +369,12 @@ def _polish_dual(prob: _DualProblem, x0: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def _solve_dual(prob: _DualProblem, tol: float) -> tuple[np.ndarray, int]:
+def _solve_dual(prob: _DualProblem) -> tuple[np.ndarray, int]:
     """Reduced dual minimizer and its step count; raises ConvergenceError."""
     if prob.n == 1:
-        t, it = _minimize_dual_1d(prob, tol)
+        t, it = _minimize_dual_1d(prob)
         return np.array([t]), it
-    x, it, converged = _minimize_dual_ellipsoid(prob, tol, 5000 * prob.n * prob.n)
+    x, it, converged = _minimize_dual_ellipsoid(prob)
     if not converged:
         raise ConvergenceError(f"dual not converged after {it} cuts", prob.expand(x))
     return x, it
@@ -386,9 +388,9 @@ def _cancel_bidirectional(e: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Reroute flows so no BS both sends and receives.
 
     Keeps the net inflow unchanged at the rerouted BS and the final
-    receiver; the original sender only gains slack.  A no-op at a true
-    optimum with strictly lossy transfers, where bidirectional patterns
-    cannot occur.
+    receiver.  A relay j -> i -> l moves onto the direct link only when
+    beta_jl >= beta_ji beta_il, so no sender injects more; otherwise the
+    pass stops and the relay stays, which general beta allows.
     """
     n = e.shape[0]
     e = e.copy()
@@ -408,7 +410,7 @@ def _cancel_bidirectional(e: np.ndarray, beta: np.ndarray) -> np.ndarray:
             x = min(e[jbar, i], e[i, jbar] / max(beta[jbar, i], 1e-300))
             e[jbar, i] -= x
             e[i, jbar] -= beta[jbar, i] * x
-        elif beta[jbar, jtil] > 0:
+        elif beta[jbar, jtil] >= beta[jbar, i] * beta[i, jtil]:
             x = min(e[jbar, i], e[i, jtil] / max(beta[jbar, i], 1e-300))
             e[jbar, i] -= x
             e[i, jtil] -= beta[jbar, i] * x
@@ -419,8 +421,8 @@ def _cancel_bidirectional(e: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return np.maximum(e, 0.0)
 
 
-def recover_transfers(p_star, budget: np.ndarray, beta: np.ndarray, b: np.ndarray,
-                      tol: float = 1e-7) -> np.ndarray:
+def recover_transfers(p_star, budget: np.ndarray, beta: np.ndarray,
+                      b: np.ndarray) -> np.ndarray:
     """Feasible transfer pattern for the optimal powers (phase-1 LP).
 
     ``budget`` holds the per-BS budgets E_i, ``beta`` the N x N efficiency
@@ -434,7 +436,7 @@ def recover_transfers(p_star, budget: np.ndarray, beta: np.ndarray, b: np.ndarra
     deficit = b @ np.asarray(p_star, dtype=float) - budget
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j and beta[i, j] > 0]
     if not pairs:
-        if np.max(deficit) > tol * max(1.0, float(np.max(budget, initial=1.0))):
+        if np.max(deficit) > RECOVERY_TOL * max(1.0, float(np.max(budget, initial=1.0))):
             raise InfeasibleError(float(np.max(deficit)))
         return np.zeros((n, n))
     # Row i: sum_j e_ij - sum_j beta_ji e_ji + slack_i = -deficit_i.
@@ -443,7 +445,7 @@ def recover_transfers(p_star, budget: np.ndarray, beta: np.ndarray, b: np.ndarra
         a_eq[i, col] += 1.0
         a_eq[j, col] -= beta[i, j]
     a_eq[:, len(pairs):] = np.eye(n)
-    x = phase1_feasible(a_eq, -deficit, tol=tol)
+    x = phase1_feasible(a_eq, -deficit, tol=RECOVERY_TOL)
     e = np.zeros((n, n))
     for col, (i, j) in enumerate(pairs):
         e[i, j] = x[col]
@@ -454,7 +456,7 @@ def recover_transfers(p_star, budget: np.ndarray, beta: np.ndarray, b: np.ndarra
 # full pipeline
 
 
-def solve_p1(gains: ZfGains, es: EnergyState, beta, tol: float = 1e-9,
+def solve_p1(gains: ZfGains, es: EnergyState, beta,
              bandwidth: float = 1.0) -> Solution:
     """Solve the joint power-allocation and energy-transfer problem.
 
@@ -484,11 +486,11 @@ def solve_p1(gains: ZfGains, es: EnergyState, beta, tol: float = 1e-9,
         scale = float(np.max(budget))
         a_s, b_s, budget_s = a[keep] * scale, b[:, keep], budget / scale
         prob = _DualProblem(a_s, b_s, w[keep], budget_s, bm)
-        x, iters = _solve_dual(prob, tol)
+        x, iters = _solve_dual(prob)
         mu_s = prob.expand(x)
         q = np.zeros(k_all)
         q[keep] = dual_power_alloc(a_s, b_s, w[keep], mu_s)
-        e = scale * recover_transfers(q, budget_s, bm, b, tol=max(tol, 1e-7))
+        e = scale * recover_transfers(q, budget_s, bm, b)
         p = scale * q
         mu = mu_s / scale
         dual_value = prob.value(x)

@@ -170,10 +170,37 @@ def test_parse_rejects_foreign_header(tmp_path):
         parse_results(path)
 
 
-def test_golden_micro_scenario_is_pinned(tmp_path):
-    """Byte-for-byte output lock against tests/data/golden_micro.csv."""
-    golden = os.path.join(os.path.dirname(__file__), "data", "golden_micro.csv")
-    table = run_scenario(_micro_scenario())
+# Micro scenarios of the other kinds, each pinned byte for byte in
+# tests/data/golden_<kind>.csv; two_cell_sweep is _micro_scenario().
+_GOLDEN_MICRO = {
+    "two_cell_random": {
+        "kind": "two_cell_random", "cross_gain": "random",
+        "energy_db": "-5, 5, 15", "budget_skew": "0.4", "beta": "0.9",
+        "n_realizations": "4", "seed": "7",
+    },
+    "three_cell_profile": {
+        "kind": "three_cell_profile", "profile": "bundled", "ebar_dbw": "10",
+        "mixes": "0.5:0.5; 0.1:0.9; 0.9:0.1", "noise_dbm": "-85", "beta": "0.9",
+        "slot_stride": "48", "n_realizations": "2", "seed": "7",
+    },
+    "three_cell_sweep": {
+        "kind": "three_cell_sweep", "profile": "bundled", "energy_db": "0, 10",
+        "mixes": "0.5:0.5; 0.1:0.9; 0.9:0.1", "noise_dbm": "-85", "beta": "0.9",
+        "slot_stride": "48", "n_realizations": "2", "seed": "7",
+    },
+}
+
+
+@pytest.mark.parametrize("kind", ["two_cell_sweep", *_GOLDEN_MICRO])
+def test_golden_micro_scenario_is_pinned(tmp_path, kind):
+    """Byte-for-byte output lock against tests/data/golden_<kind>.csv."""
+    if kind == "two_cell_sweep":
+        sc, name = _micro_scenario(), "golden_micro.csv"
+    else:
+        sc, name = scenario_from_mapping(_GOLDEN_MICRO[kind]), f"golden_{kind}.csv"
+    golden = os.path.join(os.path.dirname(__file__), "data", name)
+    table = run_scenario(sc)
+    assert not table.errors
     path = tmp_path / "fresh.csv"
     emit_results(table, path, fmt="csv")
     with open(golden) as fh:

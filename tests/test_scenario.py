@@ -148,6 +148,12 @@ def test_validation_rejects_bad_beta_and_skew():
     with pytest.raises(ScenarioError, match="unknown scheme"):
         Scenario(kind="two_cell_random", n_bs=2, m_ant=1, n_mt=2,
                  schemes=(SchemeSpec("comm-only"),), energy_db=(0.0, 10.0))
+    # two_cell_sweep takes its curves from betas; a schemes list would be
+    # validated and then ignored.
+    for schemes in ("comm_only, none", "joint"):
+        with pytest.raises(ScenarioError, match="schemes: two_cell_sweep"):
+            scenario_from_mapping({"kind": "two_cell_sweep", "betas": "0.5",
+                                   "schemes": schemes})
 
 
 def test_kind_defaults_are_applied():

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from ecomp import (
+    DegeneracyError,
     EnergyState,
+    InfeasibleError,
     ZfGains,
     as_beta_matrix,
     generate_rayleigh,
@@ -17,7 +19,8 @@ from ecomp import (
     waterfill_sum_power,
     zf_gains,
 )
-from ecomp.solver import (_DualProblem, _merge_lossless_groups,
+from ecomp.solver import (ConvergenceError, InvalidDualError, _DualProblem,
+                          _cancel_bidirectional, _merge_lossless_groups,
                           _minimize_dual_1d, _minimize_dual_ellipsoid,
                           _polish_dual)
 
@@ -152,6 +155,72 @@ def test_recover_transfers_balances_the_books():
     e = recover_transfers(sol.p, es.budget, bm, g.b)
     avail = es.budget + (bm * e).sum(axis=0) - e.sum(axis=1)
     assert np.all(g.b @ sol.p <= avail + 1e-7)
+
+
+def test_reroute_keeps_a_relay_the_direct_link_would_make_dearer():
+    # Moving the unit relay 0 -> 1 -> 2 onto the direct link 0 -> 2 would
+    # need 0.9 * 0.9 / 0.1 = 8.1 from station 0 to deliver the same 0.81.
+    beta = np.array([[0.0, 0.9, 0.1],
+                     [0.9, 0.0, 0.9],
+                     [0.1, 0.9, 0.0]])
+    e = np.zeros((3, 3))
+    e[0, 1], e[1, 2] = 1.0, 0.9
+    e2 = _cancel_bidirectional(e, beta)
+
+    def net(pattern):
+        return (beta * pattern).sum(axis=0) - pattern.sum(axis=1)
+
+    assert np.all(net(e2) >= net(e) - 1e-12)
+    assert e2.sum(axis=1)[0] <= 1.0
+
+
+def _direct_instances(count):
+    """Seeded instances over the accepted input space, round robin over cells.
+
+    Cells are N in 2..6 x M in {1, 2} x (scalar beta, beta matrix with
+    some 0 and 1 entries); per-station budgets U(0,1) times 10^U(-4,4),
+    each zero with probability 0.1.
+    """
+    rng = np.random.default_rng([2013, 0xD1])
+    cells = [(n, m, matrix) for n in range(2, 7) for m in (1, 2) for matrix in (False, True)]
+    out = []
+    while len(out) < count:
+        n, m, matrix = cells[len(out) % len(cells)]
+        k = int(rng.integers(n, n * m + 1))
+        var = 10.0 ** rng.uniform(-1.0, 0.0, size=(n, k))
+        weights = rng.uniform(0.5, 2.0, size=k)
+        if matrix:
+            beta = rng.uniform(size=(n, n))
+            u = rng.random((n, n))
+            beta[u < 0.15] = 0.0
+            beta[u > 0.85] = 1.0
+            np.fill_diagonal(beta, 0.0)
+        else:
+            beta = (0.0, 0.5, 0.9, 1.0, float(rng.uniform()))[int(rng.integers(5))]
+        budget = rng.uniform(size=n) * 10.0 ** rng.uniform(-4.0, 4.0)
+        budget[rng.random(n) < 0.1] = 0.0
+        ch = generate_rayleigh(n, m, k, var, rng)
+        try:
+            g = zf_gains(ch, weights)
+        except DegeneracyError:
+            continue
+        out.append((g, EnergyState(re=budget), beta))
+    return out
+
+
+def test_returned_solutions_meet_every_budget():
+    returned = 0
+    for g, es, beta in _direct_instances(200):
+        try:
+            sol = solve_p1(g, es, beta)
+        except (InfeasibleError, ConvergenceError, InvalidDualError):
+            continue
+        returned += 1
+        bm = as_beta_matrix(beta, es.n_bs)
+        slack = es.budget + (bm * sol.e).sum(axis=0) - sol.e.sum(axis=1) - g.b @ sol.p
+        assert np.min(slack) >= -1e-6 * np.max(es.budget)
+        assert np.all(sol.p >= 0) and np.all(sol.e >= 0)
+    assert returned >= 180
 
 
 def test_rates_and_objective_are_consistent():
@@ -531,7 +600,7 @@ def test_ellipsoid_matches_the_numpy_reference_bit_for_bit():
         if prob.n < 2:
             continue
         max_iter = 5000 * prob.n * prob.n
-        x, cuts, converged = _minimize_dual_ellipsoid(prob, 1e-9, max_iter)
+        x, cuts, converged = _minimize_dual_ellipsoid(prob)
         x_ref, cuts_ref, converged_ref = _ref_ellipsoid(prob, 1e-9, max_iter)
         assert np.array_equal(x, x_ref)
         assert (cuts, converged) == (cuts_ref, converged_ref)
@@ -559,7 +628,7 @@ def test_bisection_stops_at_its_last_float_with_the_same_bits():
             prob = _DualProblem(g.a, g.b, g.weights, es.budget * scale,
                                 as_beta_matrix(1.0, n))
             assert prob.n == 1
-            hi, steps = _minimize_dual_1d(prob, 1e-9)
+            hi, steps = _minimize_dual_1d(prob)
             hi_ref, steps_ref = _ref_bisection(prob, 1e-9)
             assert hi == hi_ref
             assert steps <= steps_ref and steps < 200
@@ -593,7 +662,7 @@ def test_polish_matches_the_loop_reference():
             # Scaling a dual optimum keeps it in the cone but moves the water
             # level: at half the prices extra terminals look active and must
             # be pruned, at twice the prices some drop out and must rise back.
-            x_opt = _minimize_dual_ellipsoid(prob, 1e-9, max_iter)[0]
+            x_opt = _minimize_dual_ellipsoid(prob)[0]
             starts += [(prob, 0.5 * x_opt), (prob, 2.0 * x_opt)]
     starts += [(prob, _ref_ellipsoid(prob, 1e-9, 5000 * prob.n * prob.n, polish=None)[0])
                for prob in _low_snr_problems(40) if prob.n > 1]
