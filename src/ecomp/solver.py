@@ -5,8 +5,10 @@ power budgets coupled by lossy inter-BS energy transfers.  The problem is
 concave with affine constraints, so it is solved through its dual: pricing
 each BS budget with a multiplier mu_i, the per-terminal power allocation
 has a water-filling closed form, the dual is minimized with the ellipsoid
-method over the cone {mu >= 0, beta_ij mu_j <= mu_i}, and a feasible
-transfer pattern is recovered from the optimal powers with a small LP.
+method over the cone {mu >= 0, beta_ij mu_j <= mu_i} (or exactly, when
+one price covers all stations or each terminal has a price of its own),
+and a feasible transfer pattern is recovered from the optimal powers with
+a small LP.
 ``solve_p1`` is one pass of array stages: normalize, dual, powers,
 transfers, certificate.
 """
@@ -59,7 +61,7 @@ class Solution:
     net_exchange: np.ndarray   # per-BS grid draw (+) / injection (-)
     dual_value: float
     duality_gap: float
-    iterations: int            # cuts up to the accepted polish, or bisection steps
+    iterations: int            # cuts up to the accepted polish; 0 in closed form
 
 
 def dual_power_alloc(a: np.ndarray, b: np.ndarray, w: np.ndarray,
@@ -84,21 +86,29 @@ def _best_paths(eff: np.ndarray) -> np.ndarray:
 
 
 def _merge_lossless_groups(beta: np.ndarray) -> list[list[int]]:
-    """Stations joined by chains of loss-free transfers in both directions.
+    """Stations on a common cycle of loss-free transfers.
 
-    beta_ij = beta_ji = 1 forces mu_i = mu_j in the dual cone, which makes
-    the feasible set lower-dimensional; collapsing those BSs into one dual
-    variable keeps the ellipsoid method well posed.  Groups come in
-    ascending order of their first member.
+    A chain of beta = 1 links from i to j forces mu_i >= mu_j in the dual
+    cone, so every station of a strongly connected component of the
+    beta = 1 graph carries the same price.  Left apart, such a cycle gives
+    the cone no interior; collapsing each component into one dual variable
+    keeps the ellipsoid method well posed.  Groups come in ascending order
+    of their first member.
     """
-    linked = _best_paths(((beta >= 1.0) & (beta.T >= 1.0)).astype(float)) > 0
-    np.fill_diagonal(linked, True)
+    reach = _best_paths((beta >= 1.0).astype(float)) > 0
+    np.fill_diagonal(reach, True)
+    linked = reach & reach.T
     rows = {tuple(j for j, on in enumerate(row) if on) for row in linked.tolist()}
     return [list(g) for g in sorted(rows)]
 
 
 class _DualProblem:
-    """Reduced dual problem over merged BS groups."""
+    """Reduced dual problem over the lossless groups: one price per group.
+
+    ``bg[g, k]`` is what terminal k spends at group g per unit power,
+    ``eg`` the group budgets and ``betag[g, h]`` the best efficiency from
+    a station of g to one of h.
+    """
 
     def __init__(self, a: np.ndarray, b: np.ndarray, w: np.ndarray,
                  budget: np.ndarray, beta: np.ndarray):
@@ -181,23 +191,82 @@ class _DualProblem:
         return float(np.linalg.norm(upper) + math.sqrt(self.n) + 1.0)
 
 
+def _water_levels(prob: _DualProblem, c: np.ndarray,
+                  grp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each group's one-price dual minimizer, and the terminals' cutoffs.
+
+    Terminal k, priced c_k x and served by group ``grp[k]``, transmits
+    below tau_k = w_k a_k / (ln2 c_k).  With the set T of its terminals
+    on, group g spends sum_T w/(ln2 x) - c/a, so it spends eg_g at the
+    level sum_T w/ln2 / (eg_g + sum_T c/a).  Switching on any set of
+    terminals spends at most what the true on-set does, so each set's
+    level is at most the minimizer, with equality at the true set, which
+    is a top set of tau.  The minimizer is therefore the largest level
+    over the top sets.  A zero budget leaves the largest tau, a group
+    with no terminal the price 0.
+    """
+    eg = prob.eg
+    tau = prob.w * prob.a / (LN2 * c)
+    # top[j, k]: terminal k is on whenever terminal j is.
+    top = (grp[:, None] == grp) & (tau >= tau[:, None])
+    level = (top @ (prob.w / LN2)) / (eg[grp] + top @ (c / prob.a))
+    mine = np.arange(eg.size)[:, None] == grp
+    x = np.max(np.where(mine, np.where(eg[:, None] > 0, level, tau), 0.0), axis=1)
+    return x, tau
+
+
 def _minimize_dual_1d(prob: _DualProblem) -> tuple[float, int]:
-    """Bisection on the scalar dual when all groups merged (or N = 1)."""
-    hi = max(float(np.max(prob.w * prob.a / (LN2 * np.maximum(prob.bg[0], 1e-12)))), 1.0)
-    lo = 1e-15
-    it = 0
-    for it in range(200):
-        mid = 0.5 * (lo + hi)
-        # Once the midpoint rounds onto a bound, no later step moves hi.
-        last = not lo < mid < hi
-        g = prob.subgradient(np.array([mid]))[0]
-        if g >= 0:
-            hi = mid
-        else:
-            lo = mid
-        if last or hi - lo <= 1e-16 * max(hi, 1.0):
-            break
-    return hi, it + 1
+    """Exact minimizer of the one-price dual (all groups merged, or N = 1)."""
+    x, _ = _water_levels(prob, np.maximum(prob.bg[0], 1e-12),
+                         np.zeros(prob.a.size, dtype=int))
+    return float(x[0]), 0
+
+
+def _minimize_dual_separable(prob: _DualProblem) -> np.ndarray | None:
+    """Exact dual minimizer under per-station prices and one scalar beta.
+
+    Applies when each terminal spends at exactly one group and every
+    cross-group efficiency is one beta < 1; returns None otherwise.  The
+    dual then sums one convex term per group, and the cone
+    beta x_h <= x_g says that every price lies in [L, L / beta] for
+    L = min x.  For fixed L each group takes its own minimizer clipped to
+    the band, and Phi'(L), the slope of the dual in L, is nondecreasing:
+    it sums the budget surplus E_g - S_g(L) of the groups clipped up to L,
+    and 1 / beta times E_g - S_g(L / beta) of those clipped down.  Between
+    the sorted breakpoints (the minimizers, the cutoffs tau and both
+    times beta) it reads A - B / L, so the root is B / A on the first
+    piece whose right end has Phi' >= 0.
+    """
+    owner = prob.bg > 0
+    beta = prob.betag[~np.eye(prob.n, dtype=bool)]
+    if np.any(owner.sum(axis=0) != 1) or np.any(beta != beta[0]) or beta[0] >= 1.0:
+        return None
+    beta = float(beta[0])
+    grp = np.argmax(owner, axis=0)
+    c = prob.bg[grp, np.arange(grp.size)]
+    x_star, tau = _water_levels(prob, c, grp)
+    if beta == 0.0:
+        return x_star
+    ends = np.concatenate([x_star, tau])
+    ends = np.sort(np.concatenate([ends, beta * ends]))
+    ends = ends[ends > 0]
+    starts = np.concatenate([[0.0], ends[:-1]])
+    mid = 0.5 * (starts + ends)
+    # On each piece: which groups are clipped up to L or down to L / beta,
+    # and which of their terminals transmit there.
+    up = x_star[:, None] < mid
+    down = beta * x_star[:, None] > mid
+    on_up = up[grp] & (tau[:, None] > mid)
+    on_down = down[grp] & (beta * tau[:, None] > mid)
+    cost = c / prob.a
+    slope_a = prob.eg @ up + cost @ on_up + (prob.eg @ down + cost @ on_down) / beta
+    slope_b = (prob.w / LN2) @ (on_up | on_down)
+    # Past the last breakpoint Phi' is sum(eg) > 0 (solve_p1 scales the
+    # largest budget to 1), so some right end qualifies.
+    i = int(np.argmax(slope_a - slope_b / ends >= 0.0))
+    root = slope_b[i] / slope_a[i] if slope_a[i] > 0 else ends[i]
+    low = min(max(root, starts[i]), ends[i])
+    return np.clip(x_star, low, low / beta)
 
 
 def _minimize_dual_ellipsoid(prob: _DualProblem) -> tuple[np.ndarray, int, bool]:
@@ -374,6 +443,9 @@ def _solve_dual(prob: _DualProblem) -> tuple[np.ndarray, int]:
     if prob.n == 1:
         t, it = _minimize_dual_1d(prob)
         return np.array([t]), it
+    x = _minimize_dual_separable(prob)
+    if x is not None:
+        return x, 0
     x, it, converged = _minimize_dual_ellipsoid(prob)
     if not converged:
         raise ConvergenceError(f"dual not converged after {it} cuts", prob.expand(x))

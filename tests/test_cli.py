@@ -32,6 +32,18 @@ def test_validate_ok(capsys):
     assert capsys.readouterr().out.startswith("ok: two_cell_sweep")
 
 
+@pytest.mark.parametrize("name, curves", [("two_cell_sweep.scn", 4),
+                                          ("three_cell_profile.scn", 4)])
+def test_validate_counts_the_curves_a_run_emits(capsys, tmp_path, name, curves):
+    # A two_cell_sweep emits one joint curve per betas entry.
+    assert main(["validate", str(SCENARIO_DIR / name)]) == 0
+    assert f", {curves} scheme(s), " in capsys.readouterr().out
+    out = tmp_path / "out.csv"
+    assert main(["run", str(SCENARIO_DIR / name), "--realizations", "1",
+                 "--out", str(out)]) == 0
+    assert len({row.scheme for row in parse_results(out).rows}) == curves
+
+
 def test_validate_missing_file(capsys):
     rc = main(["validate", "no/such/file.scn"])
     assert rc == 1

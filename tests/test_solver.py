@@ -14,11 +14,13 @@ from ecomp import (
     generate_rayleigh,
     grid_search_p1,
     kkt_residual,
+    per_bs_zf_gains,
     recover_transfers,
     solve_p1,
     waterfill_sum_power,
     zf_gains,
 )
+from ecomp import solver
 from ecomp.solver import (ConvergenceError, InvalidDualError, _DualProblem,
                           _cancel_bidirectional, _merge_lossless_groups,
                           _minimize_dual_1d, _minimize_dual_ellipsoid,
@@ -323,9 +325,10 @@ def _ref_ellipsoid(prob, tol, max_iter, polish=_polish_dual):
 
 
 def _ref_bisection(prob, tol):
+    """Bisection on the one-price dual's slope; returns its last bracket (lo, hi)."""
     hi = max(float(np.max(prob.w * prob.a / (LN2 * np.maximum(prob.bg[0], 1e-12)))), 1.0)
     lo = min(tol, 1e-12) * 1e-3
-    for it in range(200):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         if _ref_subgradient(prob, np.array([mid]))[0] >= 0:
             hi = mid
@@ -333,38 +336,34 @@ def _ref_bisection(prob, tol):
             lo = mid
         if hi - lo <= 1e-16 * max(hi, 1.0):
             break
-    return hi, it + 1
+    return lo, hi
 
 
-# The lossless groups as a union-find, and the polish with a per-step loop
-# assembly of its KKT system.  The solver sums the polish's linear terms in
-# another order, so the polish agrees to rounding, not bit for bit.
+# The lossless groups by a plain graph search, and the polish with a
+# per-step loop assembly of its KKT system.  The solver sums the polish's
+# linear terms in another order, so the polish agrees to rounding, not bit
+# for bit.
 
 
 def _ref_groups(beta: np.ndarray) -> list[list[int]]:
-    """Union BSs connected by loss-free transfers in both directions.
+    """Strongly connected components of the beta = 1 graph.
 
-    beta_ij = beta_ji = 1 forces mu_i = mu_j in the dual cone, which makes
-    the feasible set lower-dimensional; collapsing those BSs into one dual
-    variable keeps the ellipsoid method well posed.
+    A chain of loss-free links from i to j forces mu_i >= mu_j in the dual
+    cone, so stations that reach each other both ways share one price.
     """
     n = beta.shape[0]
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    reach = []
     for i in range(n):
-        for j in range(i + 1, n):
-            if beta[i, j] >= 1.0 and beta[j, i] >= 1.0:
-                parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return sorted(groups.values())
+        seen, stack = {i}, [i]
+        while stack:
+            u = stack.pop()
+            for v in range(n):
+                if v != u and v not in seen and beta[u, v] >= 1.0:
+                    seen.add(v)
+                    stack.append(v)
+        reach.append(seen)
+    groups = {tuple(j for j in sorted(reach[i]) if i in reach[j]) for i in range(n)}
+    return [list(g) for g in sorted(groups)]
 
 
 def _ref_polish(prob: _DualProblem, x0: np.ndarray) -> np.ndarray | None:
@@ -621,17 +620,21 @@ def test_ellipsoid_matches_the_numpy_reference_bit_for_bit():
     assert early >= 30 and late >= 5
 
 
-def test_bisection_stops_at_its_last_float_with_the_same_bits():
+def test_one_price_dual_lies_in_the_bisection_bracket():
     for n in range(1, 7):
         g, es = _instance(200 + n, n_bs=n, m_ant=2, n_mt=n + 1)
         for scale in (1e-4, 1.0, 1e4):
             prob = _DualProblem(g.a, g.b, g.weights, es.budget * scale,
                                 as_beta_matrix(1.0, n))
             assert prob.n == 1
-            hi, steps = _minimize_dual_1d(prob)
-            hi_ref, steps_ref = _ref_bisection(prob, 1e-9)
-            assert hi == hi_ref
-            assert steps <= steps_ref and steps < 200
+            price, steps = _minimize_dual_1d(prob)
+            lo, hi = _ref_bisection(prob, 1e-9)
+            # The bracket holds the exact minimizer; the closed form rounds
+            # within two units in the last place of it.
+            assert steps == 0
+            assert lo - 2 * np.spacing(hi) <= price <= hi + 2 * np.spacing(hi)
+            spent = prob.bg[0] @ prob.powers(np.array([price]))
+            assert spent == pytest.approx(prob.eg[0], rel=1e-12)
 
 
 def _low_snr_problems(count):
@@ -678,7 +681,7 @@ def test_polish_matches_the_loop_reference():
     assert polished >= 150 and rejected >= 30
 
 
-def test_lossless_groups_match_the_union_find_reference():
+def test_lossless_groups_match_the_reachability_reference():
     rng = np.random.default_rng(404)
     for trial in range(3000):
         n = 1 + trial % 7
@@ -688,3 +691,95 @@ def test_lossless_groups_match_the_union_find_reference():
         beta[u < 0.1] = 0.0
         beta[u > 1.0 - ones] = 1.0
         assert _merge_lossless_groups(beta) == _ref_groups(beta)
+
+
+def test_a_directed_lossless_cycle_is_one_group():
+    # 0 -> 1 -> 2 -> 0 at beta = 1 forces mu_0 >= mu_1 >= mu_2 >= mu_0;
+    # no link back into the cycle leaves station 3, so it keeps its own price.
+    beta = np.array([[0.0, 1.0, 0.5, 0.0],
+                     [0.2, 0.0, 1.0, 0.0],
+                     [1.0, 0.0, 0.0, 1.0],
+                     [0.0, 0.7, 0.0, 0.0]])
+    assert _merge_lossless_groups(beta) == [[0, 1, 2], [3]]
+    g, es = _instance(17, n_bs=4, m_ant=2, n_mt=5)
+    prob = _DualProblem(g.a, g.b, g.weights, es.budget, beta)
+    assert prob.n == 2
+    np.testing.assert_array_equal(prob.betag, [[0.0, 1.0], [0.7, 0.0]])
+
+
+# ---------------------------------------------------------------------------
+# The closed-form dual of per-station precoding under one scalar beta.
+
+
+def _per_bs_instances(count):
+    """Seeded per-station ZF instances as ``solve_energy_only`` solves them.
+
+    N in 2..6 and M in {1, 2}, terminals dealt to random stations, so some
+    stations serve none; beta from {0, 0.3, 0.5, 0.9, 0.99, U(0,1)};
+    per-station budgets U(0,1) times 10^U(-4,4), each zero with
+    probability 0.15.
+    """
+    rng = np.random.default_rng([2013, 0xB5])
+    out = []
+    while len(out) < count:
+        n, m = 2 + len(out) % 5, 1 + len(out) // 5 % 2
+        k = int(rng.integers(1, n * m + 1))
+        slots = rng.permutation(np.repeat(np.arange(n), m))[:k]
+        assoc = [np.flatnonzero(slots == i).tolist() for i in range(n)]
+        ch = generate_rayleigh(n, m, k, 10.0 ** rng.uniform(-1.0, 0.0, size=(n, k)), rng)
+        g = per_bs_zf_gains(ch, assoc, rng.uniform(0.5, 2.0, size=k))
+        beta = (0.0, 0.3, 0.5, 0.9, 0.99, float(rng.uniform()))[int(rng.integers(6))]
+        budget = rng.uniform(size=n) * 10.0 ** rng.uniform(-4.0, 4.0)
+        budget[rng.random(n) < 0.15] = 0.0
+        out.append((g, EnergyState(re=budget), beta))
+    return out
+
+
+def test_separable_dual_certifies_per_station_precoding(monkeypatch):
+    compared = 0
+    for g, es, beta in _per_bs_instances(300):
+        bw = 1.0 / es.n_bs
+        sol = solve_p1(g, es, beta, bandwidth=bw)
+        assert sol.iterations == 0
+        assert kkt_residual(sol, g, es, beta, bandwidth=bw) <= 1e-9
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_minimize_dual_separable", lambda prob: None)
+            try:
+                ref = solve_p1(g, es, beta, bandwidth=bw)
+            except (InfeasibleError, ConvergenceError):
+                continue
+        if kkt_residual(ref, g, es, beta, bandwidth=bw) <= 1e-9:
+            compared += 1
+            assert sol.objective == pytest.approx(ref.objective, rel=1e-9)
+    assert compared >= 250
+
+
+def test_separable_dual_solves_a_low_budget_instance_the_ellipsoid_missed():
+    # One terminal at station 0, and station 1 idle with a budget that half
+    # reaches station 0.  The ellipsoid path returned p = 0 here, with a KKT
+    # residual of 0.053; the optimum spends E_0 + E_1 / 2.
+    g = ZfGains(a=np.array([0.0571]), b=np.array([[1.0], [0.0]]),
+                t_dir=np.zeros((1, 2)), weights=np.array([1.7257]))
+    es = EnergyState(re=np.array([3.89e-5, 7.05e-6]))
+    sol = solve_p1(g, es, 0.5, bandwidth=0.5)
+    assert sol.p[0] == pytest.approx(3.89e-5 + 0.5 * 7.05e-6, rel=1e-12)
+    assert kkt_residual(sol, g, es, 0.5, bandwidth=0.5) <= 1e-12
+
+
+def test_cluster_zf_and_beta_matrices_still_take_the_ellipsoid(monkeypatch):
+    calls = []
+    ellipsoid = solver._minimize_dual_ellipsoid
+
+    def counted(prob):
+        calls.append(prob.n)
+        return ellipsoid(prob)
+
+    monkeypatch.setattr(solver, "_minimize_dual_ellipsoid", counted)
+    g, es = _instance(3, n_bs=3, m_ant=2, n_mt=4)
+    solve_p1(g, es, 0.5)
+    assert calls == [3]
+    ch = generate_rayleigh(3, 1, 3, np.ones((3, 3)), 21)
+    g = per_bs_zf_gains(ch, [[0], [1], [2]])
+    beta = np.array([[0.0, 0.5, 0.9], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
+    solve_p1(g, EnergyState(re=np.array([1.0, 2.0, 3.0])), beta, bandwidth=1.0 / 3)
+    assert calls == [3, 3]
