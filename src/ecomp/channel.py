@@ -9,12 +9,12 @@ power cost coefficients ``b[i, k]``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-# Singular values below this fraction of the largest are treated as zero
-# when computing the numerical rank / null space.
+# The served channel rows count as linearly dependent when their smallest
+# singular value is at most this fraction of the largest.
 RANK_RTOL = 1e-10
 
 # Floor for the effective gains; downstream closed forms divide by these.
@@ -145,8 +145,6 @@ def generate_rayleigh(n_bs: int, m_ant: int, n_mt: int,
         raise FeasibilityError(f"variances shape {var.shape} != {(n_bs, n_mt)}")
     if np.any(var <= 0):
         raise FeasibilityError("channel variances must be strictly positive")
-    if n_mt > m_ant * n_bs:
-        raise FeasibilityError(f"K={n_mt} exceeds M*N={m_ant * n_bs}")
     rng = np.random.default_rng(rng_seed)
     std = np.sqrt(np.repeat(var.T, m_ant, axis=1) / 2.0)  # K x MN per-component std
     shape = (n_mt, m_ant * n_bs)
@@ -155,20 +153,24 @@ def generate_rayleigh(n_bs: int, m_ant: int, n_mt: int,
                           noise_var=np.broadcast_to(noise_var, (n_mt,)).copy())
 
 
-def _null_space(mat: np.ndarray, dim: int) -> np.ndarray:
-    """Orthonormal basis of the null space of ``mat`` (columns).
+def _zf_beams(h: np.ndarray, noise_var: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit ZF directions (rows) and effective gains for the rows of ``h``.
 
-    ``mat`` may have zero rows (empty), in which case the basis is the
-    identity.  Raises DegeneracyError if ``mat`` is rank deficient, since
-    the ZF construction assumes linearly independent rows.
+    Row k's beam is column k of the pseudo-inverse of ``h``: it is nulled
+    by every other row and has unit gain on row k, so its squared norm is
+    the inverse of the power of h_k orthogonal to the other rows.  Raises
+    DegeneracyError if the rows are not numerically independent.
     """
-    if mat.shape[0] == 0:
-        return np.eye(dim, dtype=complex)
-    _, s, vh = np.linalg.svd(mat, full_matrices=True)
-    rank = int(np.sum(s > RANK_RTOL * s[0]))
-    if rank < mat.shape[0]:
-        raise DegeneracyError("rank-deficient co-channel matrix")
-    return vh[rank:].conj().T
+    u, s, vh = np.linalg.svd(h, full_matrices=False)
+    if s[-1] <= RANK_RTOL * s[0]:
+        raise DegeneracyError("rank-deficient channel matrix")
+    beams = vh.conj().T @ (u.conj().T / s[:, None])
+    norm = np.linalg.norm(beams, axis=0)
+    power = 1.0 / norm ** 2
+    low = power <= GAIN_FLOOR * np.linalg.norm(h, axis=1) ** 2
+    if np.any(low):
+        raise DegeneracyError(f"row {int(np.argmax(low))} lies in the other rows' span")
+    return (beams / norm).T, power / noise_var
 
 
 def _rate_weights(weights, k_mt: int) -> np.ndarray:
@@ -182,32 +184,14 @@ def _rate_weights(weights, k_mt: int) -> np.ndarray:
 def zf_gains(ch: ClusterChannel, weights=None) -> ZfGains:
     """Cooperative ZF precoding across all BSs of the cluster.
 
-    For each terminal k, the direction is the normalized projection of
-    h_k onto the null space of the other terminals' channels; ``a[k]`` is
-    the residual channel power over the noise and ``b[i, k]`` the squared
-    norm of the direction's BS-i antenna block.
+    Terminal k's direction is the normalized column k of the pseudo-inverse
+    of ``h``; ``a[k]`` is the power of h_k orthogonal to the other
+    terminals' channels over the noise and ``b[i, k]`` the squared norm of
+    the direction's BS-i antenna block.
     """
-    k_mt, mn = ch.h.shape
-    w = _rate_weights(weights, k_mt)
-
-    a = np.empty(k_mt)
-    b = np.empty((ch.n_bs, k_mt))
-    t_dir = np.empty((k_mt, mn), dtype=complex)
-    for k in range(k_mt):
-        h_others = np.delete(ch.h, k, axis=0)
-        try:
-            v_null = _null_space(h_others, mn)
-        except DegeneracyError as exc:
-            raise DegeneracyError(f"co-channel matrix of MT {k} is rank deficient") from exc
-        proj = v_null @ (v_null.conj().T @ ch.h[k].conj())
-        nrm = np.linalg.norm(proj)
-        if nrm <= np.sqrt(GAIN_FLOOR) * np.linalg.norm(ch.h[k]):
-            raise DegeneracyError(f"MT {k} channel lies in the other MTs' span")
-        t = proj / nrm
-        a[k] = nrm ** 2 / ch.noise_var[k]
-        for i in range(ch.n_bs):
-            b[i, k] = float(np.sum(np.abs(t[ch.block(i)]) ** 2))
-        t_dir[k] = t
+    w = _rate_weights(weights, ch.n_mt)
+    t_dir, a = _zf_beams(ch.h, ch.noise_var)
+    b = (np.abs(t_dir) ** 2).reshape(ch.n_mt, ch.n_bs, ch.m_ant).sum(axis=2).T
     if np.any(b <= GAIN_FLOOR):
         i, k = np.unravel_index(int(np.argmin(b)), b.shape)
         raise DegeneracyError(f"vanishing power coefficient b[{i},{k}]")
@@ -238,24 +222,14 @@ def per_bs_zf_gains(ch: ClusterChannel, association, weights=None) -> ZfGains:
     b = np.zeros((ch.n_bs, k_mt))
     t_dir = np.zeros((k_mt, ch.m_ant * ch.n_bs), dtype=complex)
     for i, group in enumerate(assoc):
+        if not group:
+            continue
         blk = ch.block(i)
-        for k in group:
-            h_local = ch.h[k, blk]
-            h_others = np.array([ch.h[l, blk] for l in group if l != k])
-            h_others = h_others.reshape(len(group) - 1, ch.m_ant)
-            try:
-                v_null = _null_space(h_others, ch.m_ant)
-            except DegeneracyError as exc:
-                raise DegeneracyError(f"co-channel matrix of MT {k} at BS {i} "
-                                      "is rank deficient") from exc
-            proj = v_null @ (v_null.conj().T @ h_local.conj())
-            nrm = np.linalg.norm(proj)
-            if nrm <= np.sqrt(GAIN_FLOOR) * max(np.linalg.norm(h_local), 1e-300):
-                raise DegeneracyError(f"MT {k} channel at BS {i} lies in its "
-                                      "co-scheduled MTs' span")
-            a[k] = nrm ** 2 / ch.noise_var[k]
-            b[i, k] = 1.0
-            t_dir[k, blk] = proj / nrm
+        try:
+            t_dir[group, blk], a[group] = _zf_beams(ch.h[group, blk], ch.noise_var[group])
+        except DegeneracyError as exc:
+            raise DegeneracyError(f"BS {i} serving MTs {group}: {exc}") from exc
+        b[i, group] = 1.0
     return ZfGains(a=a, b=b, t_dir=t_dir, weights=w)
 
 

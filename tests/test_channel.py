@@ -172,3 +172,79 @@ def test_channel_and_weights_must_be_finite():
     for weights in ([0.0, 1.0, 1.0, 1.0], [1.0, -2.0, 1.0, 1.0], [1.0, 1.0]):
         with pytest.raises(ValueError, match="weights"):
             per_bs_zf_gains(ch, [[0, 1], [2, 3]], weights)
+
+
+
+def _ref_residual(h, k):
+    """Row k of ``h`` minus its least-squares fit by the other rows, refined once."""
+    others = np.delete(h, k, axis=0).T
+    r = h[k]
+    for _ in range(2):
+        r = r - others @ np.linalg.lstsq(others, r, rcond=None)[0]
+    return r
+
+
+def test_zf_gains_match_the_distance_to_the_other_terminals_span():
+    """a[k] is the squared distance of h_k from the span of the other served
+    rows over the noise; cooperative b[:, k] splits that residual by block."""
+    rng = np.random.default_rng(19)
+    checked = 0
+    for n_bs in range(2, 7):
+        for m_ant in (1, 2):
+            for n_mt in sorted({1, int(rng.integers(1, n_bs * m_ant + 1)), n_bs * m_ant}):
+                var = 10.0 ** rng.uniform(-1.0, 0.0, size=(n_bs, n_mt))
+                ch = generate_rayleigh(n_bs, m_ant, n_mt, var, rng,
+                                       noise_var=rng.uniform(0.5, 2.0, size=n_mt))
+                res = np.array([_ref_residual(ch.h, k) for k in range(n_mt)])
+                power = np.abs(res) ** 2
+                a = power.sum(axis=1) / ch.noise_var
+                b = power.reshape(n_mt, n_bs, m_ant).sum(axis=2).T / power.sum(axis=1)
+                g = zf_gains(ch)
+                np.testing.assert_allclose(g.a, a, rtol=1e-10, atol=0)
+                np.testing.assert_allclose(g.b, b, rtol=1e-10, atol=0)
+
+                assoc = strongest_channel_association(var, m_ant)
+                a, b = np.empty(n_mt), np.zeros((n_bs, n_mt))
+                for i, group in enumerate(assoc):
+                    h_i = ch.h[group, ch.block(i)]
+                    for j, k in enumerate(group):
+                        a[k] = np.sum(np.abs(_ref_residual(h_i, j)) ** 2) / ch.noise_var[k]
+                        b[i, k] = 1.0
+                g = per_bs_zf_gains(ch, assoc)
+                np.testing.assert_allclose(g.a, a, rtol=1e-10, atol=0)
+                np.testing.assert_array_equal(g.b, b)
+                checked += 1
+    assert checked >= 25
+
+
+def test_per_bs_zf_rejects_degenerate_station_channels():
+    rng = np.random.default_rng(20)
+    h0 = _random_channel(rng, n_bs=2, m_ant=2, n_mt=3).h
+    h = h0.copy()
+    h[1, :2] = (0.5 - 2.0j) * h[0, :2]
+    ch = ClusterChannel(n_bs=2, m_ant=2, n_mt=3, h=h, noise_var=1.0)
+    with pytest.raises(DegeneracyError):
+        per_bs_zf_gains(ch, [[0, 1], [2]])  # parallel co-scheduled terminals
+    per_bs_zf_gains(ch, [[0, 2], [1]])      # apart, the two are served
+    h = h0.copy()
+    h[2, 2:] = 0.0
+    ch = ClusterChannel(n_bs=2, m_ant=2, n_mt=3, h=h, noise_var=1.0)
+    for assoc in ([[0, 1], [2]], [[0], [1, 2]]):
+        with pytest.raises(DegeneracyError):
+            per_bs_zf_gains(ch, assoc)      # no channel at its own station
+
+
+def test_per_bs_zf_leaves_an_idle_station_out():
+    """An empty station gets a zero b row, and the others' gains are those
+    of the cluster without it."""
+    rng = np.random.default_rng(21)
+    ch = _random_channel(rng, n_bs=3, m_ant=2, n_mt=3)
+    g = per_bs_zf_gains(ch, [[0, 1], [], [2]])
+    kept = np.r_[0:2, 4:6]
+    ref = per_bs_zf_gains(ClusterChannel(n_bs=2, m_ant=2, n_mt=3, h=ch.h[:, kept],
+                                         noise_var=ch.noise_var), [[0, 1], [2]])
+    np.testing.assert_array_equal(g.b[1], 0.0)
+    np.testing.assert_array_equal(g.b[[0, 2]], ref.b)
+    np.testing.assert_array_equal(g.a, ref.a)
+    np.testing.assert_array_equal(g.t_dir[:, kept], ref.t_dir)
+    np.testing.assert_array_equal(g.t_dir[:, 2:4], 0.0)
