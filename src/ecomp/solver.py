@@ -77,6 +77,14 @@ def dual_power_alloc(a: np.ndarray, b: np.ndarray, w: np.ndarray,
 # dual minimization
 
 
+def _dot(u, v) -> float:
+    """Left-to-right dot product of two float sequences."""
+    t = 0.0
+    for a, b in zip(u, v):
+        t += a * b
+    return t
+
+
 def _best_paths(eff: np.ndarray) -> np.ndarray:
     """Best multi-hop efficiency between all station pairs, zero diagonal."""
     for m in range(eff.shape[0]):
@@ -127,53 +135,60 @@ class _DualProblem:
         np.fill_diagonal(self.betag, 0.0)
         self.edges = [(i, j, float(self.betag[i, j])) for i in range(self.n)
                       for j in range(self.n) if i != j and self.betag[i, j] > 0]
-        self.inv_a = 1.0 / self.a
+        # Float tables for the oracle: per terminal (bg[:, k], w_k, a_k, 1/a_k); bg's rows.
+        self._terminals = list(zip(self.bg.T.tolist(), w.tolist(), a.tolist(),
+                                   (1.0 / a).tolist()))
+        self._rows, self._eg = self.bg.tolist(), self.eg.tolist()
 
-    def _prices_powers(self, x: np.ndarray):
-        """Aggregate terminal prices and the water-filling powers at x."""
-        s = np.maximum(self.bg.T @ x, 1e-300)
-        return s, np.maximum(self.w / (LN2 * s) - self.inv_a, 0.0)
+    def _oracle(self, x) -> tuple[list, float, list]:
+        """Powers, dual value and subgradient (budget minus spent) at x.
 
-    def powers(self, x: np.ndarray) -> np.ndarray:
-        return self._prices_powers(x)[1]
+        Python floats, every sum left to right, so no BLAS build moves a bit:
+        s_k = sum_g bg[g, k] x_g, then sum_k (w_k log2(1 + a_k p_k) - s_k p_k)
+        + sum_g x_g eg_g and eg_g - sum_k bg[g, k] p_k.
+        """
+        if isinstance(x, np.ndarray):
+            x = x.tolist()
+        ps, val = [], 0.0
+        for col, w, a, inv_a in self._terminals:
+            s = max(_dot(col, x), 1e-300)
+            p = max(w / (LN2 * s) - inv_a, 0.0)
+            ps.append(p)
+            val += w * math.log2(1.0 + a * p) - s * p
+        sub = [e - _dot(row, ps) for e, row in zip(self._eg, self._rows)]
+        return ps, val + _dot(x, self._eg), sub
 
-    def value_and_subgradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """Dual value and subgradient (budget minus spent power) at x."""
-        s, p = self._prices_powers(x)
-        val = (self.w * np.log2(1.0 + self.a * p) - s * p).sum()
-        return float(val + x @ self.eg), self.eg - self.bg @ p
+    def powers(self, x) -> np.ndarray:
+        return np.array(self._oracle(x)[0])
 
-    def value(self, x: np.ndarray) -> float:
-        return self.value_and_subgradient(x)[0]
+    def value(self, x) -> float:
+        return self._oracle(x)[1]
 
-    def subgradient(self, x: np.ndarray) -> np.ndarray:
-        return self.eg - self.bg @ self.powers(x)
+    def subgradient(self, x) -> np.ndarray:
+        return np.array(self._oracle(x)[2])
 
-    def violated_cut(self, x: np.ndarray):
-        """Gradient of the most violated cone constraint, or None.
+    def value_and_subgradient(self, x) -> tuple[float, list]:
+        """Dual value and subgradient at x, the latter as a list of floats."""
+        return self._oracle(x)[1:]
 
-        Bounds x_i >= 0 come first and win ties.  Among the edges the
-        first strict maximum in row-major order wins, as numpy's argmax
-        over the pairs picks it; b * x_j - x_i rounds as numpy's
-        elementwise ops do.  Zero-efficiency pairs are left out: their
+    def violated_cut(self, x):
+        """The most violated cone constraint as (i, j, b), or None.
+
+        The cut's gradient is b e_j - e_i: a bound x_i >= 0 reads
+        (i, i, 0.0) and an edge b x_j <= x_i reads (i, j, b).  Bounds come
+        first and win ties; among the edges the first strict maximum in
+        row-major order wins.  Zero-efficiency pairs are left out: their
         violation -x_i never exceeds the bound cut's.
         """
-        xs = x.tolist()
         worst, cut = 0.0, None
-        for i, xi in enumerate(xs):
-            if xi < -0.0 and -xi > worst:
-                worst, cut = -xi, (i, i, -1.0)      # gradient -e_i
+        for i, xi in enumerate(x):
+            if -xi > worst:
+                worst, cut = -xi, (i, i, 0.0)
         for i, j, b in self.edges:
-            v = b * xs[j] - xs[i]
+            v = b * x[j] - x[i]
             if v > worst:
                 worst, cut = v, (i, j, b)
-        if cut is None:
-            return None
-        i, j, b = cut
-        g = np.zeros(self.n)
-        g[j] = b
-        g[i] = -1.0
-        return g
+        return cut
 
     def expand(self, x: np.ndarray) -> np.ndarray:
         return x[self.label]
@@ -275,48 +290,58 @@ def _minimize_dual_ellipsoid(prob: _DualProblem) -> tuple[np.ndarray, int, bool]
     When an objective cut's width first reaches a width in ``POLISH_AT``,
     the best point so far is polished; an accepted polish ends the run,
     and a rejected one lets the same cut sequence go on.  Every other exit
-    (width ``DUAL_TOL``, or 5000 n^2 cuts) polishes its final point once
-    and keeps the raw point when the polish rejects it.
+    (width ``DUAL_TOL``, a degenerate shape matrix, or 5000 n^2 cuts)
+    polishes its final point once and keeps the raw point when the polish
+    rejects it; a degenerate exit is converged only if the polish accepts.
+    The loop runs on Python floats: ``A g`` is a left-to-right sum, for a
+    cone cut (i, j, b) the two terms b A[:, j] - A[:, i], which round as
+    the dense sum does.
     """
     n = prob.n
-    x = np.ones(n)
     r = prob.radius()
-    a_mat = (r * r) * np.eye(n)
-    best_x, best_f = None, np.inf
-    converged = False
+    a_mat = [r * r if i == j else 0.0 for i in range(n) for j in range(n)]   # row-major
+    c1, c2 = (n * n) / (n * n - 1.0), 2.0 / (n + 1)
+    x = [1.0] * n
+    best_x, best_f = None, math.inf
+    converged = degenerate = False
     polish_at = list(POLISH_AT)
     it = 0
     for it in range(1, 5000 * n * n + 1):
-        g = prob.violated_cut(x)
-        objective_cut = g is None
-        if objective_cut:
+        cut = prob.violated_cut(x)
+        if cut is None:
             f, g = prob.value_and_subgradient(x)
             if f < best_f:
-                best_f, best_x = f, x.copy()
-        ag = a_mat @ g
-        gag = float(g @ ag)
-        if gag <= 0:
-            converged = best_x is not None
+                best_f, best_x = f, x
+            ag = [_dot(a_mat[k:k + n], g) for k in range(0, n * n, n)]
+            gag = _dot(g, ag)
+        else:
+            i, j, b = cut
+            ag = [b * aj - ai for aj, ai in zip(a_mat[j::n], a_mat[i::n])]
+            gag = b * ag[j] - ag[i]
+        if gag <= 0.0:
+            degenerate = True
             break
         width = math.sqrt(gag)
-        if objective_cut and width <= DUAL_TOL:
+        if cut is None and width <= DUAL_TOL:
             converged = True
             break
         if width <= 1e-18:
-            converged = best_x is not None
+            degenerate = True
             break
-        if objective_cut and polish_at and width <= polish_at[0]:
+        if cut is None and polish_at and width <= polish_at[0]:
             polish_at = [m for m in polish_at if m < width]
-            polished = _polish_dual(prob, best_x)
+            polished = _polish_dual(prob, np.array(best_x))
             if polished is not None:
                 return polished, it, True
-        gn = ag / width
-        x = x - gn / (n + 1)
+        gn = [v / width for v in ag]
+        x = [xi - gi / (n + 1) for xi, gi in zip(x, gn)]
         # gn_i * gn_j == gn_j * gn_i, so the update keeps a_mat exactly symmetric.
-        a_mat = (n * n) / (n * n - 1.0) * (a_mat - (2.0 / (n + 1)) * (gn[:, None] * gn))
-    if best_x is None:
-        best_x = np.maximum(x, 0.0)
+        outer = [gr * gc for gr in gn for gc in gn]
+        a_mat = [c1 * (arc - c2 * o) for arc, o in zip(a_mat, outer)]
+    best_x = np.maximum(x, 0.0) if best_x is None else np.array(best_x)
     polished = _polish_dual(prob, best_x)
+    if degenerate:
+        converged = polished is not None
     return (best_x if polished is None else polished), it, converged
 
 

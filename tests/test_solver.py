@@ -250,26 +250,39 @@ def test_rates_and_objective_are_consistent():
 
 
 # ---------------------------------------------------------------------------
-# The dual oracle and its loops against plain numpy references.  The
-# solver computes every value with the same numpy call on the same operands
-# as these references, so results must match bit for bit (==, not approx).
+# The dual oracle and its loops against numpy references in one fixed
+# arithmetic: every sum accumulates numpy rows one station or terminal at a
+# time, left to right, logarithms are ``math.log2``, and no BLAS call is
+# made.  The solver runs the same operations on Python floats, so results
+# must match bit for bit (==, not approx).
 
 LN2 = math.log(2.0)
 
 
 def _ref_prices_powers(prob, x):
-    s = np.maximum(prob.bg.T @ x, 1e-300)
+    s = np.zeros(prob.a.size)
+    for g in range(prob.n):
+        s = s + prob.bg[g] * x[g]
+    s = np.maximum(s, 1e-300)
     return s, np.maximum(prob.w / (LN2 * s) - 1.0 / prob.a, 0.0)
 
 
 def _ref_value(prob, x):
     s, p = _ref_prices_powers(prob, x)
-    val = np.sum(prob.w * np.log2(1.0 + prob.a * p) - s * p)
-    return float(val + x @ prob.eg)
+    val = dot = 0.0
+    for k in range(prob.a.size):
+        val = val + (prob.w[k] * math.log2(1.0 + prob.a[k] * p[k]) - s[k] * p[k])
+    for g in range(prob.n):
+        dot = dot + x[g] * prob.eg[g]
+    return float(val + dot)
 
 
 def _ref_subgradient(prob, x):
-    return prob.eg - prob.bg @ _ref_prices_powers(prob, x)[1]
+    p = _ref_prices_powers(prob, x)[1]
+    spent = np.zeros(prob.n)
+    for k in range(prob.a.size):
+        spent = spent + prob.bg[:, k] * p[k]
+    return prob.eg - spent
 
 
 def _ref_violated_cut(prob, x):
@@ -290,18 +303,38 @@ def _ref_violated_cut(prob, x):
     return cut
 
 
+def _dense_cut(prob, cut):
+    """The gradient b e_j - e_i of a cut (i, j, b)."""
+    if cut is None:
+        return None
+    i, j, b = cut
+    g = np.zeros(prob.n)
+    g[j] = b
+    g[i] -= 1.0
+    return g
+
+
+def _ref_matvec(a_mat, g):
+    """a_mat @ g, accumulated one column at a time."""
+    out = np.zeros(g.size)
+    for c in range(g.size):
+        out = out + a_mat[:, c] * g[c]
+    return out
+
+
 def _ref_ellipsoid(prob, tol, max_iter, polish=_polish_dual):
     """The cut loop, polished at widths 1e-3 and 1e-6 and at its exit.
 
     With ``polish=None`` it is the bare cut loop, which returns the raw
-    best point.
+    best point.  A degenerate exit (gag <= 0 or width <= 1e-18) is
+    converged only when the final polish accepts.
     """
     n = prob.n
     x = np.ones(n)
     r = prob.radius()
     a_mat = (r * r) * np.eye(n)
     best_x, best_f = None, np.inf
-    converged = False
+    converged = degenerate = False
     milestones = [m for m in (1e-3, 1e-6) if m > tol] if polish else []
     for it in range(1, max_iter + 1):
         g = _ref_violated_cut(prob, x)
@@ -311,17 +344,17 @@ def _ref_ellipsoid(prob, tol, max_iter, polish=_polish_dual):
             if f < best_f:
                 best_f, best_x = f, x.copy()
             g = _ref_subgradient(prob, x)
-        ag = a_mat @ g
-        gag = float(g @ ag)
+        ag = _ref_matvec(a_mat, g)
+        gag = float(_ref_matvec(ag[None, :], g)[0])
         if gag <= 0:
-            converged = best_x is not None
+            degenerate = True
             break
         width = math.sqrt(gag)
         if objective_cut and width <= tol:
             converged = True
             break
         if width <= 1e-18:
-            converged = best_x is not None
+            degenerate = True
             break
         if objective_cut and milestones and width <= milestones[0]:
             while milestones and width <= milestones[0]:
@@ -336,6 +369,8 @@ def _ref_ellipsoid(prob, tol, max_iter, polish=_polish_dual):
     if best_x is None:
         best_x = np.maximum(x, 0.0)
     polished = polish(prob, best_x) if polish else None
+    if degenerate and polish:
+        converged = polished is not None
     return (best_x if polished is None else polished), it, converged
 
 
@@ -581,11 +616,31 @@ def test_dual_oracle_matches_the_numpy_reference_bit_for_bit():
             val, sub = prob.value_and_subgradient(x)
             assert val == _ref_value(prob, x)
             assert np.array_equal(sub, _ref_subgradient(prob, x))
-            cut, ref = prob.violated_cut(x), _ref_violated_cut(prob, x)
+            cut, ref = _dense_cut(prob, prob.violated_cut(x)), _ref_violated_cut(prob, x)
             assert (cut is None) == (ref is None)
             if ref is not None:
                 assert np.array_equal(cut, ref)
     assert merged > 0
+
+
+def _blas_oracle(prob, x):
+    """Dual value and spent power by the former formula: BLAS products, np.log2."""
+    s = np.maximum(prob.bg.T @ x, 1e-300)
+    p = np.maximum(prob.w / (LN2 * s) - 1.0 / prob.a, 0.0)
+    val = np.sum(prob.w * np.log2(1.0 + prob.a * p) - s * p)
+    return float(val + x @ prob.eg), prob.bg @ p
+
+
+def test_float_oracle_stays_within_rounding_of_the_blas_formula():
+    # The fixed left-to-right order moves the oracle by rounding only.
+    rng = np.random.default_rng(2026)
+    for prob in _dual_problems(40):
+        for x in _probe_points(prob, rng):
+            val_ref, spent = _blas_oracle(prob, x)
+            val, sub = prob.value_and_subgradient(x)
+            assert abs(val - val_ref) <= 1e-12 * abs(val_ref)
+            bound = 1e-12 * np.maximum(np.abs(prob.eg), np.abs(spent))
+            assert np.all(np.abs(np.array(sub) - (prob.eg - spent)) <= bound)
 
 
 def test_violated_cut_keeps_the_argmax_rule_on_ties_and_zero_pairs():
@@ -600,7 +655,7 @@ def test_violated_cut_keeps_the_argmax_rule_on_ties_and_zero_pairs():
     assert prob.n == 4
     for _ in range(3000):
         x = rng.choice([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0], size=4)
-        cut, ref = prob.violated_cut(x), _ref_violated_cut(prob, x)
+        cut, ref = _dense_cut(prob, prob.violated_cut(x)), _ref_violated_cut(prob, x)
         assert (cut is None) == (ref is None)
         if ref is not None:
             assert np.array_equal(cut, ref)
@@ -633,6 +688,21 @@ def test_ellipsoid_matches_the_numpy_reference_bit_for_bit():
             assert np.array_equal(x, raw if polished is None else polished)
             assert (cuts, converged) == (raw_cuts, raw_converged)
     assert early >= 30 and late >= 5
+
+
+def test_a_degenerate_exit_is_converged_only_when_the_polish_accepts(monkeypatch):
+    # A zero radius gives a zero shape matrix, so the first cut leaves
+    # through the gag <= 0 exit; a rejecting polish must not read as converged.
+    monkeypatch.setattr(_DualProblem, "radius", lambda self: 0.0)
+    monkeypatch.setattr(solver, "_polish_dual", lambda prob, x0: None)
+    g, es = _instance(3, n_bs=3, m_ant=2, n_mt=4)
+    prob = _DualProblem(g.a, g.b, g.weights, es.budget, as_beta_matrix(0.5, 3))
+    x, cuts, converged = _minimize_dual_ellipsoid(prob)
+    assert (cuts, converged) == (1, False)
+    assert _ref_ellipsoid(prob, 1e-9, 5000 * 9, polish=lambda p, x0: None)[1:] == (1, False)
+    np.testing.assert_array_equal(x, np.ones(3))
+    with pytest.raises(ConvergenceError):
+        solve_p1(g, es, 0.5)
 
 
 def test_one_price_dual_lies_in_the_bisection_bracket():

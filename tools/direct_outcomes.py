@@ -1,0 +1,117 @@
+"""Record or compare the outcome of every ``direct`` benchmark instance.
+
+    python3 tools/direct_outcomes.py --seeds 1-10 --out outcomes.json
+    python3 tools/direct_outcomes.py --compare old.json new.json
+
+The first form solves each instance of ``make_direct`` (``bench/workloads.py``)
+once per seed and writes its class -- ``ok``, ``raised:<Class>`` or
+``certificate:<check,...>`` with the benchmark's own checks -- and its
+objective (null when the solve raised).  The second prints the per-seed
+``failed`` counts, the instances that pass on one side only, the failing
+instances whose class changed and the largest relative objective change
+over the instances that pass on both sides.  It exits 1 when an instance
+that passes in OLD fails in NEW.
+
+The package comes from ``src`` of the checkout that holds this file, and
+``bench/workloads.py`` is imported as it is.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def parse_seeds(text: str) -> list[int]:
+    """'1-10' or '1,3,5' (ranges allowed inside the list) to a seed list."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds += range(int(lo), int(hi or lo) + 1)
+    return seeds
+
+
+def record(seeds: list[int]) -> dict:
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+    import workloads as wl
+
+    out = {}
+    for seed in seeds:
+        classes, objectives = [], []
+        for inst in wl.make_direct(seed):
+            sol = wl.solve(inst)
+            if isinstance(sol, Exception):
+                classes.append(f"raised:{type(sol).__name__}")
+                objectives.append(None)
+                continue
+            bad = wl.certificate_failures(inst, sol)
+            classes.append("certificate:" + ",".join(bad) if bad else "ok")
+            objectives.append(sol.objective)
+        out[str(seed)] = {"class": classes, "objective": objectives}
+        print(f"seed {seed}: failed {sum(c != 'ok' for c in classes)} "
+              f"of {len(classes)}", file=sys.stderr)
+    return out
+
+
+def compare(old: dict, new: dict) -> int:
+    """Print the differences of two records; 1 if NEW fails where OLD passed."""
+    newly_failing, newly_passing, swaps = [], [], []
+    worst, worst_at = 0.0, None
+    total_old = total_new = both = 0
+    for seed in sorted(set(old) & set(new), key=int):
+        a, b = old[seed], new[seed]
+        if len(a["class"]) != len(b["class"]):
+            print(f"seed {seed}: {len(a['class'])} instances against {len(b['class'])}")
+            return 1
+        fail_a = sum(c != "ok" for c in a["class"])
+        fail_b = sum(c != "ok" for c in b["class"])
+        total_old, total_new = total_old + fail_a, total_new + fail_b
+        print(f"seed {seed}: failed {fail_a} -> {fail_b}")
+        for idx, (ca, cb) in enumerate(zip(a["class"], b["class"])):
+            where = f"seed {seed} #{idx}"
+            if ca == "ok" and cb != "ok":
+                newly_failing.append(f"{where}: {cb}")
+            elif ca != "ok" and cb == "ok":
+                newly_passing.append(f"{where}: was {ca}")
+            elif ca != cb:
+                swaps.append(f"{where}: {ca} -> {cb}")
+            elif ca == "ok":
+                both += 1
+                fa, fb = a["objective"][idx], b["objective"][idx]
+                rel = abs(fa - fb) / max(abs(fa), abs(fb), 1e-300)
+                if rel > worst:
+                    worst, worst_at = rel, where
+    print(f"total: failed {total_old} -> {total_new}; {both} pass on both sides")
+    for title, lines in (("newly failing", newly_failing),
+                         ("newly passing", newly_passing), ("class swaps", swaps)):
+        print(f"{title}: {len(lines)}")
+        for line in lines:
+            print(f"  {line}")
+    print(f"largest relative objective change on passing instances: {worst:.3g}"
+          + (f" ({worst_at})" if worst_at else ""))
+    return 1 if newly_failing else 0
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    mode = ap.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--seeds", type=parse_seeds, help="seeds to record, e.g. 1-10")
+    mode.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                      help="two records written by --out")
+    ap.add_argument("--out", help="where --seeds writes its record")
+    args = ap.parse_args(argv)
+    if args.compare:
+        old, new = (json.loads(Path(f).read_text()) for f in args.compare)
+        return compare(old, new)
+    if not args.out:
+        ap.error("--seeds needs --out")
+    Path(args.out).write_text(json.dumps(record(args.seeds)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
