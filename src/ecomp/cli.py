@@ -88,10 +88,8 @@ def _cmd_region(args) -> int:
 
 def _cmd_validate(args) -> int:
     scenario = load_scenario(args.scenario)
-    # A two_cell_sweep runs joint@<beta> once per betas entry.
-    sweep = scenario.kind == "two_cell_sweep"
-    count = len(scenario.betas) if sweep else len(scenario.schemes)
-    print(f"ok: {scenario.kind} scenario, {count} scheme(s), seed {scenario.seed}")
+    print(f"ok: {scenario.kind} scenario, {len(scenario.schemes)} scheme(s), "
+          f"seed {scenario.seed}")
     return 0
 
 

@@ -25,16 +25,16 @@ from .channel import (DegeneracyError, FeasibilityError, ScenarioGeometry,
                       variance_matrix, zf_gains)
 from .energy import EnergyState
 from .profiles import EnergyProfile, bs_budgets_at, load_profiles
-from .scenario import Scenario, SchemeSpec
+from .scenario import Scenario
 from .simplex import InfeasibleError
-from .solver import ConvergenceError, InvalidDualError, solve_p1
+from .solver import ConvergenceError, solve_p1
 
 RESULT_COLUMNS = ("sweep_key", "slot", "scheme", "beta", "mean_rate", "stderr", "n")
 
 # Failures a valid draw can meet; they are recorded per row.  Any other
 # exception is a bug and aborts the run.
 SOLVER_ERRORS = (DegeneracyError, FeasibilityError, ConvergenceError,
-                 InvalidDualError, InfeasibleError)
+                 InfeasibleError)
 
 # Three-cell geometry: equilateral triangle of stations 1 km apart whose
 # hexagonal cells tile the plane (apothem 500 m, circumradius 1000/sqrt(3)).
@@ -199,12 +199,11 @@ def _n_points(scenario, profile):
 
 def _point(scenario, profile, pi):
     """``(sweep_key, slot, specs, realizations)`` of sweep point ``pi``."""
+    specs = list(scenario.schemes)
     if scenario.kind == "two_cell_sweep":
         e1 = float(np.linspace(0.0, scenario.sum_energy, scenario.sweep_points)[pi])
         budgets = np.array([e1, scenario.sum_energy - e1])
-        return (f"{e1:g}", -1, [SchemeSpec("joint", b) for b in scenario.betas],
-                _two_cell_draws(scenario, budgets=budgets))
-    specs = list(scenario.schemes)
+        return f"{e1:g}", -1, specs, _two_cell_draws(scenario, budgets=budgets)
     if scenario.kind == "three_cell_profile":
         slot = pi * scenario.slot_stride
         hours = (profile.timestamps[slot] - profile.timestamps[0]).total_seconds() / 3600.0

@@ -50,8 +50,6 @@ class Scenario:
     m_ant: int
     n_mt: int
     schemes: tuple
-    beta: float = 0.9
-    betas: tuple = ()
     weights: tuple = ()
     noise: float = 1.0
     cross_gain: float | str = 0.5
@@ -88,22 +86,14 @@ class Scenario:
             for b in ([spec.beta] if spec.beta is not None else []):
                 if not 0.0 <= b <= 1.0:
                     raise ScenarioError(f"beta {b} outside [0, 1]")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ScenarioError(f"beta {self.beta} outside [0, 1]")
-        for b in self.betas:
-            if not 0.0 <= b <= 1.0:
-                raise ScenarioError(f"beta {b} outside [0, 1]")
         if self.noise <= 0:
             raise ScenarioError("noise power must be positive")
         if self.weights and len(self.weights) != self.n_mt:
             raise ScenarioError("weights length must equal n_mt")
         if any(wt <= 0 for wt in self.weights):
             raise ScenarioError("weights must be positive")
-        if self.kind == "two_cell_sweep":
-            if self.sum_energy <= 0:
-                raise ScenarioError("sum_energy must be positive")
-            if not self.betas:
-                raise ScenarioError("two_cell_sweep needs a betas list")
+        if self.kind == "two_cell_sweep" and self.sum_energy <= 0:
+            raise ScenarioError("sum_energy must be positive")
         if self.kind in ("two_cell_random", "three_cell_sweep"):
             if len(self.energy_db) < 2:
                 raise ScenarioError(f"{self.kind} needs >= 2 energy_db points")
@@ -191,15 +181,18 @@ def scenario_from_mapping(values: dict) -> Scenario:
         raise ScenarioError(f"unknown scenario kind {kind!r}")
     fields: dict = dict(_KIND_DEFAULTS[kind])
     fields["kind"] = kind
-    fields["beta"] = default_beta = _convert("beta", values.pop("beta", "0.9"), float)
+    default_beta = _convert("beta", values.pop("beta", "0.9"), float)
+    betas = _convert("betas", values.pop("betas", ""), _parse_floats)
+    for b in (default_beta, *betas):
+        if not 0.0 <= b <= 1.0:
+            raise ScenarioError(f"beta {b} outside [0, 1]")
 
     converters = {
         "n_bs": int, "m_ant": int, "n_mt": int, "n_realizations": int,
         "sweep_points": int, "slot_stride": int, "seed": int,
         "sum_energy": float, "ebar_dbw": float, "budget_skew": float,
         "noise": float, "profile": str,
-        "betas": _parse_floats, "weights": _parse_floats,
-        "energy_db": _parse_floats,
+        "weights": _parse_floats, "energy_db": _parse_floats,
         "mixes": _parse_mixes,
         "schemes": lambda raw: _parse_schemes(raw, default_beta),
         "noise_dbm": lambda raw: 10.0 ** ((float(raw) - 30.0) / 10.0),
@@ -214,7 +207,9 @@ def scenario_from_mapping(values: dict) -> Scenario:
         if "schemes" in fields:
             raise ScenarioError("schemes: two_cell_sweep runs joint@<beta> "
                                 "for each betas entry; set betas instead")
-        fields["schemes"] = (SchemeSpec("joint", default_beta),)
+        if not betas:
+            raise ScenarioError("two_cell_sweep needs a betas list")
+        fields["schemes"] = tuple(SchemeSpec("joint", b) for b in betas)
     elif "schemes" not in fields:
         fields["schemes"] = _parse_schemes(",".join(DEFAULT_SCHEMES), default_beta)
     try:

@@ -37,10 +37,6 @@ POLISH_AT = (1e-3, 1e-6)
 RECOVERY_TOL = 1e-7
 
 
-class InvalidDualError(ValueError):
-    """Dual prices leave some terminal with a zero aggregate price."""
-
-
 class ConvergenceError(RuntimeError):
     """Ellipsoid iteration budget exhausted before the tolerance was met."""
 
@@ -62,15 +58,6 @@ class Solution:
     dual_value: float
     duality_gap: float
     iterations: int            # cuts up to the accepted polish; 0 in closed form
-
-
-def dual_power_alloc(a: np.ndarray, b: np.ndarray, w: np.ndarray,
-                     mu: np.ndarray) -> np.ndarray:
-    """Water-filling powers maximizing the Lagrangian at fixed prices."""
-    s = b.T @ mu
-    if np.any(s <= 0):
-        raise InvalidDualError("some terminal sees a zero aggregate price")
-    return np.maximum(w / (LN2 * s) - 1.0 / a, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +102,8 @@ class _DualProblem:
 
     ``bg[g, k]`` is what terminal k spends at group g per unit power,
     ``eg`` the group budgets and ``betag[g, h]`` the best efficiency from
-    a station of g to one of h.
+    a station of g to one of h.  The cone edges b x_h <= x_g run from
+    ``src`` to ``dst`` in row-major order.
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray, w: np.ndarray,
@@ -133,15 +121,16 @@ class _DualProblem:
         self.betag = np.zeros((self.n, self.n))
         np.maximum.at(self.betag, (self.label[:, None], self.label), beta)
         np.fill_diagonal(self.betag, 0.0)
-        self.edges = [(i, j, float(self.betag[i, j])) for i in range(self.n)
-                      for j in range(self.n) if i != j and self.betag[i, j] > 0]
+        self.src, self.dst = np.nonzero(self.betag > 0)
+        self.edges = list(zip(self.src.tolist(), self.dst.tolist(),
+                              self.betag[self.src, self.dst].tolist()))
         # Float tables for the oracle: per terminal (bg[:, k], w_k, a_k, 1/a_k); bg's rows.
         self._terminals = list(zip(self.bg.T.tolist(), w.tolist(), a.tolist(),
                                    (1.0 / a).tolist()))
         self._rows, self._eg = self.bg.tolist(), self.eg.tolist()
 
-    def _oracle(self, x) -> tuple[list, float, list]:
-        """Powers, dual value and subgradient (budget minus spent) at x.
+    def oracle(self, x) -> tuple[list, float, list]:
+        """Water-filling powers, dual value and subgradient (budget - spent) at x.
 
         Python floats, every sum left to right, so no BLAS build moves a bit:
         s_k = sum_g bg[g, k] x_g, then sum_k (w_k log2(1 + a_k p_k) - s_k p_k)
@@ -157,19 +146,6 @@ class _DualProblem:
             val += w * math.log2(1.0 + a * p) - s * p
         sub = [e - _dot(row, ps) for e, row in zip(self._eg, self._rows)]
         return ps, val + _dot(x, self._eg), sub
-
-    def powers(self, x) -> np.ndarray:
-        return np.array(self._oracle(x)[0])
-
-    def value(self, x) -> float:
-        return self._oracle(x)[1]
-
-    def subgradient(self, x) -> np.ndarray:
-        return np.array(self._oracle(x)[2])
-
-    def value_and_subgradient(self, x) -> tuple[float, list]:
-        """Dual value and subgradient at x, the latter as a list of floats."""
-        return self._oracle(x)[1:]
 
     def violated_cut(self, x):
         """The most violated cone constraint as (i, j, b), or None.
@@ -292,7 +268,8 @@ def _minimize_dual_ellipsoid(prob: _DualProblem) -> tuple[np.ndarray, int, bool]
     and a rejected one lets the same cut sequence go on.  Every other exit
     (width ``DUAL_TOL``, a degenerate shape matrix, or 5000 n^2 cuts)
     polishes its final point once and keeps the raw point when the polish
-    rejects it; a degenerate exit is converged only if the polish accepts.
+    rejects it.  The run has converged if it left at width ``DUAL_TOL`` or
+    its final polish accepted.
     The loop runs on Python floats: ``A g`` is a left-to-right sum, for a
     cone cut (i, j, b) the two terms b A[:, j] - A[:, i], which round as
     the dense sum does.
@@ -303,13 +280,13 @@ def _minimize_dual_ellipsoid(prob: _DualProblem) -> tuple[np.ndarray, int, bool]
     c1, c2 = (n * n) / (n * n - 1.0), 2.0 / (n + 1)
     x = [1.0] * n
     best_x, best_f = None, math.inf
-    converged = degenerate = False
+    converged = False
     polish_at = list(POLISH_AT)
     it = 0
     for it in range(1, 5000 * n * n + 1):
         cut = prob.violated_cut(x)
         if cut is None:
-            f, g = prob.value_and_subgradient(x)
+            _, f, g = prob.oracle(x)
             if f < best_f:
                 best_f, best_x = f, x
             ag = [_dot(a_mat[k:k + n], g) for k in range(0, n * n, n)]
@@ -319,14 +296,12 @@ def _minimize_dual_ellipsoid(prob: _DualProblem) -> tuple[np.ndarray, int, bool]
             ag = [b * aj - ai for aj, ai in zip(a_mat[j::n], a_mat[i::n])]
             gag = b * ag[j] - ag[i]
         if gag <= 0.0:
-            degenerate = True
             break
         width = math.sqrt(gag)
         if cut is None and width <= DUAL_TOL:
             converged = True
             break
         if width <= 1e-18:
-            degenerate = True
             break
         if cut is None and polish_at and width <= polish_at[0]:
             polish_at = [m for m in polish_at if m < width]
@@ -340,9 +315,7 @@ def _minimize_dual_ellipsoid(prob: _DualProblem) -> tuple[np.ndarray, int, bool]
         a_mat = [c1 * (arc - c2 * o) for arc, o in zip(a_mat, outer)]
     best_x = np.maximum(x, 0.0) if best_x is None else np.array(best_x)
     polished = _polish_dual(prob, best_x)
-    if degenerate:
-        converged = polished is not None
-    return (best_x if polished is None else polished), it, converged
+    return (best_x if polished is None else polished), it, converged or polished is not None
 
 
 def _polish_dual(prob: _DualProblem, x0: np.ndarray) -> np.ndarray | None:
@@ -359,10 +332,11 @@ def _polish_dual(prob: _DualProblem, x0: np.ndarray) -> np.ndarray | None:
     """
     n = prob.n
     scale = max(float(np.max(x0)), 1e-12)
-    p0 = prob.powers(x0)
+    p0, f0, slack = prob.oracle(x0)
+    p0, slack = np.array(p0), np.array(slack)
     active_p = p0 > 1e-8 * max(float(np.max(p0, initial=0.0)), 1.0)
     free = x0 > 1e-7 * scale
-    src, dst = np.nonzero(prob.betag > 0)       # the cone edges, as in prob.edges
+    src, dst = prob.src, prob.dst
     eff = prob.betag[src, dst]
     # Over-include nearly-active edges: spurious ones are pruned when their
     # flow comes out negative, while a missing edge leaves the balance
@@ -430,7 +404,6 @@ def _polish_dual(prob: _DualProblem, x0: np.ndarray) -> np.ndarray | None:
             # Newton can stall when a nearly-zero price was misread as a
             # tight budget, making the balance equations inconsistent.
             # Drop the free group with the largest surplus and retry.
-            slack = prob.subgradient(x0)
             g_drop = gs[np.argmax(slack[gs])]
             if ng > 1 and slack[g_drop] > 0:
                 free[g_drop] = False
@@ -444,7 +417,8 @@ def _polish_dual(prob: _DualProblem, x0: np.ndarray) -> np.ndarray | None:
         # the balance equations must too.
         neg_e = v[ng + nk:] < -1e-9 * max(scale, 1.0)
         neg_k = ks[v[ng:ng + nk] < -1e-10]
-        rises = prob.powers(np.maximum(xx, 0.0)) > 0.0
+        p_xx, f_xx, _ = prob.oracle(np.maximum(xx, 0.0))
+        rises = np.array(p_xx) > 0.0
         neg_x = xx < -1e-10 * scale
         if neg_e.any() or neg_k.size or np.any(rises & ~active_p) or neg_x.any():
             edges[np.flatnonzero(edges)[neg_e]] = False
@@ -457,7 +431,7 @@ def _polish_dual(prob: _DualProblem, x0: np.ndarray) -> np.ndarray | None:
         np.fill_diagonal(cone, -np.inf)
         if float(np.max(cone)) > 1e-9 * max(scale, 1.0):
             return None
-        if prob.value(xx) > prob.value(x0) + 1e-9 * max(scale, 1.0):
+        if f_xx > f0 + 1e-9 * max(scale, 1.0):
             return None
         return xx
     return None
@@ -584,13 +558,11 @@ def solve_p1(gains: ZfGains, es: EnergyState, beta,
         a_s, b_s, budget_s = a[keep] * scale, b[:, keep], budget / scale
         prob = _DualProblem(a_s, b_s, w[keep], budget_s, bm)
         x, iters = _solve_dual(prob)
-        mu_s = prob.expand(x)
         q = np.zeros(k_all)
-        q[keep] = dual_power_alloc(a_s, b_s, w[keep], mu_s)
+        q[keep], dual_value, _ = prob.oracle(x)
         e = scale * recover_transfers(q, budget_s, bm, b)
         p = scale * q
-        mu = mu_s / scale
-        dual_value = prob.value(x)
+        mu = prob.expand(x) / scale
     if np.any(dead):
         # One common price on the unreachable stations: it prices every
         # pinned terminal at least at its marginal rate at zero power, and

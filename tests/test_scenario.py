@@ -49,7 +49,7 @@ sum_energy = 20
 """)
     sc = load_scenario(path)
     assert sc.kind == "two_cell_sweep"
-    assert sc.betas == (0.0, 0.5, 1.0)
+    assert sc.schemes == tuple(SchemeSpec("joint", b) for b in (0.0, 0.5, 1.0))
     assert sc.sum_energy == 20.0
 
 
@@ -105,10 +105,10 @@ def test_mixes_parsing():
 def test_validation_rejects_bad_shapes():
     with pytest.raises(ScenarioError):
         Scenario(kind="two_cell_sweep", n_bs=2, m_ant=1, n_mt=5,
-                 schemes=(SchemeSpec("joint", 0.9),), betas=(0.5,))
+                 schemes=(SchemeSpec("joint", 0.9),))
     with pytest.raises(ScenarioError):
         Scenario(kind="two_cell_sweep", n_bs=3, m_ant=1, n_mt=2,
-                 schemes=(SchemeSpec("joint", 0.9),), betas=(0.5,))
+                 schemes=(SchemeSpec("joint", 0.9),))
     with pytest.raises(ScenarioError):
         Scenario(kind="two_cell_random", n_bs=2, m_ant=1, n_mt=2,
                  schemes=(SchemeSpec("joint", 0.9),), energy_db=(10.0, 0.0))
@@ -154,6 +154,8 @@ def test_validation_rejects_bad_beta_and_skew():
         with pytest.raises(ScenarioError, match="schemes: two_cell_sweep"):
             scenario_from_mapping({"kind": "two_cell_sweep", "betas": "0.5",
                                    "schemes": schemes})
+    with pytest.raises(ScenarioError, match="needs a betas list"):
+        scenario_from_mapping({"kind": "two_cell_sweep"})
 
 
 def test_kind_defaults_are_applied():
@@ -172,4 +174,7 @@ def test_overrides_round_trip_through_replace():
     sc = load_scenario(SCENARIO_DIR / "two_cell_sweep.scn")
     sc2 = dataclasses.replace(sc, seed=99, n_realizations=5)
     assert sc2.seed == 99 and sc2.n_realizations == 5
-    assert sc2.betas == sc.betas
+    assert sc2.schemes == sc.schemes
+    # The curves live in schemes alone; there is no beta field to replace.
+    with pytest.raises(TypeError):
+        dataclasses.replace(sc, beta=0.5)

@@ -21,10 +21,9 @@ from ecomp import (
     zf_gains,
 )
 from ecomp import solver
-from ecomp.solver import (ConvergenceError, InvalidDualError, _DualProblem,
-                          _cancel_bidirectional, _merge_lossless_groups,
-                          _minimize_dual_1d, _minimize_dual_ellipsoid,
-                          _polish_dual)
+from ecomp.solver import (ConvergenceError, _DualProblem, _cancel_bidirectional,
+                          _merge_lossless_groups, _minimize_dual_1d,
+                          _minimize_dual_ellipsoid, _polish_dual)
 
 
 def _instance(seed, n_bs=2, m_ant=1, n_mt=2, e_hi=30.0):
@@ -222,7 +221,7 @@ def test_returned_solutions_meet_every_budget():
     for g, es, beta in _direct_instances(200):
         try:
             sol = solve_p1(g, es, beta)
-        except (InfeasibleError, ConvergenceError, InvalidDualError):
+        except (InfeasibleError, ConvergenceError):
             if np.ndim(beta) == 0:
                 raise
             continue
@@ -326,15 +325,15 @@ def _ref_ellipsoid(prob, tol, max_iter, polish=_polish_dual):
     """The cut loop, polished at widths 1e-3 and 1e-6 and at its exit.
 
     With ``polish=None`` it is the bare cut loop, which returns the raw
-    best point.  A degenerate exit (gag <= 0 or width <= 1e-18) is
-    converged only when the final polish accepts.
+    best point.  A run has converged if it left at width ``tol`` or its
+    final polish accepted.
     """
     n = prob.n
     x = np.ones(n)
     r = prob.radius()
     a_mat = (r * r) * np.eye(n)
     best_x, best_f = None, np.inf
-    converged = degenerate = False
+    converged = False
     milestones = [m for m in (1e-3, 1e-6) if m > tol] if polish else []
     for it in range(1, max_iter + 1):
         g = _ref_violated_cut(prob, x)
@@ -347,14 +346,12 @@ def _ref_ellipsoid(prob, tol, max_iter, polish=_polish_dual):
         ag = _ref_matvec(a_mat, g)
         gag = float(_ref_matvec(ag[None, :], g)[0])
         if gag <= 0:
-            degenerate = True
             break
         width = math.sqrt(gag)
         if objective_cut and width <= tol:
             converged = True
             break
         if width <= 1e-18:
-            degenerate = True
             break
         if objective_cut and milestones and width <= milestones[0]:
             while milestones and width <= milestones[0]:
@@ -369,9 +366,7 @@ def _ref_ellipsoid(prob, tol, max_iter, polish=_polish_dual):
     if best_x is None:
         best_x = np.maximum(x, 0.0)
     polished = polish(prob, best_x) if polish else None
-    if degenerate and polish:
-        converged = polished is not None
-    return (best_x if polished is None else polished), it, converged
+    return (best_x if polished is None else polished), it, converged or polished is not None
 
 
 def _ref_bisection(prob, tol):
@@ -427,7 +422,7 @@ def _ref_polish(prob: _DualProblem, x0: np.ndarray) -> np.ndarray | None:
     """
     n = prob.n
     scale = max(float(np.max(x0)), 1e-12)
-    p0 = prob.powers(x0)
+    p0 = np.array(prob.oracle(x0)[0])
     active_p = set(np.where(p0 > 1e-8 * max(float(np.max(p0, initial=0.0)), 1.0))[0])
     free = set(np.where(x0 > 1e-7 * scale)[0])
     # Over-include nearly-active edges: spurious ones are pruned when their
@@ -521,7 +516,7 @@ def _ref_polish(prob: _DualProblem, x0: np.ndarray) -> np.ndarray | None:
             # Newton can stall when a nearly-zero price was misread as a
             # tight budget, making the balance equations inconsistent.
             # Drop the free group with the largest surplus and retry.
-            slack = prob.subgradient(x0)
+            slack = prob.oracle(x0)[2]
             g_drop = max(free, key=lambda g: slack[g])
             if len(free) > 1 and slack[g_drop] > 0:
                 free.discard(g_drop)
@@ -541,7 +536,7 @@ def _ref_polish(prob: _DualProblem, x0: np.ndarray) -> np.ndarray | None:
         # Terminals left out of the active set can come back above the water
         # level at the refined prices; transfer recovery sees their power, so
         # the balance equations must too.
-        pw = prob.powers(np.maximum(xx, 0.0))
+        pw = prob.oracle(np.maximum(xx, 0.0))[0]
         for k in range(prob.a.size):
             if k not in active_p and pw[k] > 0.0:
                 active_p.add(k)
@@ -557,7 +552,7 @@ def _ref_polish(prob: _DualProblem, x0: np.ndarray) -> np.ndarray | None:
         np.fill_diagonal(cone, -np.inf)
         if float(np.max(cone)) > 1e-9 * max(scale, 1.0):
             return None
-        if prob.value(xx) > prob.value(x0) + 1e-9 * max(scale, 1.0):
+        if prob.oracle(xx)[1] > prob.oracle(x0)[1] + 1e-9 * max(scale, 1.0):
             return None
         return xx
     return None
@@ -609,11 +604,8 @@ def test_dual_oracle_matches_the_numpy_reference_bit_for_bit():
     for prob in _dual_problems(40):
         merged += prob.n < sum(len(grp) for grp in prob.groups)
         for x in _probe_points(prob, rng):
-            s_ref, p_ref = _ref_prices_powers(prob, x)
-            assert np.array_equal(prob.powers(x), p_ref)
-            assert prob.value(x) == _ref_value(prob, x)
-            assert np.array_equal(prob.subgradient(x), _ref_subgradient(prob, x))
-            val, sub = prob.value_and_subgradient(x)
+            p, val, sub = prob.oracle(x)
+            assert np.array_equal(p, _ref_prices_powers(prob, x)[1])
             assert val == _ref_value(prob, x)
             assert np.array_equal(sub, _ref_subgradient(prob, x))
             cut, ref = _dense_cut(prob, prob.violated_cut(x)), _ref_violated_cut(prob, x)
@@ -637,7 +629,7 @@ def test_float_oracle_stays_within_rounding_of_the_blas_formula():
     for prob in _dual_problems(40):
         for x in _probe_points(prob, rng):
             val_ref, spent = _blas_oracle(prob, x)
-            val, sub = prob.value_and_subgradient(x)
+            _, val, sub = prob.oracle(x)
             assert abs(val - val_ref) <= 1e-12 * abs(val_ref)
             bound = 1e-12 * np.maximum(np.abs(prob.eg), np.abs(spent))
             assert np.all(np.abs(np.array(sub) - (prob.eg - spent)) <= bound)
@@ -705,6 +697,17 @@ def test_a_degenerate_exit_is_converged_only_when_the_polish_accepts(monkeypatch
         solve_p1(g, es, 0.5)
 
 
+def test_an_unpriced_terminal_is_a_typed_failure(monkeypatch):
+    # Zero prices send every kept terminal's water level past any budget;
+    # the recovery must reject those powers without a floating-point warning.
+    monkeypatch.setattr(solver, "_solve_dual", lambda prob: (np.zeros(prob.n), 0))
+    g, es = _instance(3, n_bs=3, m_ant=2, n_mt=4)
+    beta = np.array([[0.0, 0.5, 0.9], [0.5, 0.0, 1.0], [0.2, 0.5, 0.0]])
+    for b in (0.0, 0.8, beta):
+        with pytest.raises(InfeasibleError):
+            solve_p1(g, es, b)
+
+
 def test_one_price_dual_lies_in_the_bisection_bracket():
     for n in range(1, 7):
         g, es = _instance(200 + n, n_bs=n, m_ant=2, n_mt=n + 1)
@@ -718,7 +721,7 @@ def test_one_price_dual_lies_in_the_bisection_bracket():
             # within two units in the last place of it.
             assert steps == 0
             assert lo - 2 * np.spacing(hi) <= price <= hi + 2 * np.spacing(hi)
-            spent = prob.bg[0] @ prob.powers(np.array([price]))
+            spent = prob.bg[0] @ np.array(prob.oracle(np.array([price]))[0])
             assert spent == pytest.approx(prob.eg[0], rel=1e-12)
 
 
