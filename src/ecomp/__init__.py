@@ -9,12 +9,11 @@ and a Monte-Carlo scenario harness with a CLI front end.
 
 from .baselines import solve_comm_only, solve_energy_only, solve_no_coop
 from .channel import (ClusterChannel, DegeneracyError, FeasibilityError,
-                      ScenarioGeometry, ZfGains, generate_rayleigh,
-                      pathloss_variance, per_bs_zf_gains,
+                      ZfGains, generate_rayleigh, per_bs_zf_gains,
                       strongest_channel_association, variance_matrix, zf_gains)
 from .energy import EnergyState, as_beta_matrix, power_region_boundary
 from .oracle import grid_search_p1, kkt_residual, waterfill_sum_power
-from .profiles import EnergyProfile, ProfileError, bs_budgets_at, load_profiles
+from .profiles import EnergyProfile, ProfileError, load_profiles
 from .runner import ResultRow, ResultTable, emit_results, parse_results, run_scenario
 from .scenario import Scenario, ScenarioError, SchemeSpec, load_scenario, scenario_from_mapping
 from .simplex import InfeasibleError, phase1_feasible
@@ -23,11 +22,10 @@ from .solver import Solution, recover_transfers, solve_p1
 __all__ = [
     "ClusterChannel", "DegeneracyError", "EnergyProfile", "EnergyState",
     "FeasibilityError", "InfeasibleError", "ProfileError", "ResultRow",
-    "ResultTable", "Scenario", "ScenarioError", "ScenarioGeometry",
-    "SchemeSpec", "Solution", "ZfGains", "as_beta_matrix", "bs_budgets_at",
-    "emit_results", "generate_rayleigh", "grid_search_p1", "kkt_residual",
-    "load_profiles", "load_scenario", "parse_results", "pathloss_variance",
-    "per_bs_zf_gains", "phase1_feasible", "power_region_boundary",
+    "ResultTable", "Scenario", "ScenarioError", "SchemeSpec", "Solution",
+    "ZfGains", "as_beta_matrix", "emit_results", "generate_rayleigh",
+    "grid_search_p1", "kkt_residual", "load_profiles", "load_scenario",
+    "parse_results", "per_bs_zf_gains", "phase1_feasible", "power_region_boundary",
     "recover_transfers", "run_scenario", "scenario_from_mapping",
     "solve_comm_only", "solve_energy_only", "solve_no_coop", "solve_p1",
     "strongest_channel_association", "variance_matrix", "waterfill_sum_power",

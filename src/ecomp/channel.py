@@ -20,6 +20,12 @@ RANK_RTOL = 1e-10
 # Floor for the effective gains; downstream closed forms divide by these.
 GAIN_FLOOR = 1e-14
 
+# Distance pathloss law: variance c0 * (d / d0) ** -exponent, with
+# c0 = -60 dB at the reference distance d0 = 10 m.
+PATHLOSS_C0 = 10.0 ** (-60.0 / 10.0)
+PATHLOSS_D0 = 10.0
+PATHLOSS_EXP = 3.7
+
 
 class FeasibilityError(ValueError):
     """Raised when cluster dimensions make ZF precoding impossible."""
@@ -100,36 +106,18 @@ class ZfGains:
         return self.a.size
 
 
-@dataclass(frozen=True)
-class ScenarioGeometry:
-    """BS/MT positions plus a distance pathloss law."""
-
-    bs_positions: np.ndarray   # N x 2, meters
-    mt_positions: np.ndarray   # K x 2, meters
-    pathloss_c0_db: float = -60.0
-    pathloss_d0: float = 10.0
-    pathloss_exp: float = 3.7
-
-    def __post_init__(self):
-        object.__setattr__(self, "bs_positions", np.asarray(self.bs_positions, dtype=float))
-        object.__setattr__(self, "mt_positions", np.asarray(self.mt_positions, dtype=float))
-
-
-def pathloss_variance(geometry: ScenarioGeometry, i: int, k: int) -> float:
-    """Linear-scale channel variance from BS i to terminal k."""
-    d = float(np.linalg.norm(geometry.bs_positions[i] - geometry.mt_positions[k]))
-    if d <= 0.0:
-        raise ValueError(f"zero distance between BS {i} and MT {k}")
-    c0 = 10.0 ** (geometry.pathloss_c0_db / 10.0)
-    return c0 * (d / geometry.pathloss_d0) ** (-geometry.pathloss_exp)
-
-
-def variance_matrix(geometry: ScenarioGeometry) -> np.ndarray:
-    """N x K matrix of pathloss variances for all BS/MT pairs."""
-    n = geometry.bs_positions.shape[0]
-    k = geometry.mt_positions.shape[0]
-    return np.array([[pathloss_variance(geometry, i, kk) for kk in range(k)]
-                     for i in range(n)])
+def variance_matrix(bs_positions, mt_positions) -> np.ndarray:
+    """N x K pathloss variances from each BS to each terminal (positions in m)."""
+    bs = np.asarray(bs_positions, dtype=float)
+    mt = np.asarray(mt_positions, dtype=float)
+    var = np.empty((len(bs), len(mt)))
+    for i, b in enumerate(bs):
+        for k, m in enumerate(mt):
+            d = float(np.linalg.norm(b - m))
+            if d <= 0.0:
+                raise ValueError(f"zero distance between BS {i} and MT {k}")
+            var[i, k] = PATHLOSS_C0 * (d / PATHLOSS_D0) ** (-PATHLOSS_EXP)
+    return var
 
 
 def generate_rayleigh(n_bs: int, m_ant: int, n_mt: int,

@@ -1,7 +1,8 @@
-"""Renewable generation profiles and per-station energy budgets.
+"""Renewable generation profiles.
 
 A profile holds normalized wind and solar series sampled on a fixed
-15-minute grid, plus a per-station mix: station i harvests
+15-minute grid.  The runner turns them into per-station budgets with the
+scenario's mixes: station i harvests
 E_i(t) = ebar * (w_wind_i * wind[t] + w_solar_i * solar[t]).
 """
 
@@ -9,14 +10,10 @@ from __future__ import annotations
 
 import csv
 import importlib.resources
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 
 import numpy as np
-
-# Generation-capacity mixes for the bundled three-station scenario:
-# station 1 is balanced, station 2 is solar-heavy, station 3 wind-heavy.
-DEFAULT_MIXES = ((0.5, 0.5), (0.1, 0.9), (0.9, 0.1))
 
 BUNDLED_PROFILE = "bundled"
 
@@ -30,8 +27,6 @@ class EnergyProfile:
     timestamps: list
     wind: np.ndarray
     solar: np.ndarray
-    mixes: tuple = DEFAULT_MIXES
-    ebar: float = 1.0
 
     def __post_init__(self):
         self.wind = np.asarray(self.wind, dtype=float)
@@ -43,18 +38,9 @@ class EnergyProfile:
         for name, series in (("wind", self.wind), ("solar", self.solar)):
             if series.min() < 0.0 or series.max() > 1.0 + 1e-12:
                 raise ProfileError(f"{name} series not normalized to [0, 1]")
-        for pair in self.mixes:
-            if len(pair) != 2 or pair[0] < 0 or pair[1] < 0:
-                raise ProfileError(f"bad mix pair {pair!r}")
-        if self.ebar < 0:
-            raise ProfileError("ebar must be nonnegative")
 
     def __len__(self):
         return self.wind.size
-
-    def with_mix(self, mixes, ebar) -> "EnergyProfile":
-        return EnergyProfile(self.timestamps, self.wind, self.solar,
-                             tuple(tuple(m) for m in mixes), float(ebar))
 
 
 def _normalize(series: np.ndarray) -> np.ndarray:
@@ -110,11 +96,3 @@ def _parse_profile_csv(fh, source: str) -> EnergyProfile:
     return EnergyProfile(stamps, _normalize(np.array(wind)),
                          _normalize(np.array(solar)))
 
-
-def bs_budgets_at(profile: EnergyProfile, slot_index: int) -> np.ndarray:
-    """Per-station harvested-energy budgets at one profile slot."""
-    if not 0 <= slot_index < len(profile):
-        raise IndexError(f"slot {slot_index} out of range [0, {len(profile)})")
-    w = profile.wind[slot_index]
-    s = profile.solar[slot_index]
-    return np.array([profile.ebar * (ww * w + ws * s) for ww, ws in profile.mixes])

@@ -4,9 +4,9 @@ Each scenario kind expands into a list of sweep points, and every point
 is a sweep key, a slot, its schemes and a generator of realizations.
 Points are evaluated independently (optionally in parallel, see
 ECOMP_WORKERS) with seeds derived from (scenario seed, slot, realization),
-so results are deterministic regardless of worker count.  Channel draws
-are shared across sweep points where the sweep only rescales energies,
-which keeps the emitted curves comparable point to point.
+so results are deterministic regardless of worker count.  Where a sweep
+only rescales energies, every point re-draws the same channels from the
+same seeds, which keeps the emitted curves comparable point to point.
 """
 
 from __future__ import annotations
@@ -20,11 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baselines import solve_comm_only, solve_energy_only, solve_no_coop
-from .channel import (DegeneracyError, FeasibilityError, ScenarioGeometry,
-                      generate_rayleigh, strongest_channel_association,
-                      variance_matrix, zf_gains)
+from .channel import (DegeneracyError, FeasibilityError, generate_rayleigh,
+                      strongest_channel_association, variance_matrix, zf_gains)
 from .energy import EnergyState
-from .profiles import EnergyProfile, bs_budgets_at, load_profiles
+from .profiles import EnergyProfile, load_profiles
 from .scenario import Scenario
 from .simplex import InfeasibleError
 from .solver import ConvergenceError, solve_p1
@@ -170,16 +169,20 @@ def _sample_hex_mts(rng, n_bs, per_cell):
     return np.array(points)
 
 
-def _three_cell_draws(scenario, profile, slots):
-    """Three-cell realizations over ``slots`` of ``profile``, fresh positions each."""
+def _three_cell_draws(scenario, profile, ebar, slots):
+    """Three-cell realizations over ``slots`` of ``profile``, fresh positions each.
+
+    Station i's budget at slot t is ebar * (w_wind_i * wind[t] + w_solar_i
+    * solar[t]), with its weights from ``scenario.mixes``.
+    """
     per_cell = scenario.n_mt // scenario.n_bs
     for slot in slots:
-        budgets = bs_budgets_at(profile, slot)
+        w, s = profile.wind[slot], profile.solar[slot]
+        budgets = np.array([ebar * (ww * w + ws * s) for ww, ws in scenario.mixes])
         for r in range(scenario.n_realizations):
             rng = np.random.default_rng([scenario.seed, slot, r])
             mt_pos = _sample_hex_mts(rng, scenario.n_bs, per_cell)
-            var = variance_matrix(ScenarioGeometry(bs_positions=_BS_POSITIONS_3,
-                                                   mt_positions=mt_pos))
+            var = variance_matrix(_BS_POSITIONS_3, mt_pos)
             ch = generate_rayleigh(scenario.n_bs, scenario.m_ant, scenario.n_mt,
                                    var, rng, noise_var=scenario.noise)
             yield ch, var, budgets
@@ -207,27 +210,17 @@ def _point(scenario, profile, pi):
     if scenario.kind == "three_cell_profile":
         slot = pi * scenario.slot_stride
         hours = (profile.timestamps[slot] - profile.timestamps[0]).total_seconds() / 3600.0
-        return f"{hours:g}", slot, specs, _three_cell_draws(scenario, profile, [slot])
+        ebar = 10.0 ** (scenario.ebar_dbw / 10.0)
+        return f"{hours:g}", slot, specs, _three_cell_draws(scenario, profile, ebar, [slot])
     e_db = scenario.energy_db[pi]
     level = 10.0 ** (e_db / 10.0)
     if scenario.kind == "two_cell_random":
         draws = _two_cell_draws(scenario, e_sum=level)
     else:
         # three_cell_sweep: every slot of the profile rescaled to the level
-        scaled = profile.with_mix(profile.mixes, level)
-        draws = _three_cell_draws(scenario, scaled,
-                                  range(0, len(scaled), scenario.slot_stride))
+        draws = _three_cell_draws(scenario, profile, level,
+                                  range(0, len(profile), scenario.slot_stride))
     return f"{e_db:g}", -1, specs, draws
-
-
-def _resolve_profile(scenario, profile):
-    if not scenario.kind.startswith("three_cell"):
-        return None
-    if profile is None:
-        profile = load_profiles(scenario.profile)
-    mixes = scenario.mixes or profile.mixes
-    ebar = 10.0 ** (scenario.ebar_dbw / 10.0)
-    return profile.with_mix(mixes, ebar)
 
 
 def _eval_point(args):
@@ -254,7 +247,8 @@ def run_scenario(scenario: Scenario, profile: EnergyProfile = None) -> ResultTab
     solver failures (``SOLVER_ERRORS``) are recorded in ``table.errors``
     and excluded from the row aggregates rather than aborting the run.
     """
-    profile = _resolve_profile(scenario, profile)
+    if profile is None and scenario.kind.startswith("three_cell"):
+        profile = load_profiles(scenario.profile)
     points = [(scenario, profile, pi) for pi in range(_n_points(scenario, profile))]
     workers = int(os.environ.get("ECOMP_WORKERS", "1"))
     if workers > 1 and len(points) > 1:

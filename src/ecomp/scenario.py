@@ -12,12 +12,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SCENARIO_KINDS = (
-    "two_cell_sweep",      # fixed sum energy, sweep the split E1
-    "two_cell_random",     # random budgets/cross-gains, sweep average energy
-    "three_cell_profile",  # hexagonal cluster driven by a generation profile
-    "three_cell_sweep",    # same cluster, sweep the profile scale ebar
-)
+# Keys that every kind reads: shape, noise, weights, size and seed.
+COMMON_KEYS = "n_bs m_ant n_mt noise noise_dbm weights n_realizations seed"
+
+# Per kind: its defaults and the keys it reads on top of COMMON_KEYS.  The
+# three-cell mixes make station 1 balanced, 2 solar-heavy and 3 wind-heavy.
+_TWO_CELL = dict(n_bs=2, m_ant=1, n_mt=2, noise=1.0)
+_THREE_CELL = dict(n_bs=3, m_ant=2, n_mt=6, noise=10.0 ** (-11.5),
+                   mixes=((0.5, 0.5), (0.1, 0.9), (0.9, 0.1)))
+SCENARIO_KINDS = {
+    "two_cell_sweep": (_TWO_CELL, "cross_gain sum_energy sweep_points betas"),
+    "two_cell_random": (_TWO_CELL, "cross_gain energy_db budget_skew beta schemes"),
+    "three_cell_profile": (_THREE_CELL, "profile ebar_dbw mixes slot_stride beta schemes"),
+    "three_cell_sweep": (_THREE_CELL, "profile energy_db mixes slot_stride beta schemes"),
+}
 
 DEFAULT_SCHEMES = ("joint", "comm_only", "energy_only", "none")
 
@@ -106,8 +114,10 @@ class Scenario:
         if self.kind.startswith("three_cell"):
             if self.n_bs != 3:
                 raise ScenarioError("three-cell kinds require n_bs = 3")
-            if self.mixes and len(self.mixes) != self.n_bs:
+            if len(self.mixes) != self.n_bs:
                 raise ScenarioError("need one wind:solar mix per station")
+            if any(len(pair) != 2 or min(pair) < 0 for pair in self.mixes):
+                raise ScenarioError("mixes must be nonnegative wind:solar pairs")
 
     @property
     def weight_vector(self) -> np.ndarray:
@@ -162,14 +172,6 @@ def _convert(key: str, raw: str, convert):
         raise ScenarioError(f"{key}: {exc}") from None
 
 
-_KIND_DEFAULTS = {
-    "two_cell_sweep": dict(n_bs=2, m_ant=1, n_mt=2, noise=1.0),
-    "two_cell_random": dict(n_bs=2, m_ant=1, n_mt=2, noise=1.0),
-    "three_cell_profile": dict(n_bs=3, m_ant=2, n_mt=6, noise=10.0 ** (-11.5)),
-    "three_cell_sweep": dict(n_bs=3, m_ant=2, n_mt=6, noise=10.0 ** (-11.5)),
-}
-
-
 def scenario_from_mapping(values: dict) -> Scenario:
     """Build and validate a Scenario from string key/value pairs."""
     values = dict(values)
@@ -179,7 +181,13 @@ def scenario_from_mapping(values: dict) -> Scenario:
         raise ScenarioError("missing required key 'kind'") from None
     if kind not in SCENARIO_KINDS:
         raise ScenarioError(f"unknown scenario kind {kind!r}")
-    fields: dict = dict(_KIND_DEFAULTS[kind])
+    defaults, kind_keys = SCENARIO_KINDS[kind]
+    for key in values:
+        if key not in f"{COMMON_KEYS} {kind_keys}".split():
+            raise ScenarioError(f"{key}: {kind} does not read this key")
+    if "noise" in values and "noise_dbm" in values:
+        raise ScenarioError("noise_dbm: noise is set too; give one of them")
+    fields: dict = dict(defaults)
     fields["kind"] = kind
     default_beta = _convert("beta", values.pop("beta", "0.9"), float)
     betas = _convert("betas", values.pop("betas", ""), _parse_floats)
@@ -199,14 +207,9 @@ def scenario_from_mapping(values: dict) -> Scenario:
         "cross_gain": lambda raw: "random" if raw.strip() == "random" else float(raw),
     }
     for key, raw in values.items():
-        if key not in converters:
-            raise ScenarioError(f"unknown scenario key {key!r}")
         fields["noise" if key == "noise_dbm" else key] = _convert(key, raw, converters[key])
 
     if kind == "two_cell_sweep":
-        if "schemes" in fields:
-            raise ScenarioError("schemes: two_cell_sweep runs joint@<beta> "
-                                "for each betas entry; set betas instead")
         if not betas:
             raise ScenarioError("two_cell_sweep needs a betas list")
         fields["schemes"] = tuple(SchemeSpec("joint", b) for b in betas)

@@ -7,9 +7,7 @@ from ecomp import (
     ClusterChannel,
     DegeneracyError,
     FeasibilityError,
-    ScenarioGeometry,
     generate_rayleigh,
-    pathloss_variance,
     per_bs_zf_gains,
     strongest_channel_association,
     variance_matrix,
@@ -133,25 +131,27 @@ def test_strongest_channel_association_respects_antenna_capacity():
 
 
 def test_pathloss_variance_reference_distance():
-    geo = ScenarioGeometry(bs_positions=np.array([[0.0, 0.0]]),
-                           mt_positions=np.array([[10.0, 0.0]]))
-    np.testing.assert_allclose(pathloss_variance(geo, 0, 0), 1e-6, rtol=1e-12)
+    var = variance_matrix([[0.0, 0.0]], [[10.0, 0.0]])
+    np.testing.assert_allclose(var[0, 0], 1e-6, rtol=1e-12)
 
 
 def test_pathloss_variance_follows_the_exponent():
-    geo = ScenarioGeometry(bs_positions=np.array([[0.0, 0.0]]),
-                           mt_positions=np.array([[100.0, 0.0]]))
+    var = variance_matrix([[0.0, 0.0]], [[100.0, 0.0]])
     expected = 1e-6 * 10.0 ** (-3.7)
-    np.testing.assert_allclose(pathloss_variance(geo, 0, 0), expected, rtol=1e-12)
+    np.testing.assert_allclose(var[0, 0], expected, rtol=1e-12)
 
 
 def test_variance_matrix_covers_all_links():
-    geo = ScenarioGeometry(bs_positions=np.array([[0.0, 0.0], [1000.0, 0.0]]),
-                           mt_positions=np.array([[100.0, 0.0], [900.0, 0.0]]))
-    var = variance_matrix(geo)
+    var = variance_matrix(np.array([[0.0, 0.0], [1000.0, 0.0]]),
+                          np.array([[100.0, 0.0], [900.0, 0.0]]))
     assert var.shape == (2, 2)
     assert var[0, 0] > var[0, 1]        # nearer station sees the larger gain
     assert var[1, 1] > var[1, 0]
+
+
+def test_variance_matrix_rejects_a_zero_distance():
+    with pytest.raises(ValueError, match="zero distance between BS 1 and MT 0"):
+        variance_matrix([[0.0, 0.0], [5.0, 5.0]], [[5.0, 5.0]])
 
 
 def test_channel_and_weights_must_be_finite():

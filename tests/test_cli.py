@@ -66,13 +66,35 @@ def test_validate_bad_scenario(tmp_path, capsys):
     ("beta", "high"),
 ])
 def test_validate_malformed_number_is_a_parse_error(tmp_path, capsys, key, raw):
-    kind = "three_cell_profile" if key == "mixes" else "two_cell_sweep"
+    # Each file holds only keys its kind reads.
+    if key in ("mixes", "schemes", "beta"):
+        head = "kind = three_cell_profile\n"
+    else:
+        head = "kind = two_cell_sweep\nbetas = 0.5\n"
     path = tmp_path / "bad.scn"
-    path.write_text(f"kind = {kind}\nbetas = 0.5\n{key} = {raw}\n")
+    path.write_text(f"{head}{key} = {raw}\n")
     rc = main(["validate", str(path)])
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith(f"error: {path}: {key}: ")
+
+
+@pytest.mark.parametrize("text", [
+    "kind = two_cell_sweep\nbetas = 0.5\nbeta = 0.3\n",
+    "kind = two_cell_random\nenergy_db = 0, 10\nbetas = 0.3\n",
+    "kind = three_cell_profile\nenergy_db = 0, 10\n",
+    "kind = three_cell_sweep\nenergy_db = 0, 10\nebar_dbw = 20\n",
+    "kind = two_cell_sweep\nbetas = 0.5\nnoise = 2\nnoise_dbm = -85\n",
+    "kind = three_cell_profile\nmixes = -1:1; 1:1; 1:1\n",
+], ids=["sweep-beta", "random-betas", "profile-energy_db", "sweep3-ebar_dbw",
+        "noise-and-noise_dbm", "negative-mix"])
+def test_validate_rejects_unread_keys_double_noise_and_negative_mixes(
+        tmp_path, capsys, text):
+    path = tmp_path / "bad.scn"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
 
 def test_run_writes_csv(tmp_path):
     out = tmp_path / "out.csv"

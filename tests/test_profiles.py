@@ -1,9 +1,9 @@
-"""Renewable generation profiles and per-station budget mapping."""
+"""Renewable generation profiles: loading, normalization and validation."""
 
 import numpy as np
 import pytest
 
-from ecomp import EnergyProfile, ProfileError, bs_budgets_at, load_profiles
+from ecomp import EnergyProfile, ProfileError, load_profiles
 
 
 def test_bundled_profile_loads_and_is_normalized():
@@ -18,26 +18,6 @@ def test_bundled_profile_loads_and_is_normalized():
 def test_bundled_timestamps_strictly_increase():
     prof = load_profiles("bundled")
     assert all(a < b for a, b in zip(prof.timestamps, prof.timestamps[1:]))
-
-
-def test_budgets_combine_mixes_and_mean_level():
-    prof = EnergyProfile(
-        timestamps=("t0", "t1"),
-        wind=np.array([1.0, 0.5]),
-        solar=np.array([0.0, 1.0]),
-        mixes=((1.0, 0.0), (0.0, 1.0), (0.5, 0.5)),
-        ebar=4.0,
-    )
-    np.testing.assert_allclose(bs_budgets_at(prof, 0), [4.0, 0.0, 2.0])
-    np.testing.assert_allclose(bs_budgets_at(prof, 1), [2.0, 4.0, 3.0])
-    with pytest.raises(IndexError):
-        bs_budgets_at(prof, 2)
-
-
-def test_with_mix_overrides_station_composition():
-    prof = load_profiles("bundled")
-    prof2 = prof.with_mix(((1.0, 0.0),), ebar=2.0)
-    np.testing.assert_allclose(bs_budgets_at(prof2, 0), [2.0 * prof.wind[0]])
 
 
 def test_profile_validation():

@@ -7,7 +7,7 @@ import pytest
 
 import numpy as np
 
-from ecomp import runner, scenario_from_mapping
+from ecomp import EnergyProfile, runner, scenario_from_mapping
 from ecomp.runner import (RESULT_COLUMNS, ResultRow, ResultTable,
                           emit_results, parse_results, run_scenario)
 from ecomp.solver import ConvergenceError
@@ -124,6 +124,15 @@ def test_profile_scenario_reports_slots_and_hours():
     assert slots == sorted(slots) and slots[0] == 0
     hours = [float(row.sweep_key) for row in table.rows]
     assert hours == sorted(hours)
+
+
+def test_three_cell_budgets_combine_mixes_and_mean_level():
+    sc = scenario_from_mapping({"kind": "three_cell_profile", "n_realizations": "1",
+                                "mixes": "1:0; 0:1; 0.5:0.5"})
+    prof = EnergyProfile(timestamps=("t0", "t1"), wind=np.array([1.0, 0.5]),
+                         solar=np.array([0.0, 1.0]))
+    budgets = [b for _, _, b in runner._three_cell_draws(sc, prof, 4.0, [0, 1])]
+    np.testing.assert_allclose(budgets, [[4.0, 0.0, 2.0], [2.0, 4.0, 3.0]])
 
 
 def test_csv_round_trip(tmp_path):

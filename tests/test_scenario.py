@@ -158,6 +158,31 @@ def test_validation_rejects_bad_beta_and_skew():
         scenario_from_mapping({"kind": "two_cell_sweep"})
 
 
+def test_each_kind_rejects_keys_it_does_not_read():
+    unread = {"two_cell_sweep": ("beta", "0.3"),
+              "two_cell_random": ("betas", "0.3"),
+              "three_cell_profile": ("energy_db", "0, 10"),
+              "three_cell_sweep": ("ebar_dbw", "20")}
+    for kind, (key, raw) in unread.items():
+        with pytest.raises(ScenarioError, match=f"^{key}: {kind} "):
+            scenario_from_mapping({"kind": kind, key: raw})
+
+
+def test_noise_and_noise_dbm_are_exclusive():
+    # Either order: neither key may silently override the other.
+    for pair in ({"noise": "2", "noise_dbm": "-85"},
+                 {"noise_dbm": "-85", "noise": "2"}):
+        with pytest.raises(ScenarioError, match="noise"):
+            scenario_from_mapping({"kind": "two_cell_random",
+                                   "energy_db": "0, 10", **pair})
+
+
+def test_negative_mixes_are_rejected():
+    with pytest.raises(ScenarioError, match="mixes must be nonnegative"):
+        scenario_from_mapping({"kind": "three_cell_sweep", "energy_db": "0, 10",
+                               "mixes": "1:1; 1:-0.5; 1:1"})
+
+
 def test_kind_defaults_are_applied():
     sc = scenario_from_mapping({"kind": "three_cell_profile",
                                 "schemes": "joint"})
