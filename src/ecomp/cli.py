@@ -75,6 +75,8 @@ def _cmd_region(args) -> int:
         raise ScenarioError("--budgets expects exactly two values E1,E2")
     if not 0.0 <= args.beta <= 1.0:
         raise ScenarioError("--beta must lie in [0, 1]")
+    if args.samples < 3:
+        raise ScenarioError("--samples must be at least 3")
     points = power_region_boundary(budgets, args.beta, n_samples=args.samples)
     lines = ["p1,p2"] + [f"{p1:.9g},{p2:.9g}" for p1, p2 in points]
     text = "\n".join(lines) + "\n"

@@ -65,22 +65,27 @@ def as_beta_matrix(beta, n_bs: int) -> np.ndarray:
 def power_region_boundary(budgets, beta, n_samples: int = 101) -> np.ndarray:
     """Pareto boundary of the two-BS feasible transmit power region.
 
-    Returns ``n_samples`` points (P1, P2) with P1 increasing and P2 the
-    largest power BS 2 can spend while BS 1 spends P1, over all
+    Returns ``n_samples`` (at least 3) points (P1, P2) with P1 increasing
+    and P2 the largest power BS 2 can spend while BS 1 spends P1, over all
     nonnegative transfer patterns.  Only N=2 is supported.
     """
     e = np.atleast_1d(np.asarray(budgets, dtype=float))
     if e.size != 2:
         raise ValueError("power_region_boundary supports exactly two BSs")
+    if n_samples < 3:
+        raise ValueError(f"n_samples must be at least 3; got {n_samples}")
     bm = as_beta_matrix(beta, 2)
     b12, b21 = bm[0, 1], bm[1, 0]
     e1, e2 = float(e[0]), float(e[1])
     p1_max = e1 + (b21 * e2 if b21 > 0 else 0.0)
-    # Sample both linear segments so the no-transfer corner (E1, E2) is hit
-    # exactly.
-    lo = np.linspace(0.0, e1, max(n_samples // 2 + 1, 2))
-    hi = np.linspace(e1, p1_max, max(n_samples - lo.size + 1, 2))
-    p1_grid = np.concatenate([lo, hi[1:]]) if p1_max > e1 else lo
+    if p1_max > e1:
+        # Sample both linear segments so the no-transfer corner (E1, E2) is
+        # hit exactly.
+        lo = np.linspace(0.0, e1, n_samples // 2 + 1)
+        hi = np.linspace(e1, p1_max, n_samples - lo.size + 1)
+        p1_grid = np.concatenate([lo, hi[1:]])
+    else:
+        p1_grid = np.linspace(0.0, e1, n_samples)
     pts = np.empty((p1_grid.size, 2))
     for idx, p1 in enumerate(p1_grid):
         if p1 <= e1:

@@ -83,6 +83,8 @@ class Scenario:
                      "sweep_points", "slot_stride"):
             if int(getattr(self, name)) <= 0:
                 raise ScenarioError(f"{name} must be positive")
+        if int(self.seed) < 0:
+            raise ScenarioError("seed must be nonnegative")
         if self.n_mt > self.m_ant * self.n_bs:
             raise ScenarioError(f"n_mt={self.n_mt} exceeds "
                                 f"m_ant*n_bs={self.m_ant * self.n_bs}")
@@ -114,6 +116,9 @@ class Scenario:
         if self.kind.startswith("three_cell"):
             if self.n_bs != 3:
                 raise ScenarioError("three-cell kinds require n_bs = 3")
+            if self.n_mt % self.n_bs:
+                raise ScenarioError(f"n_mt={self.n_mt} must be a multiple of "
+                                    f"n_bs={self.n_bs}: each cell holds n_mt/n_bs")
             if len(self.mixes) != self.n_bs:
                 raise ScenarioError("need one wind:solar mix per station")
             if any(len(pair) != 2 or min(pair) < 0 for pair in self.mixes):

@@ -19,10 +19,11 @@ from ecomp.baselines import solve_comm_only, solve_energy_only, solve_no_coop
 from ecomp.channel import (generate_rayleigh, per_bs_zf_gains,
                            strongest_channel_association, zf_gains)
 from ecomp.energy import EnergyState, as_beta_matrix
-from ecomp.oracle import grid_search_p1, kkt_residual, waterfill_sum_power
+from ecomp.oracle import kkt_residual
 from ecomp.profiles import load_profiles
 from ecomp.runner import run_scenario
 from ecomp.solver import _cancel_bidirectional, solve_p1
+from verifiers import grid_search_p1, waterfill_sum_power
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 

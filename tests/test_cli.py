@@ -96,6 +96,24 @@ def test_validate_rejects_unread_keys_double_noise_and_negative_mixes(
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
+@pytest.mark.parametrize("text", [
+    "kind = two_cell_sweep\nbetas = 0.5\nseed = -1\n",
+    "kind = three_cell_profile\nn_mt = 5\n",
+], ids=["negative-seed", "uneven-cells"])
+def test_validate_and_run_reject_what_a_run_cannot_draw(tmp_path, capsys, text):
+    path = tmp_path / "bad.scn"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 1
+    assert main(["run", str(path), "--realizations", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.count(f"error: {path}: ") == 2 and "runtime error" not in err
+
+
+def test_run_rejects_a_negative_seed_override(tmp_path, capsys):
+    assert main(["run", _micro_path(tmp_path), "--seed", "-2"]) == 1
+    assert capsys.readouterr().err == "error: seed must be nonnegative\n"
+
+
 def test_run_writes_csv(tmp_path):
     out = tmp_path / "out.csv"
     rc = main(["run", _micro_path(tmp_path), "--out", str(out)])
@@ -161,6 +179,14 @@ def test_region_rejects_bad_budgets(capsys):
 def test_region_rejects_bad_beta(capsys):
     rc = main(["region", "--budgets", "10,5", "--beta", "1.5"])
     assert rc == 1
+
+
+@pytest.mark.parametrize("beta", ["0", "0.8"])
+def test_region_prints_samples_points_and_rejects_fewer_than_3(capsys, beta):
+    assert main(["region", "--budgets", "10,5", "--beta", beta, "--samples", "101"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 102
+    assert main(["region", "--budgets", "10,5", "--beta", beta, "--samples", "2"]) == 1
+    assert "--samples must be at least 3" in capsys.readouterr().err
 
 
 def test_runtime_error_maps_to_exit_2(tmp_path, monkeypatch, capsys):

@@ -1,6 +1,7 @@
 """The outcome comparison of ``tools/direct_outcomes.py``."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "direct_outcomes.py"
@@ -34,3 +35,37 @@ def test_compare_reports_swaps_and_fails_only_on_a_new_failure(capsys):
     out = capsys.readouterr().out
     assert "newly failing: 1" in out and "seed 1 #1: raised:ConvergenceError" in out
     assert "newly passing: 1" in out
+
+
+def test_a_compact_record_lists_only_failures_and_compares_with_a_full_one(capsys):
+    full = _record(["ok", "raised:InfeasibleError", "ok", "certificate:kkt"],
+                   [1.0, None, 2.0, 3.0])
+    pinned = direct_outcomes.compact(full)
+    assert pinned["seeds"] == {"1": {"instances": 4, "failing": {
+        "1": "raised:InfeasibleError", "3": "certificate:kkt"}}}
+    assert direct_outcomes.expand(pinned)["1"]["class"] == full["1"]["class"]
+    assert direct_outcomes.compare(pinned, full) == 0
+    out = capsys.readouterr().out
+    assert f"old record taken with numpy {pinned['numpy']}" in out
+    assert "total: failed 2 -> 2; 2 pass on both sides" in out
+    assert "class swaps: 0" in out and "objective change" not in out
+    broken = _record(["ok", "raised:InfeasibleError", "certificate:gap", "certificate:kkt"],
+                     [1.0, None, 2.0, 3.0])
+    assert direct_outcomes.compare(pinned, broken) == 1
+    assert "seed 1 #2: certificate:gap" in capsys.readouterr().out
+    shorter = _record(["ok"] * 3, [1.0] * 3)
+    assert direct_outcomes.compare(pinned, shorter) == 1
+
+
+def test_the_pinned_record_never_holds_more_failures_than_when_it_was_taken():
+    # A retake may drop failures; it may never absorb a new one.
+    pinned = json.loads((_PATH.parent.parent / "tests" / "data"
+                         / "direct_outcomes.json").read_text())
+    seeds = pinned["seeds"]
+    assert list(seeds) == [str(s) for s in range(1, 11)]
+    assert all(r["instances"] == 800 for r in seeds.values())
+    counts = [len(r["failing"]) for r in seeds.values()]
+    assert all(n <= cap for n, cap in zip(counts, [5, 6, 4, 7, 4, 3, 5, 3, 6, 8]))
+    classes = [c for r in seeds.values() for c in r["failing"].values()]
+    assert all(c == "raised:InfeasibleError" or c.startswith("certificate:")
+               for c in classes)

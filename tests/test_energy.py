@@ -74,3 +74,14 @@ def test_power_region_without_transfers_is_the_budget_box():
     pts = power_region_boundary([6.0, 2.0], 0.0)
     np.testing.assert_allclose(pts[:, 1], 2.0)
     np.testing.assert_allclose(pts[-1, 0], 6.0)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.8, [[0.0, 0.8], [0.0, 0.0]]],
+                         ids=["none", "both-ways", "1-to-2-only"])
+def test_power_region_returns_exactly_n_samples_points(beta):
+    # Without a transfer into BS 1 the boundary is one segment.
+    for n_samples in (3, 4, 11, 101):
+        assert power_region_boundary([10.0, 5.0], beta, n_samples).shape == (n_samples, 2)
+    for n_samples in (-1, 0, 1, 2):
+        with pytest.raises(ValueError, match="at least 3"):
+            power_region_boundary([10.0, 5.0], beta, n_samples)

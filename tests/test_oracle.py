@@ -7,13 +7,12 @@ from ecomp import (
     EnergyState,
     ZfGains,
     generate_rayleigh,
-    grid_search_p1,
     kkt_residual,
     solve_p1,
-    waterfill_sum_power,
     zf_gains,
 )
 from ecomp.solver import Solution
+from verifiers import grid_search_p1, waterfill_sum_power
 
 
 def _gains(a, b, weights=None):
@@ -105,3 +104,11 @@ def test_kkt_residual_flags_a_perturbed_solution():
                      dual_value=sol.dual_value, duality_gap=sol.duality_gap,
                      iterations=sol.iterations)
     assert kkt_residual(worse, g, es, beta=0.6) > 1e-3
+
+
+def test_every_exported_name_resolves_and_the_references_stay_in_the_tests():
+    import ecomp
+
+    assert all(hasattr(ecomp, name) for name in ecomp.__all__)
+    assert len(set(ecomp.__all__)) == len(ecomp.__all__)
+    assert not {"grid_search_p1", "waterfill_sum_power"} & set(dir(ecomp))

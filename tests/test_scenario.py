@@ -130,6 +130,12 @@ def test_validation_rejects_bad_shapes():
         with pytest.raises(ScenarioError, match="energy_db must be finite"):
             Scenario(kind="two_cell_random", n_bs=2, m_ant=1, n_mt=2,
                      schemes=(SchemeSpec("joint", 0.9),), energy_db=energy_db)
+    # A negative seed and uneven three-cell terminals would only fail at run time.
+    with pytest.raises(ScenarioError, match="seed must be nonnegative"):
+        scenario_from_mapping({**sweep, "seed": "-1"})
+    for n_mt in ("5", "4"):
+        with pytest.raises(ScenarioError, match="must be a multiple of n_bs"):
+            scenario_from_mapping({"kind": "three_cell_profile", "n_mt": n_mt})
 
 
 def test_validation_rejects_bad_beta_and_skew():

@@ -12,18 +12,17 @@ from ecomp import (
     ZfGains,
     as_beta_matrix,
     generate_rayleigh,
-    grid_search_p1,
     kkt_residual,
     per_bs_zf_gains,
     recover_transfers,
     solve_p1,
-    waterfill_sum_power,
     zf_gains,
 )
 from ecomp import solver
 from ecomp.solver import (ConvergenceError, _DualProblem, _cancel_bidirectional,
                           _merge_lossless_groups, _minimize_dual_1d,
                           _minimize_dual_ellipsoid, _polish_dual)
+from verifiers import grid_search_p1, waterfill_sum_power
 
 
 def _instance(seed, n_bs=2, m_ant=1, n_mt=2, e_hi=30.0):

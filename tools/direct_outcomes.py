@@ -1,16 +1,25 @@
 """Record or compare the outcome of every ``direct`` benchmark instance.
 
     python3 tools/direct_outcomes.py --seeds 1-10 --out outcomes.json
+    python3 tools/direct_outcomes.py --seeds 1-10 --compact --out pinned.json
     python3 tools/direct_outcomes.py --compare old.json new.json
 
 The first form solves each instance of ``make_direct`` (``bench/workloads.py``)
 once per seed and writes its class -- ``ok``, ``raised:<Class>`` or
 ``certificate:<check,...>`` with the benchmark's own checks -- and its
-objective (null when the solve raised).  The second prints the per-seed
-``failed`` counts, the instances that pass on one side only, the failing
-instances whose class changed and the largest relative objective change
-over the instances that pass on both sides.  It exits 1 when an instance
-that passes in OLD fails in NEW.
+objective (null when the solve raised).  With ``--compact`` it writes only
+the numpy version, each seed's instance count and its failing instances
+with their class; every instance not listed is ``ok``.  The third form
+prints the per-seed ``failed`` counts, the instances that pass on one side
+only, the failing instances whose class changed and the largest relative
+objective change over the instances that pass on both sides with an
+objective.  Either side may be compact.  It exits 1 when an instance that
+passes in OLD fails in NEW.
+
+``tests/data/direct_outcomes.json`` is the compact record of seeds 1-10
+that CI compares HEAD against.  It holds the failures the solver had when
+it was taken; retake it only when a change removes failures, never to
+absorb a new one.
 
 The package comes from ``src`` of the checkout that holds this file, and
 ``bench/workloads.py`` is imported as it is.
@@ -57,11 +66,35 @@ def record(seeds: list[int]) -> dict:
     return out
 
 
+def compact(full: dict) -> dict:
+    """The numpy version and, per seed, the instance count and failing classes."""
+    import numpy
+
+    return {"numpy": numpy.__version__,
+            "seeds": {seed: {"instances": len(r["class"]),
+                             "failing": {str(i): c for i, c in enumerate(r["class"])
+                                         if c != "ok"}}
+                      for seed, r in full.items()}}
+
+
+def expand(rec: dict) -> dict:
+    """A full record (classes, objectives) from a full or compact one."""
+    if "seeds" not in rec:
+        return rec
+    return {seed: {"class": [r["failing"].get(str(i), "ok") for i in range(r["instances"])],
+                   "objective": [None] * r["instances"]}
+            for seed, r in rec["seeds"].items()}
+
+
 def compare(old: dict, new: dict) -> int:
     """Print the differences of two records; 1 if NEW fails where OLD passed."""
+    for side, rec in (("old", old), ("new", new)):
+        if "numpy" in rec:
+            print(f"{side} record taken with numpy {rec['numpy']}")
+    old, new = expand(old), expand(new)
     newly_failing, newly_passing, swaps = [], [], []
     worst, worst_at = 0.0, None
-    total_old = total_new = both = 0
+    total_old = total_new = both = priced = 0
     for seed in sorted(set(old) & set(new), key=int):
         a, b = old[seed], new[seed]
         if len(a["class"]) != len(b["class"]):
@@ -82,6 +115,9 @@ def compare(old: dict, new: dict) -> int:
             elif ca == "ok":
                 both += 1
                 fa, fb = a["objective"][idx], b["objective"][idx]
+                if fa is None or fb is None:
+                    continue
+                priced += 1
                 rel = abs(fa - fb) / max(abs(fa), abs(fb), 1e-300)
                 if rel > worst:
                     worst, worst_at = rel, where
@@ -91,8 +127,9 @@ def compare(old: dict, new: dict) -> int:
         print(f"{title}: {len(lines)}")
         for line in lines:
             print(f"  {line}")
-    print(f"largest relative objective change on passing instances: {worst:.3g}"
-          + (f" ({worst_at})" if worst_at else ""))
+    if priced:
+        print(f"largest relative objective change on passing instances: {worst:.3g}"
+              + (f" ({worst_at})" if worst_at else ""))
     return 1 if newly_failing else 0
 
 
@@ -103,13 +140,17 @@ def main(argv=None) -> int:
     mode.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
                       help="two records written by --out")
     ap.add_argument("--out", help="where --seeds writes its record")
+    ap.add_argument("--compact", action="store_true",
+                    help="with --seeds, write only the failing instances")
     args = ap.parse_args(argv)
     if args.compare:
         old, new = (json.loads(Path(f).read_text()) for f in args.compare)
         return compare(old, new)
     if not args.out:
         ap.error("--seeds needs --out")
-    Path(args.out).write_text(json.dumps(record(args.seeds)))
+    rec = record(args.seeds)
+    text = json.dumps(compact(rec), indent=1) + "\n" if args.compact else json.dumps(rec)
+    Path(args.out).write_text(text)
     return 0
 
 
