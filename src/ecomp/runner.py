@@ -24,7 +24,7 @@ from .channel import (DegeneracyError, FeasibilityError, generate_rayleigh,
                       strongest_channel_association, variance_matrix, zf_gains)
 from .energy import EnergyState
 from .profiles import EnergyProfile, load_profiles
-from .scenario import Scenario
+from .scenario import Scenario, ScenarioError
 from .simplex import InfeasibleError
 from .solver import ConvergenceError, solve_p1
 
@@ -240,17 +240,30 @@ def _eval_point(args):
     return rows, errors
 
 
+def _workers() -> int:
+    """The worker count from ECOMP_WORKERS (default 1); ScenarioError unless >= 1."""
+    raw = os.environ.get("ECOMP_WORKERS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ScenarioError(f"ECOMP_WORKERS must be an integer of at least 1, got {raw!r}")
+    return workers
+
+
 def run_scenario(scenario: Scenario, profile: EnergyProfile = None) -> ResultTable:
     """Run all sweep points and realizations of a scenario.
 
     Deterministic for a fixed scenario (seed included); per-realization
     solver failures (``SOLVER_ERRORS``) are recorded in ``table.errors``
     and excluded from the row aggregates rather than aborting the run.
+    Raises ScenarioError when ECOMP_WORKERS is not an integer of at least 1.
     """
+    workers = _workers()
     if profile is None and scenario.kind.startswith("three_cell"):
         profile = load_profiles(scenario.profile)
     points = [(scenario, profile, pi) for pi in range(_n_points(scenario, profile))]
-    workers = int(os.environ.get("ECOMP_WORKERS", "1"))
     if workers > 1 and len(points) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_eval_point, points))

@@ -57,7 +57,8 @@ class Solution:
     net_exchange: np.ndarray   # per-BS grid draw (+) / injection (-)
     dual_value: float
     duality_gap: float
-    iterations: int            # cuts up to the accepted polish; 0 in closed form
+    iterations: int            # ellipsoid cuts, over both runs when the box run
+                               # ends unpolished; 0 in closed form
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +170,8 @@ class _DualProblem:
     def expand(self, x: np.ndarray) -> np.ndarray:
         return x[self.label]
 
-    def radius(self) -> float:
-        """Ball around the init point guaranteed to contain a dual optimum.
+    def _caps(self) -> np.ndarray:
+        """Per-group price caps.
 
         Whenever some terminal transmits, its aggregate price is at most
         w_k a_k / ln 2, which caps each group price through that
@@ -178,8 +179,33 @@ class _DualProblem:
         """
         caps = self.w * self.a / LN2 / np.maximum(self.bg, 1e-12)
         upper = np.max(np.where(self.bg > 1e-12, caps, 0.0), axis=1)
-        upper = np.where(upper > 0, upper, np.max(self.w * self.a) / LN2)
-        return float(np.linalg.norm(upper) + math.sqrt(self.n) + 1.0)
+        return np.where(upper > 0, upper, np.max(self.w * self.a) / LN2)
+
+    def radius(self) -> float:
+        """Radius of the fallback ball around x = 1 that holds a dual optimum.
+
+        The norm of the caps plus sqrt(n) + 1.  The ball ignores the budgets
+        and the cone, so it is far wider than ``box``; the ellipsoid starts
+        from it only when its run from the box ends without an accepted
+        polish.
+        """
+        return float(np.linalg.norm(self._caps()) + math.sqrt(self.n) + 1.0)
+
+    def box(self) -> list[float]:
+        """Upper corner u of the price box [0, u] the ellipsoid starts in.
+
+        p = 0 is feasible, so the dual is at least x . eg on the cone, and
+        x = 1 lies in the cone (every efficiency is at most 1).  A dual
+        optimum x therefore has x_g <= D(1) / eg_g wherever eg_g > 0.  Each
+        bound is capped as in ``radius``, then tightened along the best
+        paths: x_i >= bp_ij x_j gives u_j <= u_i / bp_ij.
+        """
+        u = np.divide(self.oracle([1.0] * self.n)[1], self.eg,
+                      out=np.full(self.n, np.inf), where=self.eg > 0)
+        u = np.minimum(u, self._caps())
+        bp = _best_paths(self.betag)
+        via = np.divide(u[:, None], bp, out=np.full(bp.shape, np.inf), where=bp > 0)
+        return np.minimum(u, via.min(axis=0)).tolist()
 
 
 def _water_levels(prob: _DualProblem, c: np.ndarray,
@@ -263,22 +289,40 @@ def _minimize_dual_separable(prob: _DualProblem) -> np.ndarray | None:
 def _minimize_dual_ellipsoid(prob: _DualProblem) -> tuple[np.ndarray, int, bool]:
     """Central-cut ellipsoid on the reduced dual, ended by the Newton polish.
 
+    The first run starts at the centre c = u / 2 of the price box [0, u]
+    from ``prob.box()``, in the axis-aligned ellipsoid of shape n c_g^2
+    through the box's corners.  When it ends without an accepted polish,
+    a second run starts at x = 1 in the ball of ``prob.radius()`` and its
+    result is returned; the cut count is the sum over both runs.
+    """
+    n = prob.n
+    center = [0.5 * u for u in prob.box()]
+    x, cuts, converged, accepted = _ellipsoid_run(prob, center, [n * c * c for c in center])
+    if accepted:
+        return x, cuts, converged
+    r = prob.radius()
+    x, more, converged, _ = _ellipsoid_run(prob, [1.0] * n, [r * r] * n)
+    return x, cuts + more, converged
+
+
+def _ellipsoid_run(prob: _DualProblem, x: list, diag: list) -> tuple[np.ndarray, int, bool, bool]:
+    """One cut loop from centre ``x`` and diagonal shape ``diag`` (floats).
+
     When an objective cut's width first reaches a width in ``POLISH_AT``,
     the best point so far is polished; an accepted polish ends the run,
     and a rejected one lets the same cut sequence go on.  Every other exit
     (width ``DUAL_TOL``, a degenerate shape matrix, or 5000 n^2 cuts)
     polishes its final point once and keeps the raw point when the polish
-    rejects it.  The run has converged if it left at width ``DUAL_TOL`` or
-    its final polish accepted.
+    rejects it.  Returns the point, the cuts, whether the run converged
+    (it left at width ``DUAL_TOL`` or a polish accepted) and whether a
+    polish accepted.
     The loop runs on Python floats: ``A g`` is a left-to-right sum, for a
     cone cut (i, j, b) the two terms b A[:, j] - A[:, i], which round as
     the dense sum does.
     """
     n = prob.n
-    r = prob.radius()
-    a_mat = [r * r if i == j else 0.0 for i in range(n) for j in range(n)]   # row-major
+    a_mat = [diag[i] if i == j else 0.0 for i in range(n) for j in range(n)]   # row-major
     c1, c2 = (n * n) / (n * n - 1.0), 2.0 / (n + 1)
-    x = [1.0] * n
     best_x, best_f = None, math.inf
     converged = False
     polish_at = list(POLISH_AT)
@@ -307,7 +351,7 @@ def _minimize_dual_ellipsoid(prob: _DualProblem) -> tuple[np.ndarray, int, bool]
             polish_at = [m for m in polish_at if m < width]
             polished = _polish_dual(prob, np.array(best_x))
             if polished is not None:
-                return polished, it, True
+                return polished, it, True, True
         gn = [v / width for v in ag]
         x = [xi - gi / (n + 1) for xi, gi in zip(x, gn)]
         # gn_i * gn_j == gn_j * gn_i, so the update keeps a_mat exactly symmetric.
@@ -315,7 +359,9 @@ def _minimize_dual_ellipsoid(prob: _DualProblem) -> tuple[np.ndarray, int, bool]
         a_mat = [c1 * (arc - c2 * o) for arc, o in zip(a_mat, outer)]
     best_x = np.maximum(x, 0.0) if best_x is None else np.array(best_x)
     polished = _polish_dual(prob, best_x)
-    return (best_x if polished is None else polished), it, converged or polished is not None
+    if polished is None:
+        return best_x, it, converged, False
+    return polished, it, True, True
 
 
 def _polish_dual(prob: _DualProblem, x0: np.ndarray) -> np.ndarray | None:
@@ -327,8 +373,11 @@ def _polish_dual(prob: _DualProblem, x0: np.ndarray) -> np.ndarray | None:
     budget balance and equality on the active cone edges.  Only a
     stationarity row's own power enters nonlinearly, so each active-set
     round builds the Jacobian once and each Newton step rewrites its
-    stationarity diagonal.  Returns the refined price vector, or None when
-    the active-set guess does not validate.
+    stationarity diagonal.  A round validates when no flow, power or price
+    comes out negative, no inactive terminal rises and no group held at
+    price 0 overspends; otherwise the sets are adjusted and another round
+    runs.  Returns the refined price vector, or None when no round
+    validates.
     """
     n = prob.n
     scale = max(float(np.max(x0)), 1e-12)
@@ -343,7 +392,14 @@ def _polish_dual(prob: _DualProblem, x0: np.ndarray) -> np.ndarray | None:
     # equations inconsistent and stalls the Newton iteration.
     edges = eff * x0[dst] - x0[src] > -1e-3 * scale
 
+    # A round depends only on the three sets, so a repeated one would cycle
+    # through the remaining rounds to a rejection.
+    seen = set()
     for _ in range(6):          # active-set adjustment rounds
+        sets = (active_p.tobytes(), free.tobytes(), edges.tobytes())
+        if sets in seen:
+            return None
+        seen.add(sets)
         ks, gs = np.flatnonzero(active_p), np.flatnonzero(free)
         if not ks.size or not gs.size:
             return None
@@ -415,16 +471,24 @@ def _polish_dual(prob: _DualProblem, x0: np.ndarray) -> np.ndarray | None:
         # Terminals left out of the active set can come back above the water
         # level at the refined prices; transfer recovery sees their power, so
         # the balance equations must too.
-        neg_e = v[ng + nk:] < -1e-9 * max(scale, 1.0)
+        flow = v[ng + nk:]
+        neg_e = flow < -1e-9 * max(scale, 1.0)
         neg_k = ks[v[ng:ng + nk] < -1e-10]
-        p_xx, f_xx, _ = prob.oracle(np.maximum(xx, 0.0))
+        p_xx, f_xx, spare = prob.oracle(np.maximum(xx, 0.0))
         rises = np.array(p_xx) > 0.0
         neg_x = xx < -1e-10 * scale
-        if neg_e.any() or neg_k.size or np.any(rises & ~active_p) or neg_x.any():
+        # A group held at price 0 has no budget row; with the flows on the
+        # active edges it must still not overspend, or it gets a price.
+        spare = np.array(spare) - np.bincount(src[edges], flow, n)
+        spare += np.bincount(dst[edges], eff[edges] * flow, n)
+        over = ~free & (spare < -1e-9 * scale)
+        if (neg_e.any() or neg_k.size or np.any(rises & ~active_p) or neg_x.any()
+                or over.any()):
             edges[np.flatnonzero(edges)[neg_e]] = False
             active_p[neg_k] = False
             active_p |= rises
             free &= ~neg_x
+            free |= over
             continue
         xx = np.maximum(xx, 0.0)
         cone = prob.betag * xx[None, :] - xx[:, None]

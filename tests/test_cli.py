@@ -199,3 +199,13 @@ def test_runtime_error_maps_to_exit_2(tmp_path, monkeypatch, capsys):
     rc = main(["run", _micro_path(tmp_path)])
     assert rc == 2
     assert "runtime error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["abc", "0", "-2", "1.5", ""])
+def test_run_rejects_a_bad_worker_count(tmp_path, monkeypatch, capsys, workers):
+    monkeypatch.setenv("ECOMP_WORKERS", workers)
+    out = tmp_path / "out.csv"
+    assert main(["run", _micro_path(tmp_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ECOMP_WORKERS must be an integer of at least 1")
+    assert repr(workers) in err and not out.exists()

@@ -2,6 +2,8 @@
 
 import importlib.util
 import json
+import sys
+import types
 from pathlib import Path
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "direct_outcomes.py"
@@ -69,3 +71,31 @@ def test_the_pinned_record_never_holds_more_failures_than_when_it_was_taken():
     classes = [c for r in seeds.values() for c in r["failing"].values()]
     assert all(c == "raised:InfeasibleError" or c.startswith("certificate:")
                for c in classes)
+
+
+def test_compare_prints_mean_cuts_only_when_both_records_carry_them(capsys):
+    old = _record(["ok", "ok", "raised:InfeasibleError", "ok"], [1.0, 2.0, None, 3.0])
+    old["1"]["iterations"] = [0, 300, None, 500]
+    new = _record(["ok", "ok", "ok", "ok"], [1.0, 2.0, 4.0, 3.0])
+    new["1"]["iterations"] = [0, 100, 250, 200]
+    assert direct_outcomes.compare(old, new) == 0
+    # Closed-form solves (0 cuts) and raised ones (null) are left out.
+    assert "seed 1: mean cuts 400.0 over 2 -> 183.3 over 3" in capsys.readouterr().out
+    assert direct_outcomes.compare(direct_outcomes.compact(old), new) == 0
+    assert "mean cuts" not in capsys.readouterr().out
+    assert "iterations" not in direct_outcomes.compact(new)["seeds"]["1"]
+
+
+def test_a_full_record_keeps_each_instance_s_iterations(monkeypatch):
+    # A stand-in for bench/workloads.py: one raise, one certificate
+    # failure and one pass.
+    fake = types.ModuleType("workloads")
+    fake.make_direct = lambda seed: [0, 1, 2]
+    fake.solve = lambda inst: (ValueError("x") if inst == 0 else
+                               types.SimpleNamespace(objective=1.5, iterations=10 * inst))
+    fake.certificate_failures = lambda inst, sol: ["gap"] if inst == 1 else []
+    monkeypatch.setitem(sys.modules, "workloads", fake)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    rec = direct_outcomes.record([3])
+    assert rec == {"3": {"class": ["raised:ValueError", "certificate:gap", "ok"],
+                         "objective": [None, 1.5, 1.5], "iterations": [None, 10, 20]}}

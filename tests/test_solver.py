@@ -20,7 +20,7 @@ from ecomp import (
 )
 from ecomp import solver
 from ecomp.solver import (ConvergenceError, _DualProblem, _cancel_bidirectional,
-                          _merge_lossless_groups, _minimize_dual_1d,
+                          _ellipsoid_run, _merge_lossless_groups, _minimize_dual_1d,
                           _minimize_dual_ellipsoid, _polish_dual)
 from verifiers import grid_search_p1, waterfill_sum_power
 
@@ -320,17 +320,30 @@ def _ref_matvec(a_mat, g):
     return out
 
 
-def _ref_ellipsoid(prob, tol, max_iter, polish=_polish_dual):
-    """The cut loop, polished at widths 1e-3 and 1e-6 and at its exit.
+def _box_start(prob):
+    """Centre u / 2 of the price box and the diagonal shape n c_g^2."""
+    c = 0.5 * np.array(prob.box())
+    return c, prob.n * c * c
+
+
+def _ball_start(prob):
+    """x = 1 and the ball of ``prob.radius()``."""
+    r = prob.radius()
+    return np.ones(prob.n), np.full(prob.n, r * r)
+
+
+def _ref_ellipsoid(prob, tol, max_iter, start, polish=_polish_dual):
+    """The cut loop from ``start`` (centre, diagonal shape), polished at
+    widths 1e-3 and 1e-6 and at its exit.
 
     With ``polish=None`` it is the bare cut loop, which returns the raw
-    best point.  A run has converged if it left at width ``tol`` or its
-    final polish accepted.
+    best point.  Returns the point, the cuts, whether the run converged
+    (it left at width ``tol`` or a polish accepted) and whether a polish
+    accepted.
     """
     n = prob.n
-    x = np.ones(n)
-    r = prob.radius()
-    a_mat = (r * r) * np.eye(n)
+    x, diag = start
+    a_mat = np.diag(diag)
     best_x, best_f = None, np.inf
     converged = False
     milestones = [m for m in (1e-3, 1e-6) if m > tol] if polish else []
@@ -357,7 +370,7 @@ def _ref_ellipsoid(prob, tol, max_iter, polish=_polish_dual):
                 milestones.pop(0)
             polished = polish(prob, best_x)
             if polished is not None:
-                return polished, it, True
+                return polished, it, True, True
         gn = ag / width
         x = x - gn / (n + 1)
         a_mat = (n * n) / (n * n - 1.0) * (a_mat - (2.0 / (n + 1)) * np.outer(gn, gn))
@@ -365,7 +378,9 @@ def _ref_ellipsoid(prob, tol, max_iter, polish=_polish_dual):
     if best_x is None:
         best_x = np.maximum(x, 0.0)
     polished = polish(prob, best_x) if polish else None
-    return (best_x if polished is None else polished), it, converged or polished is not None
+    if polished is None:
+        return best_x, it, converged, False
+    return polished, it, True, True
 
 
 def _ref_bisection(prob, tol):
@@ -522,8 +537,23 @@ def _ref_polish(prob: _DualProblem, x0: np.ndarray) -> np.ndarray | None:
                 continue
             return None
         xx, pp, ee = unpack(v)
+        pw = prob.oracle(np.maximum(xx, 0.0))[0]
+        # A group held at price 0 has no budget row; counting the flows on
+        # the active edges, it must not overspend, or it gets a price.
+        overspent = []
+        for g in range(n):
+            if g in free:
+                continue
+            left = prob.eg[g] - sum(prob.bg[g, k] * pw[k] for k in range(prob.a.size))
+            for idx, (gi, gj) in enumerate(edges):
+                if gi == g:
+                    left -= ee[idx]
+                if gj == g:
+                    left += prob.betag[gi, gj] * ee[idx]
+            if left < -1e-9 * scale:
+                overspent.append(g)
         # Validate the active-set guess; shrink it where signs flipped.
-        changed = False
+        changed = bool(overspent)
         for idx, (gi, gj) in enumerate(list(edges)):
             if ee[idx] < -1e-9 * max(scale, 1.0):
                 edges.remove((gi, gj))
@@ -535,7 +565,6 @@ def _ref_polish(prob: _DualProblem, x0: np.ndarray) -> np.ndarray | None:
         # Terminals left out of the active set can come back above the water
         # level at the refined prices; transfer recovery sees their power, so
         # the balance equations must too.
-        pw = prob.oracle(np.maximum(xx, 0.0))[0]
         for k in range(prob.a.size):
             if k not in active_p and pw[k] > 0.0:
                 active_p.add(k)
@@ -544,6 +573,7 @@ def _ref_polish(prob: _DualProblem, x0: np.ndarray) -> np.ndarray | None:
             if xx[g] < -1e-10 * scale:
                 free.remove(g)
                 changed = True
+        free.update(overspent)
         if changed:
             continue
         xx = np.maximum(xx, 0.0)
@@ -654,43 +684,60 @@ def test_violated_cut_keeps_the_argmax_rule_on_ties_and_zero_pairs():
 
 def test_ellipsoid_matches_the_numpy_reference_bit_for_bit():
     # The low-SNR duals reject most polishes, so they also run the cut loop
-    # to its end.
+    # to its end, and some of them fall back from the box to the ball.
     early = late = 0
     for prob in [*_dual_problems(40), *_low_snr_problems(10)]:
         if prob.n < 2:
             continue
         max_iter = 5000 * prob.n * prob.n
+        runs = []
+        for start in (_box_start(prob), _ball_start(prob)):
+            run = _ellipsoid_run(prob, *(v.tolist() for v in start))
+            ref = _ref_ellipsoid(prob, 1e-9, max_iter, start)
+            assert np.array_equal(run[0], ref[0]) and run[1:] == ref[1:]
+            runs.append(run)
+        box, ball = runs
         x, cuts, converged = _minimize_dual_ellipsoid(prob)
-        x_ref, cuts_ref, converged_ref = _ref_ellipsoid(prob, 1e-9, max_iter)
-        assert np.array_equal(x, x_ref)
-        assert (cuts, converged) == (cuts_ref, converged_ref)
-        raw, raw_cuts, raw_converged = _ref_ellipsoid(prob, 1e-9, max_iter, polish=None)
-        polished = _polish_dual(prob, raw)
-        if cuts < raw_cuts:
-            # An early accept is the point the polish reaches from the
-            # fully converged one.
-            early += 1
-            assert polished is not None
-            assert np.max(np.abs(x - polished)) <= 1e-12 * np.max(np.abs(polished))
+        if box[3]:
+            used = [(box, _box_start(prob))]
+            assert np.array_equal(x, box[0]) and (cuts, converged) == box[1:3]
         else:
-            # Otherwise the result is the full loop's point, polished once
-            # where the polish accepts it.
-            late += 1
-            assert np.array_equal(x, raw if polished is None else polished)
-            assert (cuts, converged) == (raw_cuts, raw_converged)
+            used = [(box, _box_start(prob)), (ball, _ball_start(prob))]
+            assert np.array_equal(x, ball[0])
+            assert (cuts, converged) == (box[1] + ball[1], ball[2])
+        for (x_run, cuts_run, converged_run, _), start in used:
+            raw, raw_cuts, raw_converged, _ = _ref_ellipsoid(prob, 1e-9, max_iter, start,
+                                                             polish=None)
+            polished = _polish_dual(prob, raw)
+            if cuts_run < raw_cuts:
+                # An early accept is the point the polish reaches from the
+                # fully converged one.
+                early += 1
+                assert polished is not None
+                assert np.max(np.abs(x_run - polished)) <= 1e-12 * np.max(np.abs(polished))
+            else:
+                # Otherwise the result is the full loop's point, polished once
+                # where the polish accepts it.
+                late += 1
+                assert np.array_equal(x_run, raw if polished is None else polished)
+                assert (cuts_run, converged_run) == (raw_cuts, raw_converged)
     assert early >= 30 and late >= 5
 
 
 def test_a_degenerate_exit_is_converged_only_when_the_polish_accepts(monkeypatch):
-    # A zero radius gives a zero shape matrix, so the first cut leaves
-    # through the gag <= 0 exit; a rejecting polish must not read as converged.
+    # A zero box and a zero radius give zero shape matrices, so both runs
+    # leave at their first cut through the gag <= 0 exit; a rejecting
+    # polish must not read as converged.
+    monkeypatch.setattr(_DualProblem, "box", lambda self: [0.0] * self.n)
     monkeypatch.setattr(_DualProblem, "radius", lambda self: 0.0)
     monkeypatch.setattr(solver, "_polish_dual", lambda prob, x0: None)
     g, es = _instance(3, n_bs=3, m_ant=2, n_mt=4)
     prob = _DualProblem(g.a, g.b, g.weights, es.budget, as_beta_matrix(0.5, 3))
     x, cuts, converged = _minimize_dual_ellipsoid(prob)
-    assert (cuts, converged) == (1, False)
-    assert _ref_ellipsoid(prob, 1e-9, 5000 * 9, polish=lambda p, x0: None)[1:] == (1, False)
+    assert (cuts, converged) == (2, False)
+    for start in (_box_start(prob), _ball_start(prob)):
+        ref = _ref_ellipsoid(prob, 1e-9, 5000 * 9, start, polish=lambda p, x0: None)
+        assert ref[1:] == (1, False, False)
     np.testing.assert_array_equal(x, np.ones(3))
     with pytest.raises(ConvergenceError):
         solve_p1(g, es, 0.5)
@@ -724,8 +771,8 @@ def test_one_price_dual_lies_in_the_bisection_bracket():
             assert spent == pytest.approx(prob.eg[0], rel=1e-12)
 
 
-def _low_snr_problems(count):
-    """Reduced duals as ``solve_p1`` builds them at budgets of 1e-5 to 1e-3.
+def _low_snr_instances(count):
+    """Instances at budgets of 1e-5 to 1e-3 as (gains, energy state, beta).
 
     Few terminals transmit there, so the polish often misreads a zero
     price as a tight budget and drops that price to retry.
@@ -735,27 +782,128 @@ def _low_snr_problems(count):
         n = 2 + seed % 4
         g, _ = _instance(500 + seed, n_bs=n, m_ant=1, n_mt=n)
         budget = rng.uniform(size=n) * 10.0 ** rng.uniform(-5.0, -3.0)
-        scale = budget.max()
-        yield _DualProblem(g.a * scale, g.b, g.weights, budget / scale,
-                           as_beta_matrix((0.0, 0.5)[seed % 2], n))
+        yield g, EnergyState(re=budget), (0.0, 0.5)[seed % 2]
+
+
+def _low_snr_problems(count):
+    """The reduced duals ``solve_p1`` builds for ``_low_snr_instances``."""
+    for g, es, beta in _low_snr_instances(count):
+        scale = es.budget.max()
+        yield _DualProblem(g.a * scale, g.b, g.weights, es.budget / scale,
+                           as_beta_matrix(beta, es.n_bs))
+
+
+def _recorded_runs(monkeypatch):
+    """Wrap ``_ellipsoid_run``; each call appends (prob, x, diag, result)."""
+    runs = []
+
+    def recorded(prob, x, diag):
+        out = _ellipsoid_run(prob, x, diag)
+        runs.append((prob, np.array(x), np.array(diag), out))
+        return out
+
+    monkeypatch.setattr(solver, "_ellipsoid_run", recorded)
+    return runs
+
+
+def test_accepted_dual_points_lie_in_the_box_and_the_start_ellipsoid(monkeypatch):
+    # Zero budgets, beta matrices and N up to 6; each accepted point, from
+    # the box run or the ball run, is checked against both bounds.
+    runs = _recorded_runs(monkeypatch)
+    cells = set()
+    for g, es, beta in _direct_instances(200):
+        before = len(runs)
+        try:
+            solve_p1(g, es, beta)
+        except (InfeasibleError, ConvergenceError):
+            pass
+        if len(runs) > before:
+            cells.add((es.n_bs, np.ndim(beta), bool(np.any(es.budget == 0.0))))
+    accepted = 0
+    for prob, c, diag, (x, _, _, polished) in runs:
+        if not polished:
+            continue
+        accepted += 1
+        u = np.array(prob.box())
+        assert np.all(x >= 0.0) and np.all(x <= u * (1 + 1e-9))
+        assert np.sum((x - c) ** 2 / diag) <= 1.0 + 1e-9
+    assert accepted >= 150
+    assert {n for n, _, _ in cells} == {2, 3, 4, 5, 6}
+    assert {(m, zero) for _, m, zero in cells} == {(0, False), (0, True), (2, False), (2, True)}
+
+
+def test_a_box_run_without_an_accepted_polish_falls_back_to_the_ball(monkeypatch):
+    # At low SNR some box runs reach width DUAL_TOL with a point the final
+    # polish rejects; the ball run then decides the result.
+    runs = _recorded_runs(monkeypatch)
+    fallbacks = solved = 0
+    for (g, es, beta), prob in zip(_low_snr_instances(40), _low_snr_problems(40)):
+        if prob.n < 2:
+            continue
+        box = _ellipsoid_run(prob, *(v.tolist() for v in _box_start(prob)))
+        if box[3]:
+            continue
+        fallbacks += 1
+        ball = _ellipsoid_run(prob, *(v.tolist() for v in _ball_start(prob)))
+        x, cuts, converged = _minimize_dual_ellipsoid(prob)
+        assert np.array_equal(x, ball[0])
+        assert (cuts, converged) == (box[1] + ball[1], ball[2])
+        del runs[:]
+        try:
+            sol = solve_p1(g, es, beta)
+        except (InfeasibleError, ConvergenceError):
+            continue
+        solved += 1
+        assert [run[3][1] for run in runs] == [box[1], ball[1]]
+        assert sol.iterations == box[1] + ball[1]
+        assert np.array_equal(sol.mu, prob.expand(ball[0]) / es.budget.max())
+    assert fallbacks >= 5 and solved >= 2
+
+
+def test_a_polish_prices_a_zero_price_group_that_overspends():
+    # The start of ROADMAP item 7: the prices of a cluster whose station 1
+    # has budget to spare (price 0), polished after that budget fell to
+    # 0.05.  Without a budget row for station 1 the polish accepted its
+    # old prices, at which station 1 overspends.
+    accepted = 0
+    for seed in range(30):
+        g, _ = _instance(700 + seed)
+        beta = as_beta_matrix(0.0, 2)
+        rich = _DualProblem(g.a, g.b, g.weights, np.array([1.0, 1e3]), beta)
+        x0 = _minimize_dual_ellipsoid(rich)[0]
+        assert x0[1] == 0.0
+        poor = _DualProblem(g.a, g.b, g.weights, np.array([1.0, 0.05]), beta)
+        x = _polish_dual(poor, x0)
+        if x is None:
+            continue
+        accepted += 1
+        assert min(poor.oracle(x)[2]) >= -1e-9
+        x_opt = _minimize_dual_ellipsoid(poor)[0]
+        assert np.max(np.abs(x - x_opt)) <= 1e-9 * np.max(x_opt)
+    assert accepted >= 10
 
 
 def test_polish_matches_the_loop_reference():
-    # Looser ellipsoid points make the polish prune its active-set guess
-    # and reject more often.
+    # Looser ellipsoid points, from the ball and from the box, make the
+    # polish prune its active-set guess and reject more often.  Some two
+    # dozen of them bring back an earlier active set, which the solver
+    # rejects at once and the reference only after its last round.
     starts = []
     for prob in _dual_problems(40):
         if prob.n > 1:
             max_iter = 5000 * prob.n * prob.n
-            starts += [(prob, _ref_ellipsoid(prob, tol, max_iter, polish=None)[0])
+            starts += [(prob, _ref_ellipsoid(prob, tol, max_iter, start, polish=None)[0])
+                       for start in (_ball_start(prob), _box_start(prob))
                        for tol in (1e-9, 1e-4, 1e-2)]
             # Scaling a dual optimum keeps it in the cone but moves the water
             # level: at half the prices extra terminals look active and must
             # be pruned, at twice the prices some drop out and must rise back.
             x_opt = _minimize_dual_ellipsoid(prob)[0]
             starts += [(prob, 0.5 * x_opt), (prob, 2.0 * x_opt)]
-    starts += [(prob, _ref_ellipsoid(prob, 1e-9, 5000 * prob.n * prob.n, polish=None)[0])
-               for prob in _low_snr_problems(40) if prob.n > 1]
+    starts += [(prob, _ref_ellipsoid(prob, 1e-9, 5000 * prob.n * prob.n, start,
+                                     polish=None)[0])
+               for prob in _low_snr_problems(40) if prob.n > 1
+               for start in (_ball_start(prob), _box_start(prob))]
     polished = rejected = 0
     for prob, x0 in starts:
         got, ref = _polish_dual(prob, x0), _ref_polish(prob, x0)

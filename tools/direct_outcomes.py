@@ -6,15 +6,18 @@
 
 The first form solves each instance of ``make_direct`` (``bench/workloads.py``)
 once per seed and writes its class -- ``ok``, ``raised:<Class>`` or
-``certificate:<check,...>`` with the benchmark's own checks -- and its
-objective (null when the solve raised).  With ``--compact`` it writes only
-the numpy version, each seed's instance count and its failing instances
-with their class; every instance not listed is ``ok``.  The third form
-prints the per-seed ``failed`` counts, the instances that pass on one side
-only, the failing instances whose class changed and the largest relative
-objective change over the instances that pass on both sides with an
-objective.  Either side may be compact.  It exits 1 when an instance that
-passes in OLD fails in NEW.
+``certificate:<check,...>`` with the benchmark's own checks -- its
+objective and its ``iterations`` (both null when the solve raised).  With
+``--compact`` it writes only the numpy version, each seed's instance count
+and its failing instances with their class; every instance not listed is
+``ok``.  The third form prints the per-seed ``failed`` counts, the
+instances that pass on one side only, the failing instances whose class
+changed and the largest relative objective change over the instances that
+pass on both sides with an objective.  When both records carry
+iterations, it also prints each seed's mean ellipsoid cuts: the mean of
+the positive ``iterations`` (closed-form solves take none).  Either side
+may be compact.  It exits 1 when an instance that passes in OLD fails in
+NEW.
 
 ``tests/data/direct_outcomes.json`` is the compact record of seeds 1-10
 that CI compares HEAD against.  It holds the failures the solver had when
@@ -50,17 +53,20 @@ def record(seeds: list[int]) -> dict:
 
     out = {}
     for seed in seeds:
-        classes, objectives = [], []
+        classes, objectives, iterations = [], [], []
         for inst in wl.make_direct(seed):
             sol = wl.solve(inst)
             if isinstance(sol, Exception):
                 classes.append(f"raised:{type(sol).__name__}")
                 objectives.append(None)
+                iterations.append(None)
                 continue
             bad = wl.certificate_failures(inst, sol)
             classes.append("certificate:" + ",".join(bad) if bad else "ok")
             objectives.append(sol.objective)
-        out[str(seed)] = {"class": classes, "objective": objectives}
+            iterations.append(sol.iterations)
+        out[str(seed)] = {"class": classes, "objective": objectives,
+                          "iterations": iterations}
         print(f"seed {seed}: failed {sum(c != 'ok' for c in classes)} "
               f"of {len(classes)}", file=sys.stderr)
     return out
@@ -86,6 +92,12 @@ def expand(rec: dict) -> dict:
             for seed, r in rec["seeds"].items()}
 
 
+def mean_cuts(rec: dict) -> str:
+    """Mean of a seed's positive iteration counts, and how many there are."""
+    cuts = [c for c in rec["iterations"] if c]
+    return f"{sum(cuts) / len(cuts):.1f} over {len(cuts)}" if cuts else "none"
+
+
 def compare(old: dict, new: dict) -> int:
     """Print the differences of two records; 1 if NEW fails where OLD passed."""
     for side, rec in (("old", old), ("new", new)):
@@ -104,6 +116,8 @@ def compare(old: dict, new: dict) -> int:
         fail_b = sum(c != "ok" for c in b["class"])
         total_old, total_new = total_old + fail_a, total_new + fail_b
         print(f"seed {seed}: failed {fail_a} -> {fail_b}")
+        if "iterations" in a and "iterations" in b:
+            print(f"seed {seed}: mean cuts {mean_cuts(a)} -> {mean_cuts(b)}")
         for idx, (ca, cb) in enumerate(zip(a["class"], b["class"])):
             where = f"seed {seed} #{idx}"
             if ca == "ok" and cb != "ok":
