@@ -67,17 +67,14 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_region(args) -> int:
-    try:
-        budgets = [float(tok) for tok in args.budgets.split(",")]
-    except ValueError as exc:
-        raise ScenarioError(f"bad --budgets value: {exc}") from None
+    budgets = args.budgets.split(",")
     if len(budgets) != 2:
         raise ScenarioError("--budgets expects exactly two values E1,E2")
-    if not 0.0 <= args.beta <= 1.0:
-        raise ScenarioError("--beta must lie in [0, 1]")
-    if args.samples < 3:
-        raise ScenarioError("--samples must be at least 3")
-    points = power_region_boundary(budgets, args.beta, n_samples=args.samples)
+    try:
+        points = power_region_boundary([float(tok) for tok in budgets], args.beta,
+                                       n_samples=args.samples)
+    except ValueError as exc:
+        raise ScenarioError(f"bad region arguments: {exc}") from None
     lines = ["p1,p2"] + [f"{p1:.9g},{p2:.9g}" for p1, p2 in points]
     text = "\n".join(lines) + "\n"
     if args.out is None:

@@ -67,11 +67,15 @@ def power_region_boundary(budgets, beta, n_samples: int = 101) -> np.ndarray:
 
     Returns ``n_samples`` (at least 3) points (P1, P2) with P1 increasing
     and P2 the largest power BS 2 can spend while BS 1 spends P1, over all
-    nonnegative transfer patterns.  Only N=2 is supported.
+    nonnegative transfer patterns.  Only N=2 is supported.  Raises
+    ValueError for a negative or non-finite budget, an invalid ``beta``
+    or fewer than 3 samples.
     """
     e = np.atleast_1d(np.asarray(budgets, dtype=float))
     if e.size != 2:
         raise ValueError("power_region_boundary supports exactly two BSs")
+    if not np.all((e >= 0) & np.isfinite(e)):
+        raise ValueError(f"budgets must be finite and nonnegative; got {e.tolist()}")
     if n_samples < 3:
         raise ValueError(f"n_samples must be at least 3; got {n_samples}")
     bm = as_beta_matrix(beta, 2)

@@ -293,8 +293,10 @@ def write_results(table: ResultTable, fh, fmt: str = "csv") -> None:
         for row in table.rows:
             fh.write(",".join(_format_value(v) for v in row.as_tuple()) + "\n")
     else:
+        # JSON has no NaN: a row with no successful realization gets nulls.
         for row in table.rows:
-            record = {col: (float(f"{val:.9g}") if isinstance(val, float) else val)
+            record = {col: (val if not isinstance(val, float) else
+                            float(f"{val:.9g}") if math.isfinite(val) else None)
                       for col, val in zip(RESULT_COLUMNS, row.as_tuple())}
             fh.write(json.dumps(record) + "\n")
 

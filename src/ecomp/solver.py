@@ -81,6 +81,21 @@ def _best_paths(eff: np.ndarray) -> np.ndarray:
     return eff
 
 
+def _incidence(beta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edges and incidence matrix D of the transfer network.
+
+    The edges are the positive pairs (src, dst) of ``beta``, whose diagonal
+    is zero, in row-major order; edge (i, j) is the row e_i - beta_ij e_j
+    of D.  So D mu >= 0 is the price cone beta_ij mu_j <= mu_i, and D^T e
+    is what each station sends minus what it is delivered.
+    """
+    src, dst = np.nonzero(beta > 0)
+    d = np.zeros((src.size, beta.shape[0]))
+    rows = np.arange(src.size)
+    d[rows, src], d[rows, dst] = 1.0, -beta[src, dst]
+    return src, dst, d
+
+
 def _merge_lossless_groups(beta: np.ndarray) -> list[list[int]]:
     """Stations on a common cycle of loss-free transfers.
 
@@ -103,8 +118,9 @@ class _DualProblem:
 
     ``bg[g, k]`` is what terminal k spends at group g per unit power,
     ``eg`` the group budgets and ``betag[g, h]`` the best efficiency from
-    a station of g to one of h.  The cone edges b x_h <= x_g run from
-    ``src`` to ``dst`` in row-major order.
+    a station of g to one of h.  ``cone`` is the incidence matrix D of
+    the group-level edges, so the price cone is D x >= 0; ``edges`` lists
+    the same edges as floats (g, h, b) for the cut loop.
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray, w: np.ndarray,
@@ -122,9 +138,8 @@ class _DualProblem:
         self.betag = np.zeros((self.n, self.n))
         np.maximum.at(self.betag, (self.label[:, None], self.label), beta)
         np.fill_diagonal(self.betag, 0.0)
-        self.src, self.dst = np.nonzero(self.betag > 0)
-        self.edges = list(zip(self.src.tolist(), self.dst.tolist(),
-                              self.betag[self.src, self.dst].tolist()))
+        src, dst, self.cone = _incidence(self.betag)
+        self.edges = list(zip(src.tolist(), dst.tolist(), self.betag[src, dst].tolist()))
         # Float tables for the oracle: per terminal (bg[:, k], w_k, a_k, 1/a_k); bg's rows.
         self._terminals = list(zip(self.bg.T.tolist(), w.tolist(), a.tolist(),
                                    (1.0 / a).tolist()))
@@ -367,30 +382,27 @@ def _ellipsoid_run(prob: _DualProblem, x: list, diag: list) -> tuple[np.ndarray,
 def _polish_dual(prob: _DualProblem, x0: np.ndarray) -> np.ndarray | None:
     """Newton refinement of the reduced KKT system at the ellipsoid point.
 
-    The active structure at x0 fixes a square smooth system.  Its columns
-    are the free prices, the transmitting powers and the active-edge flows
-    (the group-level transfers); its rows are water-filling stationarity,
-    budget balance and equality on the active cone edges.  Only a
-    stationarity row's own power enters nonlinearly, so each active-set
-    round builds the Jacobian once and each Newton step rewrites its
-    stationarity diagonal.  A round validates when no flow, power or price
-    comes out negative, no inactive terminal rises and no group held at
-    price 0 overspends; otherwise the sets are adjusted and another round
-    runs.  Returns the refined price vector, or None when no round
-    validates.
+    The active structure at x0 fixes an equality-constrained Newton KKT
+    system in the free prices, the transmitting powers and the active-edge
+    flows (group-level transfers), with rows water-filling stationarity,
+    the free groups' budgets and the active cone edges:
+    [-B^T S 0; 0 B Dg^T; -Dg 0 0], where B is ``prob.bg`` and Dg is
+    ``prob.cone`` restricted to the active sets.  Only S, the stationarity
+    diagonal, depends on the powers, so each active-set round builds the
+    Jacobian once and each Newton step rewrites S.  A round validates when no flow, power or
+    price comes out negative, no inactive terminal rises and no group held
+    at price 0 overspends; otherwise the sets are adjusted and another
+    round runs.  Returns the refined prices, or None when none validate.
     """
-    n = prob.n
     scale = max(float(np.max(x0)), 1e-12)
     p0, f0, slack = prob.oracle(x0)
     p0, slack = np.array(p0), np.array(slack)
     active_p = p0 > 1e-8 * max(float(np.max(p0, initial=0.0)), 1.0)
     free = x0 > 1e-7 * scale
-    src, dst = prob.src, prob.dst
-    eff = prob.betag[src, dst]
     # Over-include nearly-active edges: spurious ones are pruned when their
     # flow comes out negative, while a missing edge leaves the balance
     # equations inconsistent and stalls the Newton iteration.
-    edges = eff * x0[dst] - x0[src] > -1e-3 * scale
+    edges = prob.cone @ x0 < 1e-3 * scale
 
     # A round depends only on the three sets, so a repeated one would cycle
     # through the remaining rounds to a rejection.
@@ -404,35 +416,27 @@ def _polish_dual(prob: _DualProblem, x0: np.ndarray) -> np.ndarray | None:
         if not ks.size or not gs.size:
             return None
         nk, ng = ks.size, gs.size
-        # col[g]: column of price g, and its budget row is nk + col[g].
-        col = np.full(n, -1)
-        col[gs] = np.arange(ng)
-        e_src, e_dst, e_eff = col[src[edges]], col[dst[edges]], eff[edges]
-        # Edge e has flow column and equality row nk + ng + e.
-        tail = nk + ng + np.arange(e_eff.size)
-        out, into = e_src >= 0, e_dst >= 0
-        jac = np.zeros((tail.size + nk + ng,) * 2)
+        d_act = prob.cone[edges]
+        dg = d_act[:, gs]
+        jac = np.zeros((nk + ng + dg.shape[0],) * 2)
         bgk = prob.bg[gs][:, ks]
         jac[:nk, :ng] = -bgk.T
         jac[nk:nk + ng, ng:ng + nk] = bgk
-        jac[nk + e_src[out], tail[out]] = 1.0
-        jac[nk + e_dst[into], tail[into]] = -e_eff[into]
-        jac[tail[out], e_src[out]] = -1.0
-        jac[tail[into], e_dst[into]] = e_eff[into]
-        rhs = np.zeros(jac.shape[0])
-        rhs[nk:nk + ng] = -prob.eg[gs]
+        jac[nk:nk + ng, ng + nk:] = dg.T
+        jac[nk + ng:, :ng] = 0.0 - dg       # keeps the zeros +0.0
         diag = (np.arange(nk), ng + np.arange(nk))
-        a, w = prob.a[ks], prob.w[ks]
+        a, w, eg = prob.a[ks], prob.w[ks], prob.eg[gs]
 
-        v = np.concatenate([x0[gs], p0[ks], np.zeros(tail.size)])
+        v = np.concatenate([x0[gs], p0[ks], np.zeros(dg.shape[0])])
         ok = False
         # Converging rounds pass the residual test within about 17 steps;
         # a round still short of it after 20 has stalled.
         for _ in range(20):
             denom = 1.0 + a * v[ng:ng + nk]
             jac[diag] = 0.0
-            f = jac @ v + rhs
+            f = jac @ v
             f[:nk] += w * a / (LN2 * denom)
+            f[nk:nk + ng] -= eg
             jac[diag] = -w * a ** 2 / (LN2 * denom ** 2)
             # The residual lives in price units while the powers respond with
             # a factor ~1/s^2, so take one more step after the residual test
@@ -465,7 +469,7 @@ def _polish_dual(prob: _DualProblem, x0: np.ndarray) -> np.ndarray | None:
                 free[g_drop] = False
                 continue
             return None
-        xx = np.zeros(n)
+        xx = np.zeros(prob.n)
         xx[gs] = v[:ng]
         # Validate the active-set guess; shrink it where signs flipped.
         # Terminals left out of the active set can come back above the water
@@ -479,8 +483,7 @@ def _polish_dual(prob: _DualProblem, x0: np.ndarray) -> np.ndarray | None:
         neg_x = xx < -1e-10 * scale
         # A group held at price 0 has no budget row; with the flows on the
         # active edges it must still not overspend, or it gets a price.
-        spare = np.array(spare) - np.bincount(src[edges], flow, n)
-        spare += np.bincount(dst[edges], eff[edges] * flow, n)
+        spare = np.array(spare) - d_act.T @ flow
         over = ~free & (spare < -1e-9 * scale)
         if (neg_e.any() or neg_k.size or np.any(rises & ~active_p) or neg_x.any()
                 or over.any()):
@@ -491,9 +494,7 @@ def _polish_dual(prob: _DualProblem, x0: np.ndarray) -> np.ndarray | None:
             free |= over
             continue
         xx = np.maximum(xx, 0.0)
-        cone = prob.betag * xx[None, :] - xx[:, None]
-        np.fill_diagonal(cone, -np.inf)
-        if float(np.max(cone)) > 1e-9 * max(scale, 1.0):
+        if np.any(prob.cone @ xx < -1e-9 * max(scale, 1.0)):
             return None
         if f_xx > f0 + 1e-9 * max(scale, 1.0):
             return None
@@ -569,21 +570,15 @@ def recover_transfers(p_star, budget: np.ndarray, beta: np.ndarray,
     """
     n = budget.size
     deficit = b @ np.asarray(p_star, dtype=float) - budget
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j and beta[i, j] > 0]
-    if not pairs:
+    src, dst, d = _incidence(beta)
+    if not src.size:
         if np.max(deficit) > RECOVERY_TOL * max(1.0, float(np.max(budget, initial=1.0))):
             raise InfeasibleError(float(np.max(deficit)))
         return np.zeros((n, n))
-    # Row i: sum_j e_ij - sum_j beta_ji e_ji + slack_i = -deficit_i.
-    a_eq = np.zeros((n, len(pairs) + n))
-    for col, (i, j) in enumerate(pairs):
-        a_eq[i, col] += 1.0
-        a_eq[j, col] -= beta[i, j]
-    a_eq[:, len(pairs):] = np.eye(n)
-    x = phase1_feasible(a_eq, -deficit, tol=RECOVERY_TOL)
+    # Row i: (D^T e)_i + slack_i = -deficit_i.
+    x = phase1_feasible(np.hstack([d.T, np.eye(n)]), -deficit, tol=RECOVERY_TOL)
     e = np.zeros((n, n))
-    for col, (i, j) in enumerate(pairs):
-        e[i, j] = x[col]
+    e[src, dst] = x[:src.size]
     return _cancel_bidirectional(e, beta)
 
 

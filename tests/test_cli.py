@@ -186,7 +186,14 @@ def test_region_prints_samples_points_and_rejects_fewer_than_3(capsys, beta):
     assert main(["region", "--budgets", "10,5", "--beta", beta, "--samples", "101"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 102
     assert main(["region", "--budgets", "10,5", "--beta", beta, "--samples", "2"]) == 1
-    assert "--samples must be at least 3" in capsys.readouterr().err
+    assert "n_samples must be at least 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budgets", ["-5,3", "nan,3", "3,inf"])
+def test_region_rejects_negative_and_non_finite_budgets(capsys, budgets):
+    assert main(["region", f"--budgets={budgets}", "--beta", "0.5", "--samples", "5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "budgets must be finite and nonnegative" in err
 
 
 def test_runtime_error_maps_to_exit_2(tmp_path, monkeypatch, capsys):

@@ -95,7 +95,15 @@ def test_a_full_record_keeps_each_instance_s_iterations(monkeypatch):
                                types.SimpleNamespace(objective=1.5, iterations=10 * inst))
     fake.certificate_failures = lambda inst, sol: ["gap"] if inst == 1 else []
     monkeypatch.setitem(sys.modules, "workloads", fake)
-    monkeypatch.setattr(sys, "path", list(sys.path))
     rec = direct_outcomes.record([3])
     assert rec == {"3": {"class": ["raised:ValueError", "certificate:gap", "ok"],
                          "objective": [None, 1.5, 1.5], "iterations": [None, 10, 20]}}
+
+
+def test_record_leaves_sys_path_as_it_was(monkeypatch):
+    # The checkout's src and bench are on the path only while workloads
+    # is imported, so the benchmark's modules do not leak to the caller.
+    monkeypatch.setitem(sys.modules, "workloads", types.ModuleType("workloads"))
+    before = list(sys.path)
+    assert direct_outcomes.record([]) == {}
+    assert sys.path == before

@@ -85,3 +85,10 @@ def test_power_region_returns_exactly_n_samples_points(beta):
     for n_samples in (-1, 0, 1, 2):
         with pytest.raises(ValueError, match="at least 3"):
             power_region_boundary([10.0, 5.0], beta, n_samples)
+
+
+@pytest.mark.parametrize("budgets", [[-5.0, 3.0], [10.0, -1e-12], [np.nan, 3.0],
+                                     [np.inf, 3.0], [3.0, -np.inf]])
+def test_power_region_rejects_negative_and_non_finite_budgets(budgets):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        power_region_boundary(budgets, 0.5, 5)

@@ -162,6 +162,28 @@ def test_jsonl_emission(tmp_path):
     assert records[0]["n"] == 4
 
 
+def test_a_row_without_realizations_is_strict_json_and_nan_in_csv(tmp_path, monkeypatch):
+    import json
+
+    def no_constant(name):
+        raise ValueError(f"{name} is not JSON")
+
+    def fail(*args, **kwargs):
+        raise ConvergenceError("dual not converged after 7 cuts", np.ones(2))
+
+    monkeypatch.setenv("ECOMP_WORKERS", "1")
+    monkeypatch.setattr(runner, "solve_p1", fail)
+    table = run_scenario(_micro_scenario(sweep_points="1"))
+    assert [row.n for row in table.rows] == [0, 0, 0]
+    emit_results(table, tmp_path / "out.jsonl", fmt="jsonl")
+    lines = (tmp_path / "out.jsonl").read_text().splitlines()
+    records = [json.loads(line, parse_constant=no_constant) for line in lines]
+    assert [(r["mean_rate"], r["stderr"], r["n"]) for r in records] == [(None, None, 0)] * 3
+    emit_results(table, tmp_path / "out.csv")
+    back = parse_results(tmp_path / "out.csv")
+    assert all(math.isnan(row.mean_rate) and math.isnan(row.stderr) for row in back.rows)
+
+
 def test_unknown_format_rejected(tmp_path):
     with pytest.raises(ValueError, match="format"):
         emit_results(ResultTable(), tmp_path / "out.bin", fmt="bin")

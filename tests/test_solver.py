@@ -20,8 +20,8 @@ from ecomp import (
 )
 from ecomp import solver
 from ecomp.solver import (ConvergenceError, _DualProblem, _cancel_bidirectional,
-                          _ellipsoid_run, _merge_lossless_groups, _minimize_dual_1d,
-                          _minimize_dual_ellipsoid, _polish_dual)
+                          _ellipsoid_run, _incidence, _merge_lossless_groups,
+                          _minimize_dual_1d, _minimize_dual_ellipsoid, _polish_dual)
 from verifiers import grid_search_p1, waterfill_sum_power
 
 
@@ -155,6 +155,55 @@ def test_recover_transfers_balances_the_books():
     e = recover_transfers(sol.p, es.budget, bm, g.b)
     avail = es.budget + (bm * e).sum(axis=0) - e.sum(axis=1)
     assert np.all(g.b @ sol.p <= avail + 1e-7)
+
+
+def _incidence_cases():
+    """Seeded beta matrices, N 1..6 with 0 and 1 entries, and expanded scalars.
+
+    A scalar 0 (and N = 1) has no positive pair, so its D has no row.
+    """
+    rng = np.random.default_rng([2013, 0x1D])
+    for trial in range(300):
+        n = 1 + trial % 6
+        beta = rng.uniform(size=(n, n))
+        u = rng.random((n, n))
+        beta[u < 0.2] = 0.0
+        beta[u > 0.8] = 1.0
+        yield as_beta_matrix(beta, n), rng
+    for scalar in (0.0, 0.5, 1.0):
+        for n in range(1, 7):
+            yield as_beta_matrix(scalar, n), rng
+
+
+def test_incidence_lists_the_positive_pairs_in_row_major_order():
+    for beta, _ in _incidence_cases():
+        n = beta.shape[0]
+        src, dst, d = _incidence(beta)
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j and beta[i, j] > 0]
+        assert list(zip(src.tolist(), dst.tolist())) == pairs
+        assert d.shape == (len(pairs), n)
+        # Row (i, j) is e_i - beta_ij e_j, every other entry +0.0.
+        ref = np.zeros((len(pairs), n))
+        for row, (i, j) in enumerate(pairs):
+            ref[row, i], ref[row, j] = 1.0, -beta[i, j]
+        assert np.array_equal(d, ref) and not np.any(np.signbit(d) & (d == 0.0))
+
+
+def test_incidence_products_are_the_cone_and_the_net_outflow():
+    eps = np.finfo(float).eps
+    for beta, rng in _incidence_cases():
+        n = beta.shape[0]
+        src, dst, d = _incidence(beta)
+        x = rng.uniform(size=n) * 10.0 ** rng.uniform(-4.0, 4.0, size=n)
+        # A BLAS product may fuse the multiply-add, so the two-term
+        # difference matches to within one rounding of its terms.
+        terms = x[src] + beta[src, dst] * x[dst]
+        assert np.all(np.abs(d @ x - (x[src] - beta[src, dst] * x[dst])) <= 2 * eps * terms)
+        flows = rng.uniform(size=src.size) * 10.0 ** rng.uniform(-4.0, 4.0, size=src.size)
+        e = np.zeros((n, n))
+        e[src, dst] = flows
+        sent, delivered = e.sum(axis=1), (beta * e).sum(axis=0)
+        assert np.all(np.abs(d.T @ flows - (sent - delivered)) <= 1e-15 * (sent + delivered))
 
 
 def test_reroute_keeps_a_relay_the_direct_link_would_make_dearer():

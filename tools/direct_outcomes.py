@@ -25,7 +25,8 @@ it was taken; retake it only when a change removes failures, never to
 absorb a new one.
 
 The package comes from ``src`` of the checkout that holds this file, and
-``bench/workloads.py`` is imported as it is.
+``bench/workloads.py`` is imported as it is; both leave ``sys.path`` again
+once ``workloads`` is imported.
 """
 
 from __future__ import annotations
@@ -48,8 +49,13 @@ def parse_seeds(text: str) -> list[int]:
 
 
 def record(seeds: list[int]) -> dict:
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
-    import workloads as wl
+    paths = [str(ROOT / "src"), str(ROOT / "bench")]
+    sys.path[:0] = paths
+    try:
+        import workloads as wl
+    finally:
+        for path in paths:
+            sys.path.remove(path)
 
     out = {}
     for seed in seeds:
