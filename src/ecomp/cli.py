@@ -80,8 +80,11 @@ def _cmd_region(args) -> int:
     if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise OSError(f"cannot write region points to {args.out}: {exc}") from exc
     return 0
 
 

@@ -392,7 +392,13 @@ def _polish_dual(prob: _DualProblem, x0: np.ndarray) -> np.ndarray | None:
     Jacobian once and each Newton step rewrites S.  A round validates when no flow, power or
     price comes out negative, no inactive terminal rises and no group held
     at price 0 overspends; otherwise the sets are adjusted and another
-    round runs.  Returns the refined prices, or None when none validate.
+    round runs.  A round that misses the residual test for 20 steps has
+    stalled: it drops the free group with the largest surplus, or the
+    polish rejects.  A round whose budget rows cannot be met, checked once
+    at its first singular Newton step, stalls at once: it skips only steps
+    that could not pass the test (and a failed or non-finite lstsq among
+    them, which would reject).  Returns the refined prices, or None when
+    none validate.
     """
     scale = max(float(np.max(x0)), 1e-12)
     p0, f0, slack = prob.oracle(x0)
@@ -428,8 +434,8 @@ def _polish_dual(prob: _DualProblem, x0: np.ndarray) -> np.ndarray | None:
         a, w, eg = prob.a[ks], prob.w[ks], prob.eg[gs]
 
         v = np.concatenate([x0[gs], p0[ks], np.zeros(dg.shape[0])])
-        ok = False
-        # Converging rounds pass the residual test within about 17 steps;
+        ok = checked = False
+        # Converging rounds pass the residual test within about 19 steps;
         # a round still short of it after 20 has stalled.
         for _ in range(20):
             denom = 1.0 + a * v[ng:ng + nk]
@@ -453,10 +459,21 @@ def _polish_dual(prob: _DualProblem, x0: np.ndarray) -> np.ndarray | None:
             col_s = np.max(np.abs(jac_r), axis=0)
             col_s[col_s == 0.0] = 1.0
             try:
-                step = np.linalg.lstsq(jac_r / col_s[None, :], -f / row_s,
-                                       rcond=None)[0] / col_s
+                step, _, rank, _ = np.linalg.lstsq(jac_r / col_s[None, :], -f / row_s,
+                                                   rcond=None)
+                # The budget rows [B | Dg^T] y = eg are linear, so every
+                # iterate has max|f| >= |r|_2 / sqrt(ng) for their least-
+                # squares residual r.  Where that bound is 1000x the residual
+                # test's, no step can pass it: the round has stalled.
+                if not checked and rank < f.size:
+                    checked = True
+                    rows = jac[nk:nk + ng, ng:]
+                    r = rows @ np.linalg.lstsq(rows, eg, rcond=None)[0] - eg
+                    if np.linalg.norm(r) > math.sqrt(ng) * 1e-9 * max(scale, 1.0):
+                        break
             except np.linalg.LinAlgError:
                 return None
+            step = step / col_s
             if not np.all(np.isfinite(step)):
                 return None
             v = v + step

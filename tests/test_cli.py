@@ -208,6 +208,19 @@ def test_runtime_error_maps_to_exit_2(tmp_path, monkeypatch, capsys):
     assert "runtime error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["run", None], ["region", "--budgets", "10,5",
+                                                      "--beta", "0.5"]])
+@pytest.mark.parametrize("where", ["missing/out.csv", "."])
+def test_an_unwritable_out_path_is_a_runtime_error(tmp_path, capsys, command, where):
+    # A missing directory and a directory path fail alike, on both subcommands.
+    argv = [_micro_path(tmp_path) if arg is None else arg for arg in command]
+    path = str(tmp_path / where)
+    assert main(argv + ["--out", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: OSError: cannot write ")
+    assert f" to {path}: " in err
+
+
 @pytest.mark.parametrize("workers", ["abc", "0", "-2", "1.5", ""])
 def test_run_rejects_a_bad_worker_count(tmp_path, monkeypatch, capsys, workers):
     monkeypatch.setenv("ECOMP_WORKERS", workers)

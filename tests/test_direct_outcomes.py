@@ -107,3 +107,19 @@ def test_record_leaves_sys_path_as_it_was(monkeypatch):
     before = list(sys.path)
     assert direct_outcomes.record([]) == {}
     assert sys.path == before
+
+
+def test_compare_counts_exact_changes_only_when_both_records_are_full(capsys):
+    old = _record(["ok", "ok", "raised:InfeasibleError", "ok", "ok"],
+                  [1.0, 2.0, None, 3.0, 4.0])
+    old["1"]["iterations"] = [0, 300, None, 500, 90]
+    new = _record(["ok", "ok", "ok", "ok", "ok"], [1.0, 2.0, 4.0, 3.0 + 4e-16, 4.0])
+    new["1"]["iterations"] = [0, 301, 250, 500, 90]
+    assert direct_outcomes.compare(old, new) == 0
+    # #1 takes one more cut and #3 moves by one ulp; #2 passes on one side only.
+    assert ("objective or iterations changed on 2 of 4 passing instances (exact)"
+            in capsys.readouterr().out)
+    assert direct_outcomes.compare(new, new) == 0
+    assert "changed on 0 of 5 passing" in capsys.readouterr().out
+    assert direct_outcomes.compare(direct_outcomes.compact(old), new) == 0
+    assert "changed on" not in capsys.readouterr().out

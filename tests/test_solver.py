@@ -965,6 +965,35 @@ def test_polish_matches_the_loop_reference():
     assert polished >= 150 and rejected >= 30
 
 
+@pytest.mark.parametrize("x0, accepts", [([0.5, 5.0], True), ([1.0, 30.0], False)])
+def test_a_round_whose_budget_rows_have_no_solution_stops_at_once(monkeypatch, x0, accepts):
+    # Station 1 serves only terminal 1, which is off at x0 (its cutoff
+    # w a / ln2 is 4.3), so the first round's budget row for station 1
+    # reads 0 = 0.5.  The polish must leave that round after its first
+    # Newton step and end exactly as the reference does, which spends 60
+    # steps on it.  A round that ran all 20 steps would make about a third
+    # of the reference's calls, hence the bound of a quarter.
+    # From [0.5, 5] it drops station 1, then prices it again and accepts;
+    # from [1, 30] it drops station 0, whose round stalls too.
+    prob = _DualProblem(np.array([1.0, 2.0]), np.eye(2), np.array([1.0, 1.5]),
+                        np.array([1.0, 0.5]), np.zeros((2, 2)))
+    x0 = np.array(x0)
+    calls = [0]
+    lstsq = np.linalg.lstsq
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting)
+    got = _polish_dual(prob, x0)
+    polish_calls, calls[0] = calls[0], 0
+    ref = _ref_polish(prob, x0)
+    assert (got is None) == (ref is None) == (not accepts)
+    assert got is None or np.array_equal(got, ref)
+    assert polish_calls < calls[0] / 4
+
+
 def test_lossless_groups_match_the_reachability_reference():
     rng = np.random.default_rng(404)
     for trial in range(3000):

@@ -15,7 +15,9 @@ instances that pass on one side only, the failing instances whose class
 changed and the largest relative objective change over the instances that
 pass on both sides with an objective.  When both records carry
 iterations, it also prints each seed's mean ellipsoid cuts: the mean of
-the positive ``iterations`` (closed-form solves take none).  Either side
+the positive ``iterations`` (closed-form solves take none), and how many
+instances that pass on both sides changed their objective or their
+iterations at all, compared exactly.  Either side
 may be compact.  It exits 1 when an instance that passes in OLD fails in
 NEW.
 
@@ -113,6 +115,7 @@ def compare(old: dict, new: dict) -> int:
     newly_failing, newly_passing, swaps = [], [], []
     worst, worst_at = 0.0, None
     total_old = total_new = both = priced = 0
+    exact = changed = 0
     for seed in sorted(set(old) & set(new), key=int):
         a, b = old[seed], new[seed]
         if len(a["class"]) != len(b["class"]):
@@ -122,7 +125,8 @@ def compare(old: dict, new: dict) -> int:
         fail_b = sum(c != "ok" for c in b["class"])
         total_old, total_new = total_old + fail_a, total_new + fail_b
         print(f"seed {seed}: failed {fail_a} -> {fail_b}")
-        if "iterations" in a and "iterations" in b:
+        full = "iterations" in a and "iterations" in b
+        if full:
             print(f"seed {seed}: mean cuts {mean_cuts(a)} -> {mean_cuts(b)}")
         for idx, (ca, cb) in enumerate(zip(a["class"], b["class"])):
             where = f"seed {seed} #{idx}"
@@ -135,6 +139,9 @@ def compare(old: dict, new: dict) -> int:
             elif ca == "ok":
                 both += 1
                 fa, fb = a["objective"][idx], b["objective"][idx]
+                if full:
+                    exact += 1
+                    changed += fa != fb or a["iterations"][idx] != b["iterations"][idx]
                 if fa is None or fb is None:
                     continue
                 priced += 1
@@ -142,6 +149,9 @@ def compare(old: dict, new: dict) -> int:
                 if rel > worst:
                     worst, worst_at = rel, where
     print(f"total: failed {total_old} -> {total_new}; {both} pass on both sides")
+    if exact:
+        print(f"objective or iterations changed on {changed} of {exact} "
+              "passing instances (exact)")
     for title, lines in (("newly failing", newly_failing),
                          ("newly passing", newly_passing), ("class swaps", swaps)):
         print(f"{title}: {len(lines)}")
