@@ -31,7 +31,8 @@ LN2 = math.log(2.0)
 FLOW_FLOOR = 1e-11
 
 # Final ellipsoid width and the widths at which its best point so far is
-# polished early (normalized budget units); phase-1 residual of recovery.
+# polished early, in units of min(1, the start box's largest price);
+# phase-1 residual of recovery.
 DUAL_TOL = 1e-9
 POLISH_AT = (1e-3, 1e-6)
 RECOVERY_TOL = 1e-7
@@ -57,8 +58,7 @@ class Solution:
     net_exchange: np.ndarray   # per-BS grid draw (+) / injection (-)
     dual_value: float
     duality_gap: float
-    iterations: int            # ellipsoid cuts, over both runs when the box run
-                               # ends unpolished; 0 in closed form
+    iterations: int            # ellipsoid cuts; 0 in closed form
 
 
 # ---------------------------------------------------------------------------
@@ -185,42 +185,31 @@ class _DualProblem:
     def expand(self, x: np.ndarray) -> np.ndarray:
         return x[self.label]
 
-    def _caps(self) -> np.ndarray:
-        """Per-group price caps.
-
-        Whenever some terminal transmits, its aggregate price is at most
-        w_k a_k / ln 2, which caps each group price through that
-        terminal's cost coefficient.
-        """
-        caps = self.w * self.a / LN2 / np.maximum(self.bg, 1e-12)
-        upper = np.max(np.where(self.bg > 1e-12, caps, 0.0), axis=1)
-        return np.where(upper > 0, upper, np.max(self.w * self.a) / LN2)
-
-    def radius(self) -> float:
-        """Radius of the fallback ball around x = 1 that holds a dual optimum.
-
-        The norm of the caps plus sqrt(n) + 1.  The ball ignores the budgets
-        and the cone, so it is far wider than ``box``; the ellipsoid starts
-        from it only when its run from the box ends without an accepted
-        polish.
-        """
-        return float(np.linalg.norm(self._caps()) + math.sqrt(self.n) + 1.0)
-
     def box(self) -> list[float]:
-        """Upper corner u of the price box [0, u] the ellipsoid starts in.
+        """Upper corner u of a price box [0, u] that holds a dual optimum.
 
         p = 0 is feasible, so the dual is at least x . eg on the cone, and
         x = 1 lies in the cone (every efficiency is at most 1).  A dual
-        optimum x therefore has x_g <= D(1) / eg_g wherever eg_g > 0.  Each
-        bound is capped as in ``radius``, then tightened along the best
-        paths: x_i >= bp_ij x_j gives u_j <= u_i / bp_ij.
+        optimum x therefore has x_g <= D(1) / eg_g wherever eg_g > 0.  Where
+        every terminal spends at g, a price above w_k a_k / (ln2 bg[g, k])
+        for every k switches every terminal off, so x_g stays below the
+        largest of these caps; elsewhere g may export its budget, and its
+        price then follows the prices its exports reach.  Each bound is
+        tightened along the best paths: x_i >= bp_ij x_j gives
+        u_j <= u_i / bp_ij.  A group no finite bound reaches has no budget
+        and nothing reaching it: the dual is flat in its price, which
+        ``solve_p1`` overwrites, so it takes the largest finite bound.
         """
         u = np.divide(self.oracle([1.0] * self.n)[1], self.eg,
                       out=np.full(self.n, np.inf), where=self.eg > 0)
-        u = np.minimum(u, self._caps())
+        every = np.all(self.bg > 0, axis=1)
+        caps = self.w * self.a / LN2 / self.bg[every]
+        u[every] = np.minimum(u[every], np.max(caps, axis=1))
         bp = _best_paths(self.betag)
         via = np.divide(u[:, None], bp, out=np.full(bp.shape, np.inf), where=bp > 0)
-        return np.minimum(u, via.min(axis=0)).tolist()
+        u = np.minimum(u, via.min(axis=0))
+        u[np.isinf(u)] = np.max(u[np.isfinite(u)])
+        return u.tolist()
 
 
 def _water_levels(prob: _DualProblem, c: np.ndarray,
@@ -304,43 +293,30 @@ def _minimize_dual_separable(prob: _DualProblem) -> np.ndarray | None:
 def _minimize_dual_ellipsoid(prob: _DualProblem) -> tuple[np.ndarray, int, bool]:
     """Central-cut ellipsoid on the reduced dual, ended by the Newton polish.
 
-    The first run starts at the centre c = u / 2 of the price box [0, u]
-    from ``prob.box()``, in the axis-aligned ellipsoid of shape n c_g^2
-    through the box's corners.  When it ends without an accepted polish,
-    a second run starts at x = 1 in the ball of ``prob.radius()`` and its
-    result is returned; the cut count is the sum over both runs.
-    """
-    n = prob.n
-    center = [0.5 * u for u in prob.box()]
-    x, cuts, converged, accepted = _ellipsoid_run(prob, center, [n * c * c for c in center])
-    if accepted:
-        return x, cuts, converged
-    r = prob.radius()
-    x, more, converged, _ = _ellipsoid_run(prob, [1.0] * n, [r * r] * n)
-    return x, cuts + more, converged
-
-
-def _ellipsoid_run(prob: _DualProblem, x: list, diag: list) -> tuple[np.ndarray, int, bool, bool]:
-    """One cut loop from centre ``x`` and diagonal shape ``diag`` (floats).
-
-    When an objective cut's width first reaches a width in ``POLISH_AT``,
-    the best point so far is polished; an accepted polish ends the run,
-    and a rejected one lets the same cut sequence go on.  Every other exit
-    (width ``DUAL_TOL``, a degenerate shape matrix, or 5000 n^2 cuts)
-    polishes its final point once and keeps the raw point when the polish
-    rejects it.  Returns the point, the cuts, whether the run converged
-    (it left at width ``DUAL_TOL`` or a polish accepted) and whether a
-    polish accepted.
+    Starts at the centre c = u / 2 of the price box [0, u] from
+    ``prob.box()``, in the axis-aligned ellipsoid of shape n c_g^2 through
+    the box's corners.  Widths are in units of the box, s = min(1, max(u)).
+    When an objective cut's width first reaches s times a width in
+    ``POLISH_AT``, the best point so far is polished; an accepted polish
+    ends the run, and a rejected one lets the same cut sequence go on.
+    Every other exit (width s ``DUAL_TOL``, a degenerate shape matrix, or
+    5000 n^2 cuts) polishes its final point once and keeps the raw point
+    when the polish rejects it.  Returns the point, the cuts and whether
+    the run converged (it left at width s ``DUAL_TOL`` or a polish
+    accepted).
     The loop runs on Python floats: ``A g`` is a left-to-right sum, for a
     cone cut (i, j, b) the two terms b A[:, j] - A[:, i], which round as
     the dense sum does.
     """
     n = prob.n
-    a_mat = [diag[i] if i == j else 0.0 for i in range(n) for j in range(n)]   # row-major
+    u = prob.box()
+    s = min(1.0, max(u))
+    x = [0.5 * v for v in u]
+    a_mat = [n * x[i] * x[i] if i == j else 0.0 for i in range(n) for j in range(n)]
     c1, c2 = (n * n) / (n * n - 1.0), 2.0 / (n + 1)
     best_x, best_f = None, math.inf
     converged = False
-    polish_at = list(POLISH_AT)
+    polish_at = [s * m for m in POLISH_AT]
     it = 0
     for it in range(1, 5000 * n * n + 1):
         cut = prob.violated_cut(x)
@@ -357,16 +333,16 @@ def _ellipsoid_run(prob: _DualProblem, x: list, diag: list) -> tuple[np.ndarray,
         if gag <= 0.0:
             break
         width = math.sqrt(gag)
-        if cut is None and width <= DUAL_TOL:
+        if cut is None and width <= s * DUAL_TOL:
             converged = True
             break
-        if width <= 1e-18:
+        if width <= s * 1e-18:
             break
         if cut is None and polish_at and width <= polish_at[0]:
             polish_at = [m for m in polish_at if m < width]
             polished = _polish_dual(prob, np.array(best_x))
             if polished is not None:
-                return polished, it, True, True
+                return polished, it, True
         gn = [v / width for v in ag]
         x = [xi - gi / (n + 1) for xi, gi in zip(x, gn)]
         # gn_i * gn_j == gn_j * gn_i, so the update keeps a_mat exactly symmetric.
@@ -375,8 +351,8 @@ def _ellipsoid_run(prob: _DualProblem, x: list, diag: list) -> tuple[np.ndarray,
     best_x = np.maximum(x, 0.0) if best_x is None else np.array(best_x)
     polished = _polish_dual(prob, best_x)
     if polished is None:
-        return best_x, it, converged, False
-    return polished, it, True, True
+        return best_x, it, converged
+    return polished, it, True
 
 
 def _polish_dual(prob: _DualProblem, x0: np.ndarray) -> np.ndarray | None:

@@ -39,6 +39,22 @@ def test_compare_reports_swaps_and_fails_only_on_a_new_failure(capsys):
     assert "newly passing: 1" in out
 
 
+def test_compare_lists_every_objective_that_moved_beyond_the_bound(capsys):
+    # A fixed zero answer (#1, change 1.0) is the largest move, and it must
+    # not hide the smaller ones above the bound (#2); #3 moves by 1e-12.
+    old = _record(["ok", "ok", "ok", "ok", "raised:InfeasibleError"],
+                  [1.0, 0.0, 2.0, 3.0, None])
+    new = _record(["ok", "ok", "ok", "ok", "ok"],
+                  [1.0, 5.5e-7, 2.0 * (1 + 1e-6), 3.0 * (1 + 1e-12), 4.0])
+    assert direct_outcomes.compare(old, new) == 0
+    out = capsys.readouterr().out
+    assert "objective moved by more than 1e-09 relative: 2\n" in out
+    assert "  seed 1 #1: 0 -> 5.5e-07 (relative 1)\n" in out
+    assert "  seed 1 #2: 2 -> 2.000002 (relative 1e-06)\n" in out
+    assert "seed 1 #3:" not in out and "seed 1 #4: was raised" in out
+    assert "largest relative objective change on passing instances: 1 (seed 1 #1)" in out
+
+
 def test_a_compact_record_lists_only_failures_and_compares_with_a_full_one(capsys):
     full = _record(["ok", "raised:InfeasibleError", "ok", "certificate:kkt"],
                    [1.0, None, 2.0, 3.0])
@@ -67,7 +83,7 @@ def test_the_pinned_record_never_holds_more_failures_than_when_it_was_taken():
     assert list(seeds) == [str(s) for s in range(1, 11)]
     assert all(r["instances"] == 800 for r in seeds.values())
     counts = [len(r["failing"]) for r in seeds.values()]
-    assert all(n <= cap for n, cap in zip(counts, [5, 6, 4, 7, 4, 3, 5, 3, 6, 8]))
+    assert all(n <= cap for n, cap in zip(counts, [3, 3, 3, 5, 3, 1, 5, 0, 4, 6]))
     classes = [c for r in seeds.values() for c in r["failing"].values()]
     assert all(c == "raised:InfeasibleError" or c.startswith("certificate:")
                for c in classes)

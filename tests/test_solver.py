@@ -1,5 +1,6 @@
 """Joint power-allocation and energy-transfer solver."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,8 +21,8 @@ from ecomp import (
 )
 from ecomp import solver
 from ecomp.solver import (ConvergenceError, _DualProblem, _cancel_bidirectional,
-                          _ellipsoid_run, _incidence, _merge_lossless_groups,
-                          _minimize_dual_1d, _minimize_dual_ellipsoid, _polish_dual)
+                          _incidence, _merge_lossless_groups, _minimize_dual_1d,
+                          _minimize_dual_ellipsoid, _polish_dual)
 from verifiers import grid_search_p1, waterfill_sum_power
 
 
@@ -287,6 +288,20 @@ def test_returned_solutions_meet_every_budget():
     assert returned >= 180 and scalar == 100
 
 
+def test_low_snr_solves_meet_every_budget_and_the_kkt_bound():
+    # With every gain a scaled by 1e-4 the prices are about 1e-4, so cut
+    # widths in budget units would stop the ellipsoid far from the optimum
+    # relative to them.  No relative gap is asserted: one solve still
+    # returns p = 0 against a dual value of 2.8e-8 (ROADMAP item 10).
+    for g, es, beta in _direct_instances(200):
+        g = dataclasses.replace(g, a=g.a * 1e-4)
+        sol = solve_p1(g, es, beta)
+        bm = as_beta_matrix(beta, es.n_bs)
+        slack = es.budget + (bm * sol.e).sum(axis=0) - sol.e.sum(axis=1) - g.b @ sol.p
+        assert np.min(slack) >= -1e-6 * np.max(es.budget)
+        assert kkt_residual(sol, g, es, beta) <= 1e-5
+
+
 def test_rates_and_objective_are_consistent():
     g, es = _instance(12)
     sol = solve_p1(g, es, 0.4)
@@ -370,32 +385,28 @@ def _ref_matvec(a_mat, g):
 
 
 def _box_start(prob):
-    """Centre u / 2 of the price box and the diagonal shape n c_g^2."""
-    c = 0.5 * np.array(prob.box())
-    return c, prob.n * c * c
-
-
-def _ball_start(prob):
-    """x = 1 and the ball of ``prob.radius()``."""
-    r = prob.radius()
-    return np.ones(prob.n), np.full(prob.n, r * r)
+    """Centre u / 2 of the price box, the diagonal shape n c_g^2 and the
+    width scale min(1, max(u))."""
+    u = np.array(prob.box())
+    c = 0.5 * u
+    return c, prob.n * c * c, min(1.0, float(np.max(u)))
 
 
 def _ref_ellipsoid(prob, tol, max_iter, start, polish=_polish_dual):
-    """The cut loop from ``start`` (centre, diagonal shape), polished at
-    widths 1e-3 and 1e-6 and at its exit.
+    """The cut loop from ``start`` (centre, diagonal shape, width scale s),
+    polished at widths s 1e-3 and s 1e-6 and at its exit.
 
-    With ``polish=None`` it is the bare cut loop, which returns the raw
-    best point.  Returns the point, the cuts, whether the run converged
-    (it left at width ``tol`` or a polish accepted) and whether a polish
-    accepted.
+    Every width is in units of s: the exit widths s ``tol`` and s 1e-18
+    too.  With ``polish=None`` it is the bare cut loop, which returns the
+    raw best point.  Returns the point, the cuts and whether the run
+    converged (it left at width s ``tol`` or a polish accepted).
     """
     n = prob.n
-    x, diag = start
+    x, diag, s = start
     a_mat = np.diag(diag)
     best_x, best_f = None, np.inf
     converged = False
-    milestones = [m for m in (1e-3, 1e-6) if m > tol] if polish else []
+    milestones = [s * m for m in (1e-3, 1e-6) if m > tol] if polish else []
     for it in range(1, max_iter + 1):
         g = _ref_violated_cut(prob, x)
         objective_cut = g is None
@@ -409,17 +420,17 @@ def _ref_ellipsoid(prob, tol, max_iter, start, polish=_polish_dual):
         if gag <= 0:
             break
         width = math.sqrt(gag)
-        if objective_cut and width <= tol:
+        if objective_cut and width <= s * tol:
             converged = True
             break
-        if width <= 1e-18:
+        if width <= s * 1e-18:
             break
         if objective_cut and milestones and width <= milestones[0]:
             while milestones and width <= milestones[0]:
                 milestones.pop(0)
             polished = polish(prob, best_x)
             if polished is not None:
-                return polished, it, True, True
+                return polished, it, True
         gn = ag / width
         x = x - gn / (n + 1)
         a_mat = (n * n) / (n * n - 1.0) * (a_mat - (2.0 / (n + 1)) * np.outer(gn, gn))
@@ -428,8 +439,8 @@ def _ref_ellipsoid(prob, tol, max_iter, start, polish=_polish_dual):
         best_x = np.maximum(x, 0.0)
     polished = polish(prob, best_x) if polish else None
     if polished is None:
-        return best_x, it, converged, False
-    return polished, it, True, True
+        return best_x, it, converged
+    return polished, it, True
 
 
 def _ref_bisection(prob, tol):
@@ -732,62 +743,48 @@ def test_violated_cut_keeps_the_argmax_rule_on_ties_and_zero_pairs():
 
 
 def test_ellipsoid_matches_the_numpy_reference_bit_for_bit():
-    # The low-SNR duals reject most polishes, so they also run the cut loop
-    # to its end, and some of them fall back from the box to the ball.
+    # The low-SNR duals reject more polishes, so some of them also run the
+    # cut loop to its end.
     early = late = 0
-    for prob in [*_dual_problems(40), *_low_snr_problems(10)]:
+    for prob in [*_dual_problems(40), *_low_snr_problems(40)]:
         if prob.n < 2:
             continue
         max_iter = 5000 * prob.n * prob.n
-        runs = []
-        for start in (_box_start(prob), _ball_start(prob)):
-            run = _ellipsoid_run(prob, *(v.tolist() for v in start))
-            ref = _ref_ellipsoid(prob, 1e-9, max_iter, start)
-            assert np.array_equal(run[0], ref[0]) and run[1:] == ref[1:]
-            runs.append(run)
-        box, ball = runs
+        start = _box_start(prob)
         x, cuts, converged = _minimize_dual_ellipsoid(prob)
-        if box[3]:
-            used = [(box, _box_start(prob))]
-            assert np.array_equal(x, box[0]) and (cuts, converged) == box[1:3]
+        ref = _ref_ellipsoid(prob, 1e-9, max_iter, start)
+        assert np.array_equal(x, ref[0]) and (cuts, converged) == ref[1:]
+        raw, raw_cuts, raw_converged = _ref_ellipsoid(prob, 1e-9, max_iter, start,
+                                                      polish=None)
+        polished = _polish_dual(prob, raw)
+        if cuts < raw_cuts:
+            # An early accept is the point the polish reaches from the
+            # fully converged one.
+            early += 1
+            assert polished is not None
+            assert np.max(np.abs(x - polished)) <= 1e-12 * np.max(np.abs(polished))
         else:
-            used = [(box, _box_start(prob)), (ball, _ball_start(prob))]
-            assert np.array_equal(x, ball[0])
-            assert (cuts, converged) == (box[1] + ball[1], ball[2])
-        for (x_run, cuts_run, converged_run, _), start in used:
-            raw, raw_cuts, raw_converged, _ = _ref_ellipsoid(prob, 1e-9, max_iter, start,
-                                                             polish=None)
-            polished = _polish_dual(prob, raw)
-            if cuts_run < raw_cuts:
-                # An early accept is the point the polish reaches from the
-                # fully converged one.
-                early += 1
-                assert polished is not None
-                assert np.max(np.abs(x_run - polished)) <= 1e-12 * np.max(np.abs(polished))
-            else:
-                # Otherwise the result is the full loop's point, polished once
-                # where the polish accepts it.
-                late += 1
-                assert np.array_equal(x_run, raw if polished is None else polished)
-                assert (cuts_run, converged_run) == (raw_cuts, raw_converged)
+            # Otherwise the result is the full loop's point, polished once
+            # where the polish accepts it.
+            late += 1
+            assert np.array_equal(x, raw if polished is None else polished)
+            assert (cuts, converged) == (raw_cuts, raw_converged)
     assert early >= 30 and late >= 5
 
 
 def test_a_degenerate_exit_is_converged_only_when_the_polish_accepts(monkeypatch):
-    # A zero box and a zero radius give zero shape matrices, so both runs
-    # leave at their first cut through the gag <= 0 exit; a rejecting
-    # polish must not read as converged.
+    # A zero box gives a zero shape matrix, so the run leaves at its first
+    # cut through the gag <= 0 exit; a rejecting polish must not read as
+    # converged.
     monkeypatch.setattr(_DualProblem, "box", lambda self: [0.0] * self.n)
-    monkeypatch.setattr(_DualProblem, "radius", lambda self: 0.0)
     monkeypatch.setattr(solver, "_polish_dual", lambda prob, x0: None)
     g, es = _instance(3, n_bs=3, m_ant=2, n_mt=4)
     prob = _DualProblem(g.a, g.b, g.weights, es.budget, as_beta_matrix(0.5, 3))
     x, cuts, converged = _minimize_dual_ellipsoid(prob)
-    assert (cuts, converged) == (2, False)
-    for start in (_box_start(prob), _ball_start(prob)):
-        ref = _ref_ellipsoid(prob, 1e-9, 5000 * 9, start, polish=lambda p, x0: None)
-        assert ref[1:] == (1, False, False)
-    np.testing.assert_array_equal(x, np.ones(3))
+    assert (cuts, converged) == (1, False)
+    ref = _ref_ellipsoid(prob, 1e-9, 5000 * 9, _box_start(prob), polish=lambda p, x0: None)
+    assert ref[1:] == (1, False)
+    np.testing.assert_array_equal(x, np.zeros(3))
     with pytest.raises(ConvergenceError):
         solve_p1(g, es, 0.5)
 
@@ -843,21 +840,28 @@ def _low_snr_problems(count):
 
 
 def _recorded_runs(monkeypatch):
-    """Wrap ``_ellipsoid_run``; each call appends (prob, x, diag, result)."""
-    runs = []
+    """Wrap ``_minimize_dual_ellipsoid``; each call appends (prob, result,
+    whether a polish accepted)."""
+    runs, polished = [], []
 
-    def recorded(prob, x, diag):
-        out = _ellipsoid_run(prob, x, diag)
-        runs.append((prob, np.array(x), np.array(diag), out))
+    def polish(prob, x0):
+        polished.append(_polish_dual(prob, x0))
+        return polished[-1]
+
+    def recorded(prob):
+        del polished[:]
+        out = _minimize_dual_ellipsoid(prob)
+        runs.append((prob, out, bool(polished) and polished[-1] is out[0]))
         return out
 
-    monkeypatch.setattr(solver, "_ellipsoid_run", recorded)
+    monkeypatch.setattr(solver, "_polish_dual", polish)
+    monkeypatch.setattr(solver, "_minimize_dual_ellipsoid", recorded)
     return runs
 
 
 def test_accepted_dual_points_lie_in_the_box_and_the_start_ellipsoid(monkeypatch):
-    # Zero budgets, beta matrices and N up to 6; each accepted point, from
-    # the box run or the ball run, is checked against both bounds.
+    # Zero budgets, beta matrices and N up to 6; each accepted point is
+    # checked against both bounds.
     runs = _recorded_runs(monkeypatch)
     cells = set()
     for g, es, beta in _direct_instances(200):
@@ -869,44 +873,17 @@ def test_accepted_dual_points_lie_in_the_box_and_the_start_ellipsoid(monkeypatch
         if len(runs) > before:
             cells.add((es.n_bs, np.ndim(beta), bool(np.any(es.budget == 0.0))))
     accepted = 0
-    for prob, c, diag, (x, _, _, polished) in runs:
+    for prob, (x, _, _), polished in runs:
         if not polished:
             continue
         accepted += 1
         u = np.array(prob.box())
+        c, diag, _ = _box_start(prob)
         assert np.all(x >= 0.0) and np.all(x <= u * (1 + 1e-9))
         assert np.sum((x - c) ** 2 / diag) <= 1.0 + 1e-9
     assert accepted >= 150
     assert {n for n, _, _ in cells} == {2, 3, 4, 5, 6}
     assert {(m, zero) for _, m, zero in cells} == {(0, False), (0, True), (2, False), (2, True)}
-
-
-def test_a_box_run_without_an_accepted_polish_falls_back_to_the_ball(monkeypatch):
-    # At low SNR some box runs reach width DUAL_TOL with a point the final
-    # polish rejects; the ball run then decides the result.
-    runs = _recorded_runs(monkeypatch)
-    fallbacks = solved = 0
-    for (g, es, beta), prob in zip(_low_snr_instances(40), _low_snr_problems(40)):
-        if prob.n < 2:
-            continue
-        box = _ellipsoid_run(prob, *(v.tolist() for v in _box_start(prob)))
-        if box[3]:
-            continue
-        fallbacks += 1
-        ball = _ellipsoid_run(prob, *(v.tolist() for v in _ball_start(prob)))
-        x, cuts, converged = _minimize_dual_ellipsoid(prob)
-        assert np.array_equal(x, ball[0])
-        assert (cuts, converged) == (box[1] + ball[1], ball[2])
-        del runs[:]
-        try:
-            sol = solve_p1(g, es, beta)
-        except (InfeasibleError, ConvergenceError):
-            continue
-        solved += 1
-        assert [run[3][1] for run in runs] == [box[1], ball[1]]
-        assert sol.iterations == box[1] + ball[1]
-        assert np.array_equal(sol.mu, prob.expand(ball[0]) / es.budget.max())
-    assert fallbacks >= 5 and solved >= 2
 
 
 def test_a_polish_prices_a_zero_price_group_that_overspends():
@@ -933,26 +910,25 @@ def test_a_polish_prices_a_zero_price_group_that_overspends():
 
 
 def test_polish_matches_the_loop_reference():
-    # Looser ellipsoid points, from the ball and from the box, make the
-    # polish prune its active-set guess and reject more often.  Some two
-    # dozen of them bring back an earlier active set, which the solver
-    # rejects at once and the reference only after its last round.
+    # Looser ellipsoid points make the polish prune its active-set guess
+    # and reject more often.  Some of them bring back an earlier active
+    # set, which the solver rejects at once and the reference only after
+    # its last round.
     starts = []
     for prob in _dual_problems(40):
         if prob.n > 1:
             max_iter = 5000 * prob.n * prob.n
-            starts += [(prob, _ref_ellipsoid(prob, tol, max_iter, start, polish=None)[0])
-                       for start in (_ball_start(prob), _box_start(prob))
+            starts += [(prob, _ref_ellipsoid(prob, tol, max_iter, _box_start(prob),
+                                             polish=None)[0])
                        for tol in (1e-9, 1e-4, 1e-2)]
             # Scaling a dual optimum keeps it in the cone but moves the water
             # level: at half the prices extra terminals look active and must
             # be pruned, at twice the prices some drop out and must rise back.
             x_opt = _minimize_dual_ellipsoid(prob)[0]
             starts += [(prob, 0.5 * x_opt), (prob, 2.0 * x_opt)]
-    starts += [(prob, _ref_ellipsoid(prob, 1e-9, 5000 * prob.n * prob.n, start,
+    starts += [(prob, _ref_ellipsoid(prob, tol, 5000 * prob.n * prob.n, _box_start(prob),
                                      polish=None)[0])
-               for prob in _low_snr_problems(40) if prob.n > 1
-               for start in (_ball_start(prob), _box_start(prob))]
+               for prob in _low_snr_problems(40) if prob.n > 1 for tol in (1e-9, 1e-4)]
     polished = rejected = 0
     for prob, x0 in starts:
         got, ref = _polish_dual(prob, x0), _ref_polish(prob, x0)
@@ -1065,6 +1041,28 @@ def test_separable_dual_certifies_per_station_precoding(monkeypatch):
             compared += 1
             assert sol.objective == pytest.approx(ref.objective, rel=1e-9)
     assert compared >= 250
+
+
+def test_every_exact_per_station_optimum_lies_in_the_box(monkeypatch):
+    # A station can export its whole budget; its price then follows the
+    # price it exports to, above anything its own terminals would pay.
+    # The box caps a group by its terminals only where every terminal
+    # spends, so it still holds the exact optimum.
+    found = []
+    separable = solver._minimize_dual_separable
+
+    def recorded(prob):
+        x = separable(prob)
+        if x is not None:
+            found.append((prob, x))
+        return x
+
+    monkeypatch.setattr(solver, "_minimize_dual_separable", recorded)
+    for g, es, beta in _per_bs_instances(300):
+        solve_p1(g, es, beta, bandwidth=1.0 / es.n_bs)
+    for prob, x in found:
+        assert np.all(x >= 0.0) and np.all(x <= np.array(prob.box()) * (1 + 1e-9))
+    assert len(found) >= 290
 
 
 def test_separable_dual_solves_a_low_budget_instance_the_ellipsoid_missed():

@@ -12,8 +12,10 @@ objective and its ``iterations`` (both null when the solve raised).  With
 and its failing instances with their class; every instance not listed is
 ``ok``.  The third form prints the per-seed ``failed`` counts, the
 instances that pass on one side only, the failing instances whose class
-changed and the largest relative objective change over the instances that
-pass on both sides with an objective.  When both records carry
+changed, every instance that passes on both sides and whose objective
+moved by more than ``MOVED_RTOL`` relative, and the largest relative
+objective change over the instances that pass on both sides with an
+objective.  When both records carry
 iterations, it also prints each seed's mean ellipsoid cuts: the mean of
 the positive ``iterations`` (closed-form solves take none), and how many
 instances that pass on both sides changed their objective or their
@@ -39,6 +41,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+MOVED_RTOL = 1e-9
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -112,7 +115,7 @@ def compare(old: dict, new: dict) -> int:
         if "numpy" in rec:
             print(f"{side} record taken with numpy {rec['numpy']}")
     old, new = expand(old), expand(new)
-    newly_failing, newly_passing, swaps = [], [], []
+    newly_failing, newly_passing, swaps, moved = [], [], [], []
     worst, worst_at = 0.0, None
     total_old = total_new = both = priced = 0
     exact = changed = 0
@@ -146,14 +149,19 @@ def compare(old: dict, new: dict) -> int:
                     continue
                 priced += 1
                 rel = abs(fa - fb) / max(abs(fa), abs(fb), 1e-300)
+                if rel > MOVED_RTOL:
+                    moved.append(f"{where}: {fa:.10g} -> {fb:.10g} (relative {rel:.3g})")
                 if rel > worst:
                     worst, worst_at = rel, where
     print(f"total: failed {total_old} -> {total_new}; {both} pass on both sides")
     if exact:
         print(f"objective or iterations changed on {changed} of {exact} "
               "passing instances (exact)")
-    for title, lines in (("newly failing", newly_failing),
-                         ("newly passing", newly_passing), ("class swaps", swaps)):
+    lists = [("newly failing", newly_failing), ("newly passing", newly_passing),
+             ("class swaps", swaps)]
+    if priced:
+        lists.append((f"objective moved by more than {MOVED_RTOL:g} relative", moved))
+    for title, lines in lists:
         print(f"{title}: {len(lines)}")
         for line in lines:
             print(f"  {line}")
