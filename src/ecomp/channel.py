@@ -83,7 +83,7 @@ class ZfGains:
     ``a[k]`` is the effective power gain of terminal k (rate is
     log2(1 + a[k] p[k])), ``b[i, k]`` is the fraction of p[k] spent at
     BS i, ``t_dir[k]`` the unit-norm precoder direction, and ``weights``
-    the rate weights.
+    the rate weights.  Values the solver cannot certify raise ValueError.
     """
 
     a: np.ndarray
@@ -92,10 +92,19 @@ class ZfGains:
     weights: np.ndarray
 
     def __post_init__(self):
-        for name in ("a", "weights"):
+        for name in ("a", "b", "weights"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
         object.__setattr__(self, "t_dir", np.asarray(self.t_dir, dtype=complex))
+        a, b, w = self.a, self.b, self.weights
+        if b.ndim != 2 or a.shape != (b.shape[1],) or w.shape != a.shape:
+            raise ValueError(f"b, a and weights need shapes (N, K), (K,) and (K,); "
+                             f"got {b.shape}, {a.shape} and {w.shape}")
+        if not np.all(np.isfinite(w) & (w > 0)):
+            raise ValueError("weights must be positive and finite")
+        if not (np.all(np.isfinite(a) & (a > 0)) and np.all(np.isfinite(b) & (b >= 0))
+                and np.all(np.any(b > 0, axis=0))):
+            raise ValueError("gains need finite a > 0 and b >= 0, with a positive "
+                             "entry in every column of b")
 
     @property
     def n_bs(self) -> int:
@@ -161,12 +170,9 @@ def _zf_beams(h: np.ndarray, noise_var: np.ndarray) -> tuple[np.ndarray, np.ndar
     return (beams / norm).T, power / noise_var
 
 
-def _rate_weights(weights, k_mt: int) -> np.ndarray:
-    """Validated rate weights, all ones when ``weights`` is None."""
-    w = np.ones(k_mt) if weights is None else np.asarray(weights, dtype=float)
-    if w.shape != (k_mt,) or not np.all(np.isfinite(w) & (w > 0)):
-        raise ValueError("weights must be positive and finite, one per terminal")
-    return w
+def _rate_weights(weights, k_mt: int):
+    """Rate weights, all ones when ``weights`` is None; ZfGains checks them."""
+    return np.ones(k_mt) if weights is None else weights
 
 
 def zf_gains(ch: ClusterChannel, weights=None) -> ZfGains:

@@ -39,7 +39,7 @@ RECOVERY_TOL = 1e-7
 
 
 class ConvergenceError(RuntimeError):
-    """Ellipsoid iteration budget exhausted before the tolerance was met."""
+    """Ellipsoid ended unconverged (cut cap, degenerate shape), no polish accepted."""
 
     def __init__(self, msg: str, best_mu: np.ndarray):
         super().__init__(msg)
@@ -96,48 +96,38 @@ def _incidence(beta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return src, dst, d
 
 
-def _merge_lossless_groups(beta: np.ndarray) -> list[list[int]]:
-    """Stations on a common cycle of loss-free transfers.
-
-    A chain of beta = 1 links from i to j forces mu_i >= mu_j in the dual
-    cone, so every station of a strongly connected component of the
-    beta = 1 graph carries the same price.  Left apart, such a cycle gives
-    the cone no interior; collapsing each component into one dual variable
-    keeps the ellipsoid method well posed.  Groups come in ascending order
-    of their first member.
-    """
-    reach = _best_paths((beta >= 1.0).astype(float)) > 0
-    np.fill_diagonal(reach, True)
-    linked = reach & reach.T
-    rows = {tuple(j for j, on in enumerate(row) if on) for row in linked.tolist()}
-    return [list(g) for g in sorted(rows)]
-
-
 class _DualProblem:
     """Reduced dual problem over the lossless groups: one price per group.
 
+    ``paths`` is ``_best_paths(beta)``.  A chain of beta = 1 links from i
+    to j forces mu_i >= mu_j in the cone, so stations whose best paths
+    reach each other at 1 share a price; left apart, such a loss-free
+    cycle leaves the cone no interior.  A float product of efficiencies
+    at most 1 rounds to at most its first factor, so a best path reads 1
+    only along loss-free links.  Groups ascend by their first member.
+
     ``bg[g, k]`` is what terminal k spends at group g per unit power,
-    ``eg`` the group budgets and ``betag[g, h]`` the best efficiency from
-    a station of g to one of h.  ``cone`` is the incidence matrix D of
-    the group-level edges, so the price cone is D x >= 0; ``edges`` lists
-    the same edges as floats (g, h, b) for the cut loop.
+    ``eg`` the group budgets, ``betag[g, h]`` and ``paths[g, h]`` the best
+    efficiency and best path from a station of g to one of h.  ``cone``
+    is the incidence matrix D of the group-level edges, so the price cone
+    is D x >= 0; ``edges`` lists the same edges as floats (g, h, b).
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray, w: np.ndarray,
-                 budget: np.ndarray, beta: np.ndarray):
-        self.groups = _merge_lossless_groups(beta)
-        self.n = len(self.groups)
-        self.label = np.empty(beta.shape[0], dtype=int)     # group of each BS
-        for gi, grp in enumerate(self.groups):
-            self.label[grp] = gi
+                 budget: np.ndarray, beta: np.ndarray, paths: np.ndarray):
+        linked = (paths >= 1.0) & (paths.T >= 1.0) | np.eye(len(paths), dtype=bool)
+        first, self.label = np.unique(linked.argmax(axis=1), return_inverse=True)
+        self.n = first.size
+        self.groups = [np.flatnonzero(self.label == g).tolist() for g in range(self.n)]
         self.w = w
         self.a = a
         self.bg = np.array([b[g].sum(axis=0) for g in self.groups])
         self.eg = np.array([budget[g].sum() for g in self.groups])
-        # Cross-group cone constraints keep the tightest (largest) efficiency.
-        self.betag = np.zeros((self.n, self.n))
-        np.maximum.at(self.betag, (self.label[:, None], self.label), beta)
-        np.fill_diagonal(self.betag, 0.0)
+        # Across groups keep the largest efficiency; hops inside a group are free.
+        self.betag, self.paths = np.zeros((self.n, self.n)), np.zeros((self.n, self.n))
+        for group_level, station_level in ((self.betag, beta), (self.paths, paths)):
+            np.maximum.at(group_level, (self.label[:, None], self.label), station_level)
+            np.fill_diagonal(group_level, 0.0)
         src, dst, self.cone = _incidence(self.betag)
         self.edges = list(zip(src.tolist(), dst.tolist(), self.betag[src, dst].tolist()))
         # Float tables for the oracle: per terminal (bg[:, k], w_k, a_k, 1/a_k); bg's rows.
@@ -195,8 +185,8 @@ class _DualProblem:
         for every k switches every terminal off, so x_g stays below the
         largest of these caps; elsewhere g may export its budget, and its
         price then follows the prices its exports reach.  Each bound is
-        tightened along the best paths: x_i >= bp_ij x_j gives
-        u_j <= u_i / bp_ij.  A group no finite bound reaches has no budget
+        tightened along the best paths: x_i >= paths_ij x_j gives
+        u_j <= u_i / paths_ij.  A group no finite bound reaches has no budget
         and nothing reaching it: the dual is flat in its price, which
         ``solve_p1`` overwrites, so it takes the largest finite bound.
         """
@@ -205,8 +195,8 @@ class _DualProblem:
         every = np.all(self.bg > 0, axis=1)
         caps = self.w * self.a / LN2 / self.bg[every]
         u[every] = np.minimum(u[every], np.max(caps, axis=1))
-        bp = _best_paths(self.betag)
-        via = np.divide(u[:, None], bp, out=np.full(bp.shape, np.inf), where=bp > 0)
+        via = np.divide(u[:, None], self.paths, out=np.full(self.paths.shape, np.inf),
+                        where=self.paths > 0)
         u = np.minimum(u, via.min(axis=0))
         u[np.isinf(u)] = np.max(u[np.isfinite(u)])
         return u.tolist()
@@ -236,11 +226,11 @@ def _water_levels(prob: _DualProblem, c: np.ndarray,
     return x, tau
 
 
-def _minimize_dual_1d(prob: _DualProblem) -> tuple[float, int]:
+def _minimize_dual_1d(prob: _DualProblem) -> float:
     """Exact minimizer of the one-price dual (all groups merged, or N = 1)."""
     x, _ = _water_levels(prob, np.maximum(prob.bg[0], 1e-12),
                          np.zeros(prob.a.size, dtype=int))
-    return float(x[0]), 0
+    return float(x[0])
 
 
 def _minimize_dual_separable(prob: _DualProblem) -> np.ndarray | None:
@@ -498,8 +488,7 @@ def _polish_dual(prob: _DualProblem, x0: np.ndarray) -> np.ndarray | None:
 def _solve_dual(prob: _DualProblem) -> tuple[np.ndarray, int]:
     """Reduced dual minimizer and its step count; raises ConvergenceError."""
     if prob.n == 1:
-        t, it = _minimize_dual_1d(prob)
-        return np.array([t]), it
+        return np.array([_minimize_dual_1d(prob)]), 0
     x = _minimize_dual_separable(prob)
     if x is not None:
         return x, 0
@@ -585,8 +574,11 @@ def solve_p1(gains: ZfGains, es: EnergyState, beta,
 
     ``bandwidth`` scales every rate (used by the per-BS baseline, which
     splits the band in N orthogonal shares).  The returned objective is
-    certified by the reported duality gap.
+    certified by the reported duality gap.  A ``bandwidth`` that is not
+    positive and finite raises ValueError.
     """
+    if not (math.isfinite(bandwidth) and bandwidth > 0.0):
+        raise ValueError(f"bandwidth must be positive and finite; got {bandwidth}")
     if gains.n_bs != es.n_bs:
         raise ValueError("gains and energy state disagree on the BS count")
     a, b, budget = gains.a, gains.b, es.budget
@@ -595,7 +587,8 @@ def solve_p1(gains: ZfGains, es: EnergyState, beta,
     w = gains.weights * bandwidth
     # Stations no positive budget reaches, even over several hops, force
     # p_k = 0 for every terminal they must power.
-    dead = budget + _best_paths(bm).T @ budget <= 0.0
+    paths = _best_paths(bm)
+    dead = budget + paths.T @ budget <= 0.0
     keep = ~np.any((b > 1e-12) & dead[:, None], axis=0)
 
     p = np.zeros(k_all)
@@ -608,7 +601,7 @@ def solve_p1(gains: ZfGains, es: EnergyState, beta,
         # absolute solver tolerances meaningful at any energy level.
         scale = float(np.max(budget))
         a_s, b_s, budget_s = a[keep] * scale, b[:, keep], budget / scale
-        prob = _DualProblem(a_s, b_s, w[keep], budget_s, bm)
+        prob = _DualProblem(a_s, b_s, w[keep], budget_s, bm, paths)
         x, iters = _solve_dual(prob)
         q = np.zeros(k_all)
         q[keep], dual_value, _ = prob.oracle(x)

@@ -6,6 +6,8 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
+
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "direct_outcomes.py"
 _spec = importlib.util.spec_from_file_location("direct_outcomes", _PATH)
 direct_outcomes = importlib.util.module_from_spec(_spec)
@@ -102,18 +104,50 @@ def test_compare_prints_mean_cuts_only_when_both_records_carry_them(capsys):
     assert "iterations" not in direct_outcomes.compact(new)["seeds"]["1"]
 
 
-def test_a_full_record_keeps_each_instance_s_iterations(monkeypatch):
-    # A stand-in for bench/workloads.py: one raise, one certificate
-    # failure and one pass.
+def _fake_workloads(monkeypatch, e_entry=0.25):
+    """A stand-in for bench/workloads.py: one raise, one certificate
+    failure and two passes, the last with ``e[0, 1] = e_entry``."""
+    def solve(inst):
+        if inst == 0:
+            return ValueError("x")
+        e = np.array([[0.0, e_entry if inst == 3 else 0.25], [0.0, 0.0]])
+        return types.SimpleNamespace(p=np.array([0.5, 1.0]), e=e, mu=np.array([2.0, 1.0]),
+                                     objective=1.5, dual_value=1.5 + 1e-12,
+                                     iterations=10 * min(inst, 2))
+
     fake = types.ModuleType("workloads")
-    fake.make_direct = lambda seed: [0, 1, 2]
-    fake.solve = lambda inst: (ValueError("x") if inst == 0 else
-                               types.SimpleNamespace(objective=1.5, iterations=10 * inst))
+    fake.make_direct = lambda seed: [0, 1, 2, 3]
+    fake.solve = solve
     fake.certificate_failures = lambda inst, sol: ["gap"] if inst == 1 else []
     monkeypatch.setitem(sys.modules, "workloads", fake)
+
+
+def test_a_full_record_keeps_each_instance_s_iterations(monkeypatch):
+    _fake_workloads(monkeypatch)
     rec = direct_outcomes.record([3])
-    assert rec == {"3": {"class": ["raised:ValueError", "certificate:gap", "ok"],
-                         "objective": [None, 1.5, 1.5], "iterations": [None, 10, 20]}}
+    digests = rec["3"].pop("digest")
+    assert rec == {"3": {"class": ["raised:ValueError", "certificate:gap", "ok", "ok"],
+                         "objective": [None, 1.5, 1.5, 1.5],
+                         "iterations": [None, 10, 20, 20]}}
+    # Equal solutions hash alike; #1 differs from them in its iterations.
+    assert digests[0] is None and digests[2] == digests[3] != digests[1]
+    assert all(len(d) == 16 and int(d, 16) >= 0 for d in digests[1:])
+
+
+def test_compare_reports_a_last_bit_change_in_one_transfer(monkeypatch, capsys):
+    _fake_workloads(monkeypatch)
+    old = direct_outcomes.record([3])
+    _fake_workloads(monkeypatch, e_entry=np.nextafter(0.25, 1.0))
+    new = direct_outcomes.record([3])
+    assert direct_outcomes.compare(old, new) == 0
+    out = capsys.readouterr().out
+    # Objective and iterations agree exactly; only the digest sees the change.
+    assert "objective or iterations changed on 0 of 2 passing instances (exact)" in out
+    assert "solution bits changed on 1 of 2 passing instances" in out
+    assert direct_outcomes.compare(old, old) == 0
+    assert "solution bits changed on 0 of 2 passing instances" in capsys.readouterr().out
+    assert direct_outcomes.compare(direct_outcomes.compact(old), new) == 0
+    assert "solution bits" not in capsys.readouterr().out
 
 
 def test_record_leaves_sys_path_as_it_was(monkeypatch):

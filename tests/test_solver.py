@@ -20,8 +20,8 @@ from ecomp import (
     zf_gains,
 )
 from ecomp import solver
-from ecomp.solver import (ConvergenceError, _DualProblem, _cancel_bidirectional,
-                          _incidence, _merge_lossless_groups, _minimize_dual_1d,
+from ecomp.solver import (ConvergenceError, _best_paths, _DualProblem,
+                          _cancel_bidirectional, _incidence, _minimize_dual_1d,
                           _minimize_dual_ellipsoid, _polish_dual)
 from verifiers import grid_search_p1, waterfill_sum_power
 
@@ -309,6 +309,38 @@ def test_rates_and_objective_are_consistent():
                                g.weights * np.log2(1.0 + g.a * sol.p),
                                rtol=1e-12)
     assert sol.objective == pytest.approx(float(np.sum(sol.rates)))
+
+
+_VALID_GAINS = {"a": [1.0, 2.0], "b": [[0.6, 0.3], [0.4, 0.7]], "weights": [1.0, 1.0]}
+
+
+@pytest.mark.parametrize("change, bandwidth, match", [
+    ({"weights": [1.0, np.nan]}, 1.0, "weights"),
+    ({"weights": [-1.0, -1.0]}, 1.0, "weights"),
+    ({"weights": [1.0]}, 1.0, "weights"),
+    ({"a": [0.0, 1.0]}, 1.0, "a > 0"),
+    ({"a": [-1.0, 1.0]}, 1.0, "a > 0"),
+    ({"a": [np.inf, 1.0]}, 1.0, "finite"),
+    ({"b": [[0.6], [0.4]]}, 1.0, "shape"),
+    ({"b": [[0.6, np.nan], [0.4, 0.7]]}, 1.0, "finite"),
+    ({"b": [[0.6, -0.3], [0.4, 0.7]]}, 1.0, "b >= 0"),
+    ({"b": [[0.6, 0.0], [0.4, 0.0]]}, 1.0, "every column"),
+    ({}, 0.0, "bandwidth"),
+    ({}, -1.0, "bandwidth"),
+    ({}, np.inf, "bandwidth"),
+    ({}, np.nan, "bandwidth"),
+])
+def test_inputs_the_solver_cannot_certify_raise_before_any_cut(monkeypatch, change,
+                                                                bandwidth, match):
+    # Unchecked, each of these fails deep inside the solver (an empty
+    # reduction, a log domain error, a divide-by-zero warning, an index
+    # error), spends thousands of cuts on a ConvergenceError, or returns
+    # a Solution with a negative duality gap.
+    monkeypatch.setattr(solver, "_minimize_dual_ellipsoid",
+                        lambda prob: pytest.fail("the ellipsoid ran"))
+    with pytest.raises(ValueError, match=match):
+        gains = ZfGains(t_dir=np.zeros((2, 2)), **{**_VALID_GAINS, **change})
+        solve_p1(gains, EnergyState(re=np.ones(2)), 0.5, bandwidth=bandwidth)
 
 
 # ---------------------------------------------------------------------------
@@ -667,7 +699,8 @@ def _dual_problems(count):
             beta[u > 0.8] = 1.0
             if seed % 3 == 0:
                 beta[0, 1] = beta[1, 0] = 1.0
-        yield _DualProblem(g.a, g.b, g.weights, es.budget, as_beta_matrix(beta, n))
+        bm = as_beta_matrix(beta, n)
+        yield _DualProblem(g.a, g.b, g.weights, es.budget, bm, _best_paths(bm))
 
 
 def _probe_points(prob, rng):
@@ -732,7 +765,7 @@ def test_violated_cut_keeps_the_argmax_rule_on_ties_and_zero_pairs():
                      [0.5, 0.5, 0.0, 0.0],
                      [0.5, 0.0, 0.0, 0.0]])
     g, es = _instance(300, n_bs=4, m_ant=2, n_mt=5)
-    prob = _DualProblem(g.a, g.b, g.weights, es.budget, beta)
+    prob = _DualProblem(g.a, g.b, g.weights, es.budget, beta, _best_paths(beta))
     assert prob.n == 4
     for _ in range(3000):
         x = rng.choice([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0], size=4)
@@ -779,7 +812,8 @@ def test_a_degenerate_exit_is_converged_only_when_the_polish_accepts(monkeypatch
     monkeypatch.setattr(_DualProblem, "box", lambda self: [0.0] * self.n)
     monkeypatch.setattr(solver, "_polish_dual", lambda prob, x0: None)
     g, es = _instance(3, n_bs=3, m_ant=2, n_mt=4)
-    prob = _DualProblem(g.a, g.b, g.weights, es.budget, as_beta_matrix(0.5, 3))
+    bm = as_beta_matrix(0.5, 3)
+    prob = _DualProblem(g.a, g.b, g.weights, es.budget, bm, _best_paths(bm))
     x, cuts, converged = _minimize_dual_ellipsoid(prob)
     assert (cuts, converged) == (1, False)
     ref = _ref_ellipsoid(prob, 1e-9, 5000 * 9, _box_start(prob), polish=lambda p, x0: None)
@@ -804,14 +838,13 @@ def test_one_price_dual_lies_in_the_bisection_bracket():
     for n in range(1, 7):
         g, es = _instance(200 + n, n_bs=n, m_ant=2, n_mt=n + 1)
         for scale in (1e-4, 1.0, 1e4):
-            prob = _DualProblem(g.a, g.b, g.weights, es.budget * scale,
-                                as_beta_matrix(1.0, n))
+            bm = as_beta_matrix(1.0, n)
+            prob = _DualProblem(g.a, g.b, g.weights, es.budget * scale, bm, _best_paths(bm))
             assert prob.n == 1
-            price, steps = _minimize_dual_1d(prob)
+            price = _minimize_dual_1d(prob)
             lo, hi = _ref_bisection(prob, 1e-9)
             # The bracket holds the exact minimizer; the closed form rounds
             # within two units in the last place of it.
-            assert steps == 0
             assert lo - 2 * np.spacing(hi) <= price <= hi + 2 * np.spacing(hi)
             spent = prob.bg[0] @ np.array(prob.oracle(np.array([price]))[0])
             assert spent == pytest.approx(prob.eg[0], rel=1e-12)
@@ -835,8 +868,9 @@ def _low_snr_problems(count):
     """The reduced duals ``solve_p1`` builds for ``_low_snr_instances``."""
     for g, es, beta in _low_snr_instances(count):
         scale = es.budget.max()
-        yield _DualProblem(g.a * scale, g.b, g.weights, es.budget / scale,
-                           as_beta_matrix(beta, es.n_bs))
+        bm = as_beta_matrix(beta, es.n_bs)
+        yield _DualProblem(g.a * scale, g.b, g.weights, es.budget / scale, bm,
+                           _best_paths(bm))
 
 
 def _recorded_runs(monkeypatch):
@@ -895,10 +929,12 @@ def test_a_polish_prices_a_zero_price_group_that_overspends():
     for seed in range(30):
         g, _ = _instance(700 + seed)
         beta = as_beta_matrix(0.0, 2)
-        rich = _DualProblem(g.a, g.b, g.weights, np.array([1.0, 1e3]), beta)
+        rich = _DualProblem(g.a, g.b, g.weights, np.array([1.0, 1e3]), beta,
+                            _best_paths(beta))
         x0 = _minimize_dual_ellipsoid(rich)[0]
         assert x0[1] == 0.0
-        poor = _DualProblem(g.a, g.b, g.weights, np.array([1.0, 0.05]), beta)
+        poor = _DualProblem(g.a, g.b, g.weights, np.array([1.0, 0.05]), beta,
+                            _best_paths(beta))
         x = _polish_dual(poor, x0)
         if x is None:
             continue
@@ -952,7 +988,7 @@ def test_a_round_whose_budget_rows_have_no_solution_stops_at_once(monkeypatch, x
     # From [0.5, 5] it drops station 1, then prices it again and accepts;
     # from [1, 30] it drops station 0, whose round stalls too.
     prob = _DualProblem(np.array([1.0, 2.0]), np.eye(2), np.array([1.0, 1.5]),
-                        np.array([1.0, 0.5]), np.zeros((2, 2)))
+                        np.array([1.0, 0.5]), np.zeros((2, 2)), _best_paths(np.zeros((2, 2))))
     x0 = np.array(x0)
     calls = [0]
     lstsq = np.linalg.lstsq
@@ -970,7 +1006,8 @@ def test_a_round_whose_budget_rows_have_no_solution_stops_at_once(monkeypatch, x
     assert polish_calls < calls[0] / 4
 
 
-def test_lossless_groups_match_the_reachability_reference():
+def _random_betas():
+    """3000 seeded efficiency matrices, N in 1..7, with many loss-free links."""
     rng = np.random.default_rng(404)
     for trial in range(3000):
         n = 1 + trial % 7
@@ -979,7 +1016,19 @@ def test_lossless_groups_match_the_reachability_reference():
         ones = rng.uniform(0.3, 0.9)
         beta[u < 0.1] = 0.0
         beta[u > 1.0 - ones] = 1.0
-        assert _merge_lossless_groups(beta) == _ref_groups(beta)
+        yield beta
+
+
+def _structure(beta):
+    """The reduced dual of ``beta`` with one terminal that every station powers."""
+    n = beta.shape[0]
+    return _DualProblem(np.ones(1), np.ones((n, 1)), np.ones(1), np.ones(n), beta,
+                        _best_paths(beta))
+
+
+def test_lossless_groups_match_the_reachability_reference():
+    for beta in _random_betas():
+        assert _structure(beta).groups == _ref_groups(beta)
 
 
 def test_a_directed_lossless_cycle_is_one_group():
@@ -989,11 +1038,29 @@ def test_a_directed_lossless_cycle_is_one_group():
                      [0.2, 0.0, 1.0, 0.0],
                      [1.0, 0.0, 0.0, 1.0],
                      [0.0, 0.7, 0.0, 0.0]])
-    assert _merge_lossless_groups(beta) == [[0, 1, 2], [3]]
     g, es = _instance(17, n_bs=4, m_ant=2, n_mt=5)
-    prob = _DualProblem(g.a, g.b, g.weights, es.budget, beta)
-    assert prob.n == 2
+    prob = _DualProblem(g.a, g.b, g.weights, es.budget, beta, _best_paths(beta))
+    assert prob.groups == [[0, 1, 2], [3]]
+    np.testing.assert_array_equal(prob.label, [0, 0, 0, 1])
     np.testing.assert_array_equal(prob.betag, [[0.0, 1.0], [0.7, 0.0]])
+    np.testing.assert_array_equal(prob.paths, [[0.0, 1.0], [0.7, 0.0]])
+
+
+def test_group_paths_are_the_best_paths_between_groups():
+    # Without merges the group level is the station level, bit for bit.
+    # A merged group's best path may take its loss-free hops in another
+    # order than the closure of betag does, which rounds within 1 ulp.
+    merged = apart = 0
+    for prob in [*_dual_problems(40), *map(_structure, _random_betas())]:
+        ref = _best_paths(prob.betag)
+        if prob.n == prob.label.size:
+            apart += 1
+            assert np.array_equal(prob.paths, ref)
+        else:
+            merged += 1
+            assert np.all(np.abs(prob.paths - ref) <= np.spacing(np.maximum(prob.paths, ref)))
+            assert np.array_equal(prob.paths > 0, ref > 0)
+    assert merged >= 500 and apart >= 500
 
 
 # ---------------------------------------------------------------------------

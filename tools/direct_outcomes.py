@@ -7,7 +7,10 @@
 The first form solves each instance of ``make_direct`` (``bench/workloads.py``)
 once per seed and writes its class -- ``ok``, ``raised:<Class>`` or
 ``certificate:<check,...>`` with the benchmark's own checks -- its
-objective and its ``iterations`` (both null when the solve raised).  With
+objective, its ``iterations`` and the ``digest`` of the whole solution
+(all null when the solve raised).  The digest is 16 hex digits of BLAKE2b
+over the bytes of ``p``, ``e`` and ``mu`` and of the objective, the dual
+value and the iterations, so equal digests mean bit-identical results.  With
 ``--compact`` it writes only the numpy version, each seed's instance count
 and its failing instances with their class; every instance not listed is
 ``ok``.  The third form prints the per-seed ``failed`` counts, the
@@ -19,9 +22,10 @@ objective.  When both records carry
 iterations, it also prints each seed's mean ellipsoid cuts: the mean of
 the positive ``iterations`` (closed-form solves take none), and how many
 instances that pass on both sides changed their objective or their
-iterations at all, compared exactly.  Either side
-may be compact.  It exits 1 when an instance that passes in OLD fails in
-NEW.
+iterations at all, compared exactly.  When both records carry digests,
+it prints on how many of those instances the solution's bits changed.
+Either side may be compact.  It exits 1 when an instance that passes in
+OLD fails in NEW.
 
 ``tests/data/direct_outcomes.json`` is the compact record of seeds 1-10
 that CI compares HEAD against.  It holds the failures the solver had when
@@ -36,7 +40,9 @@ once ``workloads`` is imported.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
+import struct
 import sys
 from pathlib import Path
 
@@ -53,6 +59,15 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
+def digest(sol) -> str:
+    """16 hex digits of BLAKE2b over p, e, mu, objective, dual value and cuts."""
+    h = hashlib.blake2b(digest_size=8)
+    for arr in (sol.p, sol.e, sol.mu):
+        h.update(arr.tobytes())
+    h.update(struct.pack("<ddq", sol.objective, sol.dual_value, sol.iterations))
+    return h.hexdigest()
+
+
 def record(seeds: list[int]) -> dict:
     paths = [str(ROOT / "src"), str(ROOT / "bench")]
     sys.path[:0] = paths
@@ -64,20 +79,22 @@ def record(seeds: list[int]) -> dict:
 
     out = {}
     for seed in seeds:
-        classes, objectives, iterations = [], [], []
+        classes, objectives, iterations, digests = [], [], [], []
         for inst in wl.make_direct(seed):
             sol = wl.solve(inst)
             if isinstance(sol, Exception):
                 classes.append(f"raised:{type(sol).__name__}")
                 objectives.append(None)
                 iterations.append(None)
+                digests.append(None)
                 continue
             bad = wl.certificate_failures(inst, sol)
             classes.append("certificate:" + ",".join(bad) if bad else "ok")
             objectives.append(sol.objective)
             iterations.append(sol.iterations)
+            digests.append(digest(sol))
         out[str(seed)] = {"class": classes, "objective": objectives,
-                          "iterations": iterations}
+                          "iterations": iterations, "digest": digests}
         print(f"seed {seed}: failed {sum(c != 'ok' for c in classes)} "
               f"of {len(classes)}", file=sys.stderr)
     return out
@@ -118,7 +135,7 @@ def compare(old: dict, new: dict) -> int:
     newly_failing, newly_passing, swaps, moved = [], [], [], []
     worst, worst_at = 0.0, None
     total_old = total_new = both = priced = 0
-    exact = changed = 0
+    exact = changed = hashed = flipped = 0
     for seed in sorted(set(old) & set(new), key=int):
         a, b = old[seed], new[seed]
         if len(a["class"]) != len(b["class"]):
@@ -129,6 +146,7 @@ def compare(old: dict, new: dict) -> int:
         total_old, total_new = total_old + fail_a, total_new + fail_b
         print(f"seed {seed}: failed {fail_a} -> {fail_b}")
         full = "iterations" in a and "iterations" in b
+        bits = "digest" in a and "digest" in b
         if full:
             print(f"seed {seed}: mean cuts {mean_cuts(a)} -> {mean_cuts(b)}")
         for idx, (ca, cb) in enumerate(zip(a["class"], b["class"])):
@@ -145,6 +163,9 @@ def compare(old: dict, new: dict) -> int:
                 if full:
                     exact += 1
                     changed += fa != fb or a["iterations"][idx] != b["iterations"][idx]
+                if bits:
+                    hashed += 1
+                    flipped += a["digest"][idx] != b["digest"][idx]
                 if fa is None or fb is None:
                     continue
                 priced += 1
@@ -157,6 +178,8 @@ def compare(old: dict, new: dict) -> int:
     if exact:
         print(f"objective or iterations changed on {changed} of {exact} "
               "passing instances (exact)")
+    if hashed:
+        print(f"solution bits changed on {flipped} of {hashed} passing instances")
     lists = [("newly failing", newly_failing), ("newly passing", newly_passing),
              ("class swaps", swaps)]
     if priced:
