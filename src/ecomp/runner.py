@@ -2,11 +2,12 @@
 
 Each scenario kind expands into a list of sweep points, and every point
 is a sweep key, a slot, its schemes and a generator of realizations.
-Points are evaluated independently (optionally in parallel, see
-ECOMP_WORKERS) with seeds derived from (scenario seed, slot, realization),
-so results are deterministic regardless of worker count.  Where a sweep
-only rescales energies, every point re-draws the same channels from the
-same seeds, which keeps the emitted curves comparable point to point.
+Seeds derive from (scenario seed, slot, realization).  Where a sweep only
+rescales energies, every point re-draws the same channels from the same
+seeds, so one realization at every point, a chain, is a unit of work, and
+its joint solves start from the prices at the point before; elsewhere a
+point is.  Units share nothing (ECOMP_WORKERS runs them in parallel), so
+results do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -82,11 +83,12 @@ def _aggregate(samples) -> tuple[float, float, int]:
     return mean, stderr, n
 
 
-def _evaluate_instance(ch, variances, budgets, specs, weights):
+def _evaluate_instance(ch, variances, budgets, specs, weights, starts):
     """Sum-rate of each scheme on one channel/energy draw, keyed by label.
 
     A scheme that raises one of SOLVER_ERRORS gets its error message
-    instead of a rate and does not abort the others.
+    instead of a rate and does not abort the others.  A joint scheme
+    starts from and leaves its prices in ``starts[spec]``, none on failure.
     """
     es = EnergyState(re=budgets)
     out = {}
@@ -98,7 +100,8 @@ def _evaluate_instance(ch, variances, budgets, specs, weights):
                 if joint_gains is None:
                     joint_gains = zf_gains(ch, weights)
                 if spec.variant == "joint":
-                    sol = solve_p1(joint_gains, es, spec.beta)
+                    sol = solve_p1(joint_gains, es, spec.beta, start=starts.pop(spec, None))
+                    starts[spec] = sol.mu
                 else:
                     sol = solve_comm_only(joint_gains, es)
             else:
@@ -131,7 +134,7 @@ def _two_cell_variances(scenario, rng):
     return var
 
 
-def _two_cell_draws(scenario, budgets=None, e_sum=None):
+def _two_cell_draws(scenario, budgets=None, e_sum=None, pick=None):
     """Two-cell realizations with fixed ``budgets``, or drawn around ``e_sum``.
 
     Drawn budgets use the same uniforms at every sweep point, scaled by
@@ -139,7 +142,7 @@ def _two_cell_draws(scenario, budgets=None, e_sum=None):
     while keeping the expected total at e_sum.
     """
     caps = np.array([scenario.budget_skew, 2.0 - scenario.budget_skew])
-    for r in range(scenario.n_realizations):
+    for r in range(scenario.n_realizations) if pick is None else [pick]:
         rng = np.random.default_rng([scenario.seed, r])
         var = _two_cell_variances(scenario, rng)
         if e_sum is not None:
@@ -169,23 +172,23 @@ def _sample_hex_mts(rng, n_bs, per_cell):
     return np.array(points)
 
 
-def _three_cell_draws(scenario, profile, ebar, slots):
+def _three_cell_draws(scenario, profile, ebar, slots, pick=None):
     """Three-cell realizations over ``slots`` of ``profile``, fresh positions each.
 
     Station i's budget at slot t is ebar * (w_wind_i * wind[t] + w_solar_i
     * solar[t]), with its weights from ``scenario.mixes``.
     """
     per_cell = scenario.n_mt // scenario.n_bs
-    for slot in slots:
+    draws = [(slot, r) for slot in slots for r in range(scenario.n_realizations)]
+    for slot, r in draws if pick is None else draws[pick:pick + 1]:
         w, s = profile.wind[slot], profile.solar[slot]
         budgets = np.array([ebar * (ww * w + ws * s) for ww, ws in scenario.mixes])
-        for r in range(scenario.n_realizations):
-            rng = np.random.default_rng([scenario.seed, slot, r])
-            mt_pos = _sample_hex_mts(rng, scenario.n_bs, per_cell)
-            var = variance_matrix(_BS_POSITIONS_3, mt_pos)
-            ch = generate_rayleigh(scenario.n_bs, scenario.m_ant, scenario.n_mt,
-                                   var, rng, noise_var=scenario.noise)
-            yield ch, var, budgets
+        rng = np.random.default_rng([scenario.seed, slot, r])
+        mt_pos = _sample_hex_mts(rng, scenario.n_bs, per_cell)
+        var = variance_matrix(_BS_POSITIONS_3, mt_pos)
+        ch = generate_rayleigh(scenario.n_bs, scenario.m_ant, scenario.n_mt,
+                               var, rng, noise_var=scenario.noise)
+        yield ch, var, budgets
 
 
 # ---------------------------------------------------------------------------
@@ -200,13 +203,13 @@ def _n_points(scenario, profile):
     return len(scenario.energy_db)
 
 
-def _point(scenario, profile, pi):
-    """``(sweep_key, slot, specs, realizations)`` of sweep point ``pi``."""
+def _point(scenario, profile, pi, pick=None):
+    """``(sweep_key, slot, specs, realizations)`` of point ``pi``, or its ``pick``-th."""
     specs = list(scenario.schemes)
     if scenario.kind == "two_cell_sweep":
         e1 = float(np.linspace(0.0, scenario.sum_energy, scenario.sweep_points)[pi])
         budgets = np.array([e1, scenario.sum_energy - e1])
-        return f"{e1:g}", -1, specs, _two_cell_draws(scenario, budgets=budgets)
+        return f"{e1:g}", -1, specs, _two_cell_draws(scenario, budgets=budgets, pick=pick)
     if scenario.kind == "three_cell_profile":
         slot = pi * scenario.slot_stride
         hours = (profile.timestamps[slot] - profile.timestamps[0]).total_seconds() / 3600.0
@@ -215,29 +218,38 @@ def _point(scenario, profile, pi):
     e_db = scenario.energy_db[pi]
     level = 10.0 ** (e_db / 10.0)
     if scenario.kind == "two_cell_random":
-        draws = _two_cell_draws(scenario, e_sum=level)
+        draws = _two_cell_draws(scenario, e_sum=level, pick=pick)
     else:
         # three_cell_sweep: every slot of the profile rescaled to the level
         draws = _three_cell_draws(scenario, profile, level,
-                                  range(0, len(profile), scenario.slot_stride))
+                                  range(0, len(profile), scenario.slot_stride), pick)
     return f"{e_db:g}", -1, specs, draws
 
 
-def _eval_point(args):
-    """Result rows and ``(context, message)`` errors of one sweep point."""
-    sweep_key, slot, specs, draws = _point(*args)
-    weights = args[0].weight_vector
-    outcomes = [_evaluate_instance(ch, var, budgets, specs, weights)
-                for ch, var, budgets in draws]
-    rows, errors = [], []
-    for spec in specs:
-        label = spec.label()
-        got = [out[label] for out in outcomes]
-        rates = [v for v in got if not isinstance(v, str)]
-        rows.append(ResultRow(sweep_key, slot, label, spec.beta or 0.0,
-                              *_aggregate(rates)))
-        errors += [(f"{sweep_key}/{slot}/{label}", v) for v in got if isinstance(v, str)]
-    return rows, errors
+def _units(scenario, profile):
+    """Units of work ``(scenario, profile, points, pick)``, one per chain.
+
+    three_cell_profile draws fresh terminals at every point: a unit per point.
+    """
+    points = range(_n_points(scenario, profile))
+    if scenario.kind == "three_cell_profile":
+        return [(scenario, profile, [pi], None) for pi in points]
+    chains = scenario.n_realizations
+    if scenario.kind == "three_cell_sweep":
+        chains *= len(range(0, len(profile), scenario.slot_stride))
+    return [(scenario, profile, points, pick) for pick in range(chains)]
+
+
+def _eval_unit(args):
+    """Outcomes of a unit's realizations, a list per point; a chain starts warm."""
+    scenario, profile, points, pick = args
+    weights, starts, found = scenario.weight_vector, {}, []
+    for pi in points:
+        _, _, specs, draws = _point(scenario, profile, pi, pick)
+        found.append([_evaluate_instance(ch, var, budgets, specs, weights,
+                                         {} if pick is None else starts)
+                      for ch, var, budgets in draws])
+    return found
 
 
 def _workers() -> int:
@@ -263,16 +275,28 @@ def run_scenario(scenario: Scenario, profile: EnergyProfile = None) -> ResultTab
     workers = _workers()
     if profile is None and scenario.kind.startswith("three_cell"):
         profile = load_profiles(scenario.profile)
-    points = [(scenario, profile, pi) for pi in range(_n_points(scenario, profile))]
-    if workers > 1 and len(points) > 1:
+    units = _units(scenario, profile)
+    if workers > 1 and len(units) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_eval_point, points))
+            results = list(pool.map(_eval_unit, units))
     else:
-        results = [_eval_point(p) for p in points]
+        results = [_eval_unit(unit) for unit in units]
+    # Back to point-major order, realizations in unit order at each point.
+    outcomes = [[] for _ in range(_n_points(scenario, profile))]
+    for (_, _, points, _), found in zip(units, results):
+        for pi, got in zip(points, found):
+            outcomes[pi] += got
     table = ResultTable()
-    for rows, errs in results:
-        table.rows.extend(rows)
-        table.errors.extend(errs)
+    for pi, point_outcomes in enumerate(outcomes):
+        sweep_key, slot, specs, _ = _point(scenario, profile, pi)
+        for spec in specs:
+            label = spec.label()
+            got = [out[label] for out in point_outcomes]
+            rates = [v for v in got if not isinstance(v, str)]
+            table.rows.append(ResultRow(sweep_key, slot, label, spec.beta or 0.0,
+                                        *_aggregate(rates)))
+            table.errors += [(f"{sweep_key}/{slot}/{label}", v)
+                             for v in got if isinstance(v, str)]
     return table
 
 

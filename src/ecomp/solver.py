@@ -58,7 +58,7 @@ class Solution:
     net_exchange: np.ndarray   # per-BS grid draw (+) / injection (-)
     dual_value: float
     duality_gap: float
-    iterations: int            # ellipsoid cuts; 0 in closed form
+    iterations: int            # ellipsoid cuts; 0 in closed form or from an accepted start
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +280,12 @@ def _minimize_dual_separable(prob: _DualProblem) -> np.ndarray | None:
     return np.clip(x_star, low, low / beta)
 
 
-def _minimize_dual_ellipsoid(prob: _DualProblem) -> tuple[np.ndarray, int, bool]:
+def _minimize_dual_ellipsoid(prob: _DualProblem, start=None) -> tuple[np.ndarray, int, bool]:
     """Central-cut ellipsoid on the reduced dual, ended by the Newton polish.
 
-    Starts at the centre c = u / 2 of the price box [0, u] from
+    A ``start`` (group prices) is polished first: accepted, it is the result
+    at 0 cuts; rejected, the run goes on exactly as without it.  The run
+    starts at the centre c = u / 2 of the price box [0, u] from
     ``prob.box()``, in the axis-aligned ellipsoid of shape n c_g^2 through
     the box's corners.  Widths are in units of the box, s = min(1, max(u)).
     When an objective cut's width first reaches s times a width in
@@ -298,6 +300,10 @@ def _minimize_dual_ellipsoid(prob: _DualProblem) -> tuple[np.ndarray, int, bool]
     cone cut (i, j, b) the two terms b A[:, j] - A[:, i], which round as
     the dense sum does.
     """
+    if start is not None:
+        polished = _polish_dual(prob, start)
+        if polished is not None:
+            return polished, 0, True
     n = prob.n
     u = prob.box()
     s = min(1.0, max(u))
@@ -485,14 +491,14 @@ def _polish_dual(prob: _DualProblem, x0: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def _solve_dual(prob: _DualProblem) -> tuple[np.ndarray, int]:
+def _solve_dual(prob: _DualProblem, start) -> tuple[np.ndarray, int]:
     """Reduced dual minimizer and its step count; raises ConvergenceError."""
     if prob.n == 1:
         return np.array([_minimize_dual_1d(prob)]), 0
     x = _minimize_dual_separable(prob)
     if x is not None:
         return x, 0
-    x, it, converged = _minimize_dual_ellipsoid(prob)
+    x, it, converged = _minimize_dual_ellipsoid(prob, start)
     if not converged:
         raise ConvergenceError(f"dual not converged after {it} cuts", prob.expand(x))
     return x, it
@@ -569,13 +575,15 @@ def recover_transfers(p_star, budget: np.ndarray, beta: np.ndarray,
 
 
 def solve_p1(gains: ZfGains, es: EnergyState, beta,
-             bandwidth: float = 1.0) -> Solution:
+             bandwidth: float = 1.0, start=None) -> Solution:
     """Solve the joint power-allocation and energy-transfer problem.
 
     ``bandwidth`` scales every rate (used by the per-BS baseline, which
-    splits the band in N orthogonal shares).  The returned objective is
-    certified by the reported duality gap.  A ``bandwidth`` that is not
-    positive and finite raises ValueError.
+    splits the band in N orthogonal shares).  ``start``, the ``mu`` of an
+    earlier solution for the same stations, is polished before any
+    ellipsoid cut.  The returned objective is certified by the reported
+    duality gap.  A ``bandwidth`` that is not positive and finite, or a
+    ``start`` that is not N finite prices >= 0, raises ValueError.
     """
     if not (math.isfinite(bandwidth) and bandwidth > 0.0):
         raise ValueError(f"bandwidth must be positive and finite; got {bandwidth}")
@@ -583,6 +591,10 @@ def solve_p1(gains: ZfGains, es: EnergyState, beta,
         raise ValueError("gains and energy state disagree on the BS count")
     a, b, budget = gains.a, gains.b, es.budget
     n, k_all = b.shape
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        if start.shape != (n,) or not np.all(np.isfinite(start) & (start >= 0.0)):
+            raise ValueError(f"start must hold {n} finite prices >= 0; got {start}")
     bm = as_beta_matrix(beta, n)
     w = gains.weights * bandwidth
     # Stations no positive budget reaches, even over several hops, force
@@ -602,7 +614,8 @@ def solve_p1(gains: ZfGains, es: EnergyState, beta,
         scale = float(np.max(budget))
         a_s, b_s, budget_s = a[keep] * scale, b[:, keep], budget / scale
         prob = _DualProblem(a_s, b_s, w[keep], budget_s, bm, paths)
-        x, iters = _solve_dual(prob)
+        x0 = None if start is None else start[[g[0] for g in prob.groups]] * scale
+        x, iters = _solve_dual(prob, x0)
         q = np.zeros(k_all)
         q[keep], dual_value, _ = prob.oracle(x)
         e = scale * recover_transfers(q, budget_s, bm, b)

@@ -236,3 +236,84 @@ def test_golden_micro_scenario_is_pinned(tmp_path, kind):
     emit_results(table, path, fmt="csv")
     with open(golden) as fh:
         assert path.read_text() == fh.read()
+
+
+@pytest.mark.parametrize("kind", ["two_cell_random", "three_cell_sweep"])
+def test_chained_kinds_do_not_depend_on_the_worker_count(monkeypatch, kind):
+    sc = scenario_from_mapping({**_GOLDEN_MICRO[kind], "n_realizations": "3"})
+    monkeypatch.setenv("ECOMP_WORKERS", "1")
+    serial = run_scenario(sc)
+    monkeypatch.setenv("ECOMP_WORKERS", "2")
+    parallel = run_scenario(sc)
+    assert _as_tuples(serial) == _as_tuples(parallel)
+    assert serial.errors == parallel.errors
+
+
+def test_a_profile_sends_one_unit_per_point_and_a_sweep_one_per_chain(monkeypatch):
+    # A profile draws fresh terminals at every point, so no solve starts warm.
+    real_solve, starts, sent = runner.solve_p1, [], []
+
+    def recorded(gains, es, beta, start=None):
+        starts.append(start)
+        return real_solve(gains, es, beta, start=start)
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records the units, runs them here."""
+
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, units):
+            sent.extend(units)
+            return map(fn, units)
+
+    monkeypatch.setenv("ECOMP_WORKERS", "2")
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(runner, "solve_p1", recorded)
+    table = run_scenario(scenario_from_mapping(_GOLDEN_MICRO["three_cell_profile"]))
+    slots = sorted({row.slot for row in table.rows})
+    assert len(slots) > 1 and starts and all(start is None for start in starts)
+    assert [(list(points), pick) for _, _, points, pick in sent] == \
+        [([pi], None) for pi in range(len(slots))]
+    sent.clear()
+    sc = _micro_scenario()
+    run_scenario(sc)
+    assert [(list(points), pick) for _, _, points, pick in sent] == \
+        [([0, 1, 2], r) for r in range(sc.n_realizations)]
+
+
+def test_a_chain_restarts_cold_after_a_failure_and_errors_stay_point_major(monkeypatch):
+    # Serially each chain (a realization) runs its 3 points x 3 betas in
+    # turn, so call c is chain c // 9, point c % 9 // 3, beta c % 3.
+    monkeypatch.setenv("ECOMP_WORKERS", "1")
+    real_solve = runner.solve_p1
+    starts, prices = [], []
+
+    def recorded(gains, es, beta, start=None):
+        starts.append(start)
+        if len(starts) in (5, 10, 14):         # chain 0 point 1, chain 1 points 0 and 1
+            prices.append(None)
+            raise ConvergenceError(f"call {len(starts)}", np.ones(2))
+        sol = real_solve(gains, es, beta, start=start)
+        prices.append(sol.mu)
+        return sol
+
+    monkeypatch.setattr(runner, "solve_p1", recorded)
+    table = run_scenario(_micro_scenario())
+    assert len(starts) == 36
+    for c, start in enumerate(starts):
+        before = None if c % 9 < 3 else prices[c - 3]    # the same beta, a point before
+        assert (start is None) == (before is None)
+        if before is not None:
+            np.testing.assert_array_equal(start, before)
+    assert starts[7] is None and starts[12] is None and starts[15] is not None
+    key = [(row.sweep_key, row.scheme) for row in table.rows]
+    assert table.errors == [(f"{key[0][0]}/-1/{key[0][1]}", "ConvergenceError: call 10"),
+                            (f"{key[4][0]}/-1/{key[4][1]}", "ConvergenceError: call 5"),
+                            (f"{key[4][0]}/-1/{key[4][1]}", "ConvergenceError: call 14")]

@@ -826,7 +826,7 @@ def test_a_degenerate_exit_is_converged_only_when_the_polish_accepts(monkeypatch
 def test_an_unpriced_terminal_is_a_typed_failure(monkeypatch):
     # Zero prices send every kept terminal's water level past any budget;
     # the recovery must reject those powers without a floating-point warning.
-    monkeypatch.setattr(solver, "_solve_dual", lambda prob: (np.zeros(prob.n), 0))
+    monkeypatch.setattr(solver, "_solve_dual", lambda prob, start: (np.zeros(prob.n), 0))
     g, es = _instance(3, n_bs=3, m_ant=2, n_mt=4)
     beta = np.array([[0.0, 0.5, 0.9], [0.5, 0.0, 1.0], [0.2, 0.5, 0.0]])
     for b in (0.0, 0.8, beta):
@@ -882,9 +882,9 @@ def _recorded_runs(monkeypatch):
         polished.append(_polish_dual(prob, x0))
         return polished[-1]
 
-    def recorded(prob):
+    def recorded(prob, start=None):
         del polished[:]
-        out = _minimize_dual_ellipsoid(prob)
+        out = _minimize_dual_ellipsoid(prob, start)
         runs.append((prob, out, bool(polished) and polished[-1] is out[0]))
         return out
 
@@ -1148,9 +1148,9 @@ def test_cluster_zf_and_beta_matrices_still_take_the_ellipsoid(monkeypatch):
     calls = []
     ellipsoid = solver._minimize_dual_ellipsoid
 
-    def counted(prob):
+    def counted(prob, start=None):
         calls.append(prob.n)
-        return ellipsoid(prob)
+        return ellipsoid(prob, start)
 
     monkeypatch.setattr(solver, "_minimize_dual_ellipsoid", counted)
     g, es = _instance(3, n_bs=3, m_ant=2, n_mt=4)
@@ -1161,3 +1161,52 @@ def test_cluster_zf_and_beta_matrices_still_take_the_ellipsoid(monkeypatch):
     beta = np.array([[0.0, 0.5, 0.9], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
     solve_p1(g, EnergyState(re=np.array([1.0, 2.0, 3.0])), beta, bandwidth=1.0 / 3)
     assert calls == [3, 3]
+
+
+# ---------------------------------------------------------------------------
+# A start: the prices of an earlier solution, polished before the first cut
+
+
+def test_an_accepted_start_matches_the_cold_solve():
+    # The start is the optimum after station 0's budget rose by 30%, as
+    # along a sweep that rescales the budgets of one channel draw.
+    accepted = 0
+    for seed in range(40):
+        n = 2 + seed % 3
+        g, es = _instance(900 + seed, n_bs=n, m_ant=2, n_mt=n + 1)
+        beta = (0.5, 0.9)[seed % 2]
+        budget = es.budget.copy()
+        budget[0] *= 1.3
+        start = solve_p1(g, EnergyState(re=budget), beta).mu
+        cold, warm = solve_p1(g, es, beta), solve_p1(g, es, beta, start=start)
+        assert cold.iterations > 0
+        if warm.iterations:
+            continue
+        accepted += 1
+        assert warm.objective == pytest.approx(cold.objective, rel=1e-12)
+        assert kkt_residual(warm, g, es, beta) <= 1e-9
+    assert accepted >= 30
+
+
+def test_a_rejected_start_gives_the_cold_solution_bit_for_bit():
+    # Another draw's prices: the polish rejects them and the box run that
+    # follows is the cold one.
+    for seed in range(5):
+        g, es = _instance(900 + seed, n_bs=3, m_ant=2, n_mt=4)
+        g_other, es_other = _instance(1900 + seed, n_bs=3, m_ant=2, n_mt=4)
+        start = solve_p1(g_other, es_other, 0.5).mu
+        cold, warm = solve_p1(g, es, 0.5), solve_p1(g, es, 0.5, start=start)
+        assert warm.iterations == cold.iterations > 0
+        for f in dataclasses.fields(cold):
+            np.testing.assert_array_equal(getattr(warm, f.name), getattr(cold, f.name))
+
+
+@pytest.mark.parametrize("start", [
+    np.ones(3), np.ones((2, 1)), [], [1.0, -1e-300], [np.nan, 1.0], [1.0, np.inf],
+])
+def test_a_start_that_is_not_n_prices_raises_before_any_cut(monkeypatch, start):
+    monkeypatch.setattr(solver, "_minimize_dual_ellipsoid",
+                        lambda prob, start=None: pytest.fail("the ellipsoid ran"))
+    g, es = _instance(3)
+    with pytest.raises(ValueError, match="start"):
+        solve_p1(g, es, 0.5, start=start)
