@@ -25,9 +25,9 @@ from .energy import EnergyState
 from .solver import Solution, solve_p1
 
 
-def solve_comm_only(gains: ZfGains, es: EnergyState) -> Solution:
-    """Cluster-wide ZF with no energy transfers (beta = 0)."""
-    return solve_p1(gains, es, beta=0.0)
+def solve_comm_only(gains: ZfGains, es: EnergyState, start=None) -> Solution:
+    """Cluster-wide ZF with no energy transfers (beta = 0); ``start`` as in ``solve_p1``."""
+    return solve_p1(gains, es, beta=0.0, start=start)
 
 
 def solve_energy_only(ch: ClusterChannel, association, es: EnergyState, beta,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import importlib.resources
+import math
 from dataclasses import dataclass
 from datetime import datetime
 
@@ -36,8 +37,8 @@ class EnergyProfile:
         if self.wind.size < 2:
             raise ProfileError("profile needs at least 2 rows")
         for name, series in (("wind", self.wind), ("solar", self.solar)):
-            if series.min() < 0.0 or series.max() > 1.0 + 1e-12:
-                raise ProfileError(f"{name} series not normalized to [0, 1]")
+            if not np.isfinite(series).all() or series.min() < 0.0 or series.max() > 1.0 + 1e-12:
+                raise ProfileError(f"{name} series not finite and normalized to [0, 1]")
 
     def __len__(self):
         return self.wind.size
@@ -84,8 +85,8 @@ def _parse_profile_csv(fh, source: str) -> EnergyProfile:
             s = float(row[cols["solar"]])
         except (ValueError, IndexError) as exc:
             raise ProfileError(f"{source}: line {lineno}: {exc}") from None
-        if w < 0 or s < 0:
-            raise ProfileError(f"{source}: line {lineno}: negative generation")
+        if not (0 <= w < math.inf and 0 <= s < math.inf):
+            raise ProfileError(f"{source}: line {lineno}: generation must be finite and >= 0")
         if stamps and stamp <= stamps[-1]:
             raise ProfileError(f"{source}: line {lineno}: non-monotone timestamp {stamp}")
         stamps.append(stamp)

@@ -1,13 +1,13 @@
 """Monte-Carlo experiment runner and result emission.
 
-Each scenario kind expands into a list of sweep points, and every point
-is a sweep key, a slot, its schemes and a generator of realizations.
-Seeds derive from (scenario seed, slot, realization).  Where a sweep only
-rescales energies, every point re-draws the same channels from the same
-seeds, so one realization at every point, a chain, is a unit of work, and
-its joint solves start from the prices at the point before; elsewhere a
-point is.  Units share nothing (ECOMP_WORKERS runs them in parallel), so
-results do not depend on the worker count.
+Each scenario kind expands into sweep points, each a sweep key, a slot
+and a budget level, and into draws of a channel, its variances and a
+budget base; a draw's budgets at a point are base * level.  Seeds derive
+from (scenario seed, slot, realization).  Where a sweep only rescales
+energies, one draw at every point, a chain, is a unit of work: it is drawn
+once, and its joint and comm_only solves start from the prices at the
+point before; elsewhere a point is.  Units share nothing (ECOMP_WORKERS
+runs them in parallel), so results do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -83,30 +83,40 @@ def _aggregate(samples) -> tuple[float, float, int]:
     return mean, stderr, n
 
 
-def _evaluate_instance(ch, variances, budgets, specs, weights, starts):
+def _kept(kept, key, make):
+    """``kept[key]``, made by ``make()`` the first time; a solver error is kept and raised again."""
+    if key not in kept:
+        try:
+            kept[key] = make()
+        except SOLVER_ERRORS as exc:
+            kept[key] = exc
+    if isinstance(kept[key], Exception):
+        raise kept[key]
+    return kept[key]
+
+
+def _evaluate_instance(ch, variances, budgets, specs, weights, starts, kept):
     """Sum-rate of each scheme on one channel/energy draw, keyed by label.
 
     A scheme that raises one of SOLVER_ERRORS gets its error message
-    instead of a rate and does not abort the others.  A joint scheme
-    starts from and leaves its prices in ``starts[spec]``, none on failure.
+    instead of a rate and does not abort the others.  The cluster-ZF gains
+    and the association are made once per draw and ``kept`` with it.  A
+    joint or comm_only scheme starts from and leaves its prices in
+    ``starts[spec]``, none on failure.
     """
     es = EnergyState(re=budgets)
     out = {}
-    joint_gains = None
-    association = None
     for spec in specs:
         try:
             if spec.variant in ("joint", "comm_only"):
-                if joint_gains is None:
-                    joint_gains = zf_gains(ch, weights)
-                if spec.variant == "joint":
-                    sol = solve_p1(joint_gains, es, spec.beta, start=starts.pop(spec, None))
-                    starts[spec] = sol.mu
-                else:
-                    sol = solve_comm_only(joint_gains, es)
+                gains = _kept(kept, "zf", lambda: zf_gains(ch, weights))
+                start = starts.pop(spec, None)
+                sol = (solve_p1(gains, es, spec.beta, start=start) if spec.variant == "joint"
+                       else solve_comm_only(gains, es, start=start))
+                starts[spec] = sol.mu
             else:
-                if association is None:
-                    association = strongest_channel_association(variances, ch.m_ant)
+                association = _kept(kept, "association",
+                                    lambda: strongest_channel_association(variances, ch.m_ant))
                 if spec.variant == "energy_only":
                     sol = solve_energy_only(ch, association, es, spec.beta, weights)
                 else:
@@ -118,7 +128,8 @@ def _evaluate_instance(ch, variances, budgets, specs, weights, starts):
 
 
 # ---------------------------------------------------------------------------
-# Realizations of a sweep point: (channel, variances, budgets) per draw
+# Realizations: (channel, variances, budget base) per draw; a point's
+# budgets are base * level.
 
 
 def _two_cell_variances(scenario, rng):
@@ -134,22 +145,21 @@ def _two_cell_variances(scenario, rng):
     return var
 
 
-def _two_cell_draws(scenario, budgets=None, e_sum=None, pick=None):
-    """Two-cell realizations with fixed ``budgets``, or drawn around ``e_sum``.
+def _two_cell_draws(scenario, picks):
+    """Two-cell realizations ``picks``; two_cell_sweep's base is 1.
 
-    Drawn budgets use the same uniforms at every sweep point, scaled by
-    the mean energy; budget_skew < 1 tilts the harvest toward station 2
-    while keeping the expected total at e_sum.
+    two_cell_random draws uniforms times caps, scaled at each point by the
+    mean energy; budget_skew < 1 tilts the harvest toward station 2 while
+    keeping the expected total at that mean.
     """
     caps = np.array([scenario.budget_skew, 2.0 - scenario.budget_skew])
-    for r in range(scenario.n_realizations) if pick is None else [pick]:
+    for r in picks:
         rng = np.random.default_rng([scenario.seed, r])
         var = _two_cell_variances(scenario, rng)
-        if e_sum is not None:
-            budgets = rng.uniform(0.0, 1.0, size=2) * caps * e_sum
+        base = rng.uniform(0.0, 1.0, size=2) * caps if scenario.kind == "two_cell_random" else 1.0
         ch = generate_rayleigh(2, scenario.m_ant, scenario.n_mt, var, rng,
                                noise_var=scenario.noise)
-        yield ch, var, budgets
+        yield ch, var, base
 
 
 def _sample_hex_mts(rng, n_bs, per_cell):
@@ -172,23 +182,22 @@ def _sample_hex_mts(rng, n_bs, per_cell):
     return np.array(points)
 
 
-def _three_cell_draws(scenario, profile, ebar, slots, pick=None):
-    """Three-cell realizations over ``slots`` of ``profile``, fresh positions each.
+def _three_cell_draws(scenario, profile, picks):
+    """Three-cell realizations ``picks``, (slot, realization) pairs, fresh positions each.
 
-    Station i's budget at slot t is ebar * (w_wind_i * wind[t] + w_solar_i
-    * solar[t]), with its weights from ``scenario.mixes``.
+    Station i's base at slot t is w_wind_i * wind[t] + w_solar_i * solar[t],
+    with its weights from ``scenario.mixes``; the level is the mean energy.
     """
     per_cell = scenario.n_mt // scenario.n_bs
-    draws = [(slot, r) for slot in slots for r in range(scenario.n_realizations)]
-    for slot, r in draws if pick is None else draws[pick:pick + 1]:
+    for slot, r in picks:
         w, s = profile.wind[slot], profile.solar[slot]
-        budgets = np.array([ebar * (ww * w + ws * s) for ww, ws in scenario.mixes])
+        mix = np.array([ww * w + ws * s for ww, ws in scenario.mixes])
         rng = np.random.default_rng([scenario.seed, slot, r])
         mt_pos = _sample_hex_mts(rng, scenario.n_bs, per_cell)
         var = variance_matrix(_BS_POSITIONS_3, mt_pos)
         ch = generate_rayleigh(scenario.n_bs, scenario.m_ant, scenario.n_mt,
                                var, rng, noise_var=scenario.noise)
-        yield ch, var, budgets
+        yield ch, var, mix
 
 
 # ---------------------------------------------------------------------------
@@ -203,52 +212,56 @@ def _n_points(scenario, profile):
     return len(scenario.energy_db)
 
 
-def _point(scenario, profile, pi, pick=None):
-    """``(sweep_key, slot, specs, realizations)`` of point ``pi``, or its ``pick``-th."""
-    specs = list(scenario.schemes)
+def _point(scenario, profile, pi):
+    """``(sweep_key, slot, level)`` of point ``pi``; two_cell_sweep's level is its budgets."""
     if scenario.kind == "two_cell_sweep":
         e1 = float(np.linspace(0.0, scenario.sum_energy, scenario.sweep_points)[pi])
-        budgets = np.array([e1, scenario.sum_energy - e1])
-        return f"{e1:g}", -1, specs, _two_cell_draws(scenario, budgets=budgets, pick=pick)
+        return f"{e1:g}", -1, np.array([e1, scenario.sum_energy - e1])
     if scenario.kind == "three_cell_profile":
         slot = pi * scenario.slot_stride
         hours = (profile.timestamps[slot] - profile.timestamps[0]).total_seconds() / 3600.0
-        ebar = 10.0 ** (scenario.ebar_dbw / 10.0)
-        return f"{hours:g}", slot, specs, _three_cell_draws(scenario, profile, ebar, [slot])
+        return f"{hours:g}", slot, 10.0 ** (scenario.ebar_dbw / 10.0)
     e_db = scenario.energy_db[pi]
-    level = 10.0 ** (e_db / 10.0)
-    if scenario.kind == "two_cell_random":
-        draws = _two_cell_draws(scenario, e_sum=level, pick=pick)
-    else:
-        # three_cell_sweep: every slot of the profile rescaled to the level
-        draws = _three_cell_draws(scenario, profile, level,
-                                  range(0, len(profile), scenario.slot_stride), pick)
-    return f"{e_db:g}", -1, specs, draws
+    return f"{e_db:g}", -1, 10.0 ** (e_db / 10.0)
 
 
 def _units(scenario, profile):
-    """Units of work ``(scenario, profile, points, pick)``, one per chain.
+    """Units of work ``(points, picks)``: each pick is drawn once, then solved at every point.
 
-    three_cell_profile draws fresh terminals at every point: a unit per point.
+    Where a sweep only rescales energies, a unit is a chain: one
+    realization (for three_cell_sweep one (slot, realization)) at every
+    point.  three_cell_profile draws fresh terminals at every point: a
+    unit is a point with all its realizations.
     """
-    points = range(_n_points(scenario, profile))
+    points, realizations = range(_n_points(scenario, profile)), range(scenario.n_realizations)
+    if scenario.kind.startswith("two_cell"):
+        return [(points, [r]) for r in realizations]
+    slots = range(0, len(profile), scenario.slot_stride)
     if scenario.kind == "three_cell_profile":
-        return [(scenario, profile, [pi], None) for pi in points]
-    chains = scenario.n_realizations
-    if scenario.kind == "three_cell_sweep":
-        chains *= len(range(0, len(profile), scenario.slot_stride))
-    return [(scenario, profile, points, pick) for pick in range(chains)]
+        return [([pi], [(slot, r) for r in realizations]) for pi, slot in enumerate(slots)]
+    return [(points, [(slot, r)]) for slot in slots for r in realizations]
 
 
-def _eval_unit(args):
-    """Outcomes of a unit's realizations, a list per point; a chain starts warm."""
-    scenario, profile, points, pick = args
-    weights, starts, found = scenario.weight_vector, {}, []
-    for pi in points:
-        _, _, specs, draws = _point(scenario, profile, pi, pick)
-        found.append([_evaluate_instance(ch, var, budgets, specs, weights,
-                                         {} if pick is None else starts)
-                      for ch, var, budgets in draws])
+_shared = None      # a pool worker's (scenario, profile), set once by its initializer
+
+
+def _share(*shared):
+    global _shared
+    _shared = shared
+
+
+def _eval_unit(unit, shared=None):
+    """Outcomes of a unit's draws, a list per point; a chain starts warm."""
+    (scenario, profile), (points, picks) = shared or _shared, unit
+    levels = [_point(scenario, profile, pi)[2] for pi in points]
+    draws = (_two_cell_draws(scenario, picks) if scenario.kind.startswith("two_cell")
+             else _three_cell_draws(scenario, profile, picks))
+    weights, found = scenario.weight_vector, [[] for _ in points]
+    for ch, var, base in draws:
+        starts, kept = {}, {}
+        for got, level in zip(found, levels):
+            got.append(_evaluate_instance(ch, var, base * level, scenario.schemes, weights,
+                                          starts, kept))
     return found
 
 
@@ -277,19 +290,20 @@ def run_scenario(scenario: Scenario, profile: EnergyProfile = None) -> ResultTab
         profile = load_profiles(scenario.profile)
     units = _units(scenario, profile)
     if workers > 1 and len(units) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_share,
+                                 initargs=(scenario, profile)) as pool:
             results = list(pool.map(_eval_unit, units))
     else:
-        results = [_eval_unit(unit) for unit in units]
+        results = [_eval_unit(unit, (scenario, profile)) for unit in units]
     # Back to point-major order, realizations in unit order at each point.
     outcomes = [[] for _ in range(_n_points(scenario, profile))]
-    for (_, _, points, _), found in zip(units, results):
+    for (points, _), found in zip(units, results):
         for pi, got in zip(points, found):
             outcomes[pi] += got
     table = ResultTable()
     for pi, point_outcomes in enumerate(outcomes):
-        sweep_key, slot, specs, _ = _point(scenario, profile, pi)
-        for spec in specs:
+        sweep_key, slot, _ = _point(scenario, profile, pi)
+        for spec in scenario.schemes:
             label = spec.label()
             got = [out[label] for out in point_outcomes]
             rates = [v for v in got if not isinstance(v, str)]

@@ -90,12 +90,14 @@ class Scenario:
                                 f"m_ant*n_bs={self.m_ant * self.n_bs}")
         if not self.schemes:
             raise ScenarioError("scheme list must be nonempty")
-        for spec in self.schemes:
+        for i, spec in enumerate(self.schemes):
             if spec.variant not in DEFAULT_SCHEMES:
                 raise ScenarioError(f"unknown scheme {spec.variant!r}")
             for b in ([spec.beta] if spec.beta is not None else []):
                 if not 0.0 <= b <= 1.0:
                     raise ScenarioError(f"beta {b} outside [0, 1]")
+            if spec.label() in [other.label() for other in self.schemes[:i]]:
+                raise ScenarioError(f"scheme {spec.label()} is listed twice")
         if self.noise <= 0:
             raise ScenarioError("noise power must be positive")
         if self.weights and len(self.weights) != self.n_mt:

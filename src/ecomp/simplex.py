@@ -40,36 +40,28 @@ def phase1_feasible(a_eq: np.ndarray, b_eq: np.ndarray,
 
     max_pivots = 500 * (n + m + 1)
     for _ in range(max_pivots):
-        # Reduced costs of the phase-1 objective.
-        y = cost[basis] @ tab[:, :-1]
-        reduced = cost - y
-        entering = -1
-        for j in range(n + m):           # Bland: lowest eligible index
-            if reduced[j] < -1e-12:
-                entering = j
-                break
-        if entering < 0:
+        # Reduced costs of the phase-1 objective; Bland: lowest eligible index.
+        eligible = (cost - cost[basis] @ tab[:, :-1] < -1e-12).nonzero()[0]
+        if not eligible.size:
             break
-        col = tab[:, entering]
-        ratios = np.full(m, np.inf)
-        pos = col > 1e-12
-        ratios[pos] = tab[pos, -1] / col[pos]
-        if not np.any(pos):
+        entering = int(eligible[0])
+        col, rhs = tab[:, entering].tolist(), tab[:, -1].tolist()
+        ratios = [(rhs[r] / c, r) for r, c in enumerate(col) if c > 1e-12]
+        if not ratios:
             break                        # unbounded direction: cost stuck
-        best = np.min(ratios[pos])
-        ties = [r for r in range(m) if pos[r] and ratios[r] <= best + 1e-15]
+        best = min(ratio for ratio, _ in ratios)
+        ties = [r for ratio, r in ratios if ratio <= best + 1e-15]
         leaving = min(ties, key=lambda r: basis[r])   # Bland on ties
-        piv = tab[leaving, entering]
-        tab[leaving] /= piv
+        tab[leaving] /= col[leaving]
         for r in range(m):
-            if r != leaving and abs(tab[r, entering]) > 0:
-                tab[r] -= tab[r, entering] * tab[leaving]
+            if r != leaving and abs(col[r]) > 0:
+                tab[r] -= col[r] * tab[leaving]
         basis[leaving] = entering
 
     x_full = np.zeros(n + m)
     x_full[basis] = tab[:, -1]
-    residual = float(np.sum(x_full[n:]))
-    scale = max(1.0, float(np.max(np.abs(b))) if m else 1.0)
+    residual = float(x_full[n:].sum())
+    scale = max(1.0, float(abs(b).max()) if m else 1.0)
     if residual > tol * scale:
         raise InfeasibleError(residual)
     return np.maximum(x_full[:n], 0.0)

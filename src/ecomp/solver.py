@@ -116,9 +116,10 @@ class _DualProblem:
     def __init__(self, a: np.ndarray, b: np.ndarray, w: np.ndarray,
                  budget: np.ndarray, beta: np.ndarray, paths: np.ndarray):
         linked = (paths >= 1.0) & (paths.T >= 1.0) | np.eye(len(paths), dtype=bool)
-        first, self.label = np.unique(linked.argmax(axis=1), return_inverse=True)
-        self.n = first.size
-        self.groups = [np.flatnonzero(self.label == g).tolist() for g in range(self.n)]
+        rep = linked.argmax(axis=1)
+        first = (rep == np.arange(rep.size)).nonzero()[0]
+        self.n, self.label = first.size, first.searchsorted(rep)
+        self.groups = [(self.label == g).nonzero()[0].tolist() for g in range(self.n)]
         self.w = w
         self.a = a
         self.bg = np.array([b[g].sum(axis=0) for g in self.groups])
@@ -372,10 +373,10 @@ def _polish_dual(prob: _DualProblem, x0: np.ndarray) -> np.ndarray | None:
     them, which would reject).  Returns the refined prices, or None when
     none validate.
     """
-    scale = max(float(np.max(x0)), 1e-12)
+    scale = max(float(x0.max()), 1e-12)
     p0, f0, slack = prob.oracle(x0)
     p0, slack = np.array(p0), np.array(slack)
-    active_p = p0 > 1e-8 * max(float(np.max(p0, initial=0.0)), 1.0)
+    active_p = p0 > 1e-8 * max(float(p0.max(initial=0.0)), 1.0)
     free = x0 > 1e-7 * scale
     # Over-include nearly-active edges: spurious ones are pruned when their
     # flow comes out negative, while a missing edge leaves the balance
@@ -390,7 +391,7 @@ def _polish_dual(prob: _DualProblem, x0: np.ndarray) -> np.ndarray | None:
         if sets in seen:
             return None
         seen.add(sets)
-        ks, gs = np.flatnonzero(active_p), np.flatnonzero(free)
+        ks, gs = active_p.nonzero()[0], free.nonzero()[0]
         if not ks.size or not gs.size:
             return None
         nk, ng = ks.size, gs.size
@@ -402,8 +403,11 @@ def _polish_dual(prob: _DualProblem, x0: np.ndarray) -> np.ndarray | None:
         jac[nk:nk + ng, ng:ng + nk] = bgk
         jac[nk:nk + ng, ng + nk:] = dg.T
         jac[nk + ng:, :ng] = 0.0 - dg       # keeps the zeros +0.0
-        diag = (np.arange(nk), ng + np.arange(nk))
-        a, w, eg = prob.a[ks], prob.w[ks], prob.eg[gs]
+        # S is at (k, ng + k); the other entries and their row maxima are fixed.
+        flat, diag = jac.reshape(-1), np.arange(nk) * (jac.shape[0] + 1) + ng
+        off_s = abs(jac).max(axis=1)
+        a, eg = prob.a[ks], prob.eg[gs]
+        wa, hess = prob.w[ks] * a, -prob.w[ks] * a ** 2
 
         v = np.concatenate([x0[gs], p0[ks], np.zeros(dg.shape[0])])
         ok = checked = False
@@ -411,24 +415,25 @@ def _polish_dual(prob: _DualProblem, x0: np.ndarray) -> np.ndarray | None:
         # a round still short of it after 20 has stalled.
         for _ in range(20):
             denom = 1.0 + a * v[ng:ng + nk]
-            jac[diag] = 0.0
+            flat[diag] = 0.0
             f = jac @ v
-            f[:nk] += w * a / (LN2 * denom)
+            f[:nk] += wa / (LN2 * denom)
             f[nk:nk + ng] -= eg
-            jac[diag] = -w * a ** 2 / (LN2 * denom ** 2)
+            flat[diag] = s_k = hess / (LN2 * denom ** 2)
             # The residual lives in price units while the powers respond with
             # a factor ~1/s^2, so take one more step after the residual test
             # before accepting: quadratic convergence squares the power error.
             if ok:
                 break
-            if float(np.max(np.abs(f))) < 1e-12 * max(scale, 1.0):
+            if abs(f).max() < 1e-12 * max(scale, 1.0):
                 ok = True
             # Equilibrate: stationarity rows are O(a^2) while budget rows are
             # O(1), and the raw system's conditioning caps lstsq accuracy.
-            row_s = np.max(np.abs(jac), axis=1)
+            row_s = off_s.copy()
+            row_s[:nk] = np.maximum(off_s[:nk], abs(s_k))
             row_s[row_s == 0.0] = 1.0
             jac_r = jac / row_s[:, None]
-            col_s = np.max(np.abs(jac_r), axis=0)
+            col_s = abs(jac_r).max(axis=0)
             col_s[col_s == 0.0] = 1.0
             try:
                 step, _, rank, _ = np.linalg.lstsq(jac_r / col_s[None, :], -f / row_s,
@@ -446,14 +451,14 @@ def _polish_dual(prob: _DualProblem, x0: np.ndarray) -> np.ndarray | None:
             except np.linalg.LinAlgError:
                 return None
             step = step / col_s
-            if not np.all(np.isfinite(step)):
+            if not np.isfinite(step).all():
                 return None
             v = v + step
         if not ok:
             # Newton can stall when a nearly-zero price was misread as a
             # tight budget, making the balance equations inconsistent.
             # Drop the free group with the largest surplus and retry.
-            g_drop = gs[np.argmax(slack[gs])]
+            g_drop = gs[slack[gs].argmax()]
             if ng > 1 and slack[g_drop] > 0:
                 free[g_drop] = False
                 continue
@@ -474,16 +479,16 @@ def _polish_dual(prob: _DualProblem, x0: np.ndarray) -> np.ndarray | None:
         # active edges it must still not overspend, or it gets a price.
         spare = np.array(spare) - d_act.T @ flow
         over = ~free & (spare < -1e-9 * scale)
-        if (neg_e.any() or neg_k.size or np.any(rises & ~active_p) or neg_x.any()
+        if (neg_e.any() or neg_k.size or (rises & ~active_p).any() or neg_x.any()
                 or over.any()):
-            edges[np.flatnonzero(edges)[neg_e]] = False
+            edges[edges.nonzero()[0][neg_e]] = False
             active_p[neg_k] = False
             active_p |= rises
             free &= ~neg_x
             free |= over
             continue
         xx = np.maximum(xx, 0.0)
-        if np.any(prob.cone @ xx < -1e-9 * max(scale, 1.0)):
+        if (prob.cone @ xx < -1e-9 * max(scale, 1.0)).any():
             return None
         if f_xx > f0 + 1e-9 * max(scale, 1.0):
             return None
@@ -518,17 +523,17 @@ def _cancel_bidirectional(e: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """
     n = e.shape[0]
     e = e.copy()
-    scale = max(float(np.max(e)), 1.0)
+    scale = max(float(e.max()), 1.0)
     e[e < FLOW_FLOOR * scale] = 0.0
     for _ in range(4 * n * n * n):
         inflow = e.sum(axis=0)
         outflow = e.sum(axis=1)
-        mid = np.where((inflow > 0) & (outflow > 0))[0]
+        mid = ((inflow > 0) & (outflow > 0)).nonzero()[0]
         if mid.size == 0:
             break
         i = int(mid[0])
-        jbar = int(np.argmax(e[:, i]))          # sender into i
-        jtil = int(np.argmax(e[i, :]))          # receiver from i
+        jbar = int(e[:, i].argmax())            # sender into i
+        jtil = int(e[i, :].argmax())            # receiver from i
         if jbar == jtil:
             # Two-BS cycle: cancel; the counterpart keeps its net inflow.
             x = min(e[jbar, i], e[i, jbar] / max(beta[jbar, i], 1e-300))
@@ -560,8 +565,8 @@ def recover_transfers(p_star, budget: np.ndarray, beta: np.ndarray,
     deficit = b @ np.asarray(p_star, dtype=float) - budget
     src, dst, d = _incidence(beta)
     if not src.size:
-        if np.max(deficit) > RECOVERY_TOL * max(1.0, float(np.max(budget, initial=1.0))):
-            raise InfeasibleError(float(np.max(deficit)))
+        if deficit.max() > RECOVERY_TOL * max(1.0, float(budget.max(initial=1.0))):
+            raise InfeasibleError(float(deficit.max()))
         return np.zeros((n, n))
     # Row i: (D^T e)_i + slack_i = -deficit_i.
     x = phase1_feasible(np.hstack([d.T, np.eye(n)]), -deficit, tol=RECOVERY_TOL)
@@ -593,7 +598,7 @@ def solve_p1(gains: ZfGains, es: EnergyState, beta,
     n, k_all = b.shape
     if start is not None:
         start = np.asarray(start, dtype=float)
-        if start.shape != (n,) or not np.all(np.isfinite(start) & (start >= 0.0)):
+        if start.shape != (n,) or not (np.isfinite(start) & (start >= 0.0)).all():
             raise ValueError(f"start must hold {n} finite prices >= 0; got {start}")
     bm = as_beta_matrix(beta, n)
     w = gains.weights * bandwidth
@@ -601,17 +606,17 @@ def solve_p1(gains: ZfGains, es: EnergyState, beta,
     # p_k = 0 for every terminal they must power.
     paths = _best_paths(bm)
     dead = budget + paths.T @ budget <= 0.0
-    keep = ~np.any((b > 1e-12) & dead[:, None], axis=0)
+    keep = ~((b > 1e-12) & dead[:, None]).any(axis=0)
 
     p = np.zeros(k_all)
     e = np.zeros((n, n))
     mu = np.zeros(n)
     dual_value, iters = 0.0, 0
-    if np.any(keep):
+    if keep.any():
         # Normalize the budget scale: p = scale * q maps the problem onto
         # one with O(1) budgets and gains a * scale, which keeps the
         # absolute solver tolerances meaningful at any energy level.
-        scale = float(np.max(budget))
+        scale = float(budget.max())
         a_s, b_s, budget_s = a[keep] * scale, b[:, keep], budget / scale
         prob = _DualProblem(a_s, b_s, w[keep], budget_s, bm, paths)
         x0 = None if start is None else start[[g[0] for g in prob.groups]] * scale
@@ -621,7 +626,7 @@ def solve_p1(gains: ZfGains, es: EnergyState, beta,
         e = scale * recover_transfers(q, budget_s, bm, b)
         p = scale * q
         mu = prob.expand(x) / scale
-    if np.any(dead):
+    if dead.any():
         # One common price on the unreachable stations: it prices every
         # pinned terminal at least at its marginal rate at zero power, and
         # it covers beta_ij mu_j toward each reachable j.  No positive-
@@ -629,8 +634,8 @@ def solve_p1(gains: ZfGains, es: EnergyState, beta,
         # one, so the prices stay in the cone.
         pinned = ~keep
         cap = w[pinned] * a[pinned] / (LN2 * b[dead][:, pinned].max(axis=0))
-        mu[dead] = max(np.max(cap, initial=0.0),
-                       np.max(bm[dead][:, ~dead] * mu[~dead], initial=0.0))
+        mu[dead] = max(cap.max(initial=0.0),
+                       (bm[dead][:, ~dead] * mu[~dead]).max(initial=0.0))
 
     rates = bandwidth * np.log2(1.0 + a * p)
     objective = float(gains.weights @ rates)

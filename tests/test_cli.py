@@ -109,6 +109,16 @@ def test_validate_and_run_reject_what_a_run_cannot_draw(tmp_path, capsys, text):
     assert err.count(f"error: {path}: ") == 2 and "runtime error" not in err
 
 
+def test_run_rejects_a_profile_value_that_is_not_finite(tmp_path, capsys):
+    profile = tmp_path / "profile.csv"
+    profile.write_text("timestamp,wind,solar\n2013-10-01T00:00,0.5,0.2\n"
+                       "2013-10-01T00:15,nan,0.1\n")
+    path = tmp_path / "nan.scn"
+    path.write_text(f"kind = three_cell_profile\nprofile = {profile}\n")
+    assert main(["run", str(path), "--realizations", "1"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {profile}: line 3: ")
+
+
 def test_run_rejects_a_negative_seed_override(tmp_path, capsys):
     assert main(["run", _micro_path(tmp_path), "--seed", "-2"]) == 1
     assert capsys.readouterr().err == "error: seed must be nonnegative\n"

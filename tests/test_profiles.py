@@ -47,6 +47,22 @@ def test_csv_rejects_non_monotone_timestamps(tmp_path):
         load_profiles(bad)
 
 
+@pytest.mark.parametrize("wind, solar", [("nan", "0.1"), ("0.5", "inf"), ("-inf", "0.1")])
+def test_csv_rejects_generation_that_is_not_finite(tmp_path, wind, solar):
+    bad = tmp_path / "profile.csv"
+    bad.write_text("timestamp,wind,solar\n"
+                   "2013-10-01T00:00,0.5,0.0\n"
+                   f"2013-10-01T00:15,{wind},{solar}\n")
+    with pytest.raises(ProfileError, match="line 3: generation must be finite"):
+        load_profiles(bad)
+
+
+def test_a_series_that_is_not_finite_is_rejected():
+    with pytest.raises(ProfileError, match="solar series not finite"):
+        EnergyProfile(timestamps=("t0", "t1"), wind=np.array([1.0, 0.5]),
+                      solar=np.array([np.nan, 1.0]))
+
+
 def test_csv_rejects_missing_columns(tmp_path):
     bad = tmp_path / "profile.csv"
     bad.write_text("timestamp,wind\n2013-10-01T00:00,0.5\n")

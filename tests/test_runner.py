@@ -10,6 +10,7 @@ import numpy as np
 from ecomp import EnergyProfile, runner, scenario_from_mapping
 from ecomp.runner import (RESULT_COLUMNS, ResultRow, ResultTable,
                           emit_results, parse_results, run_scenario)
+from ecomp.channel import DegeneracyError
 from ecomp.solver import ConvergenceError
 
 
@@ -131,7 +132,7 @@ def test_three_cell_budgets_combine_mixes_and_mean_level():
                                 "mixes": "1:0; 0:1; 0.5:0.5"})
     prof = EnergyProfile(timestamps=("t0", "t1"), wind=np.array([1.0, 0.5]),
                          solar=np.array([0.0, 1.0]))
-    budgets = [b for _, _, b in runner._three_cell_draws(sc, prof, 4.0, [0, 1])]
+    budgets = [mix * 4.0 for _, _, mix in runner._three_cell_draws(sc, prof, [(0, 0), (1, 0)])]
     np.testing.assert_allclose(budgets, [[4.0, 0.0, 2.0], [2.0, 4.0, 3.0]])
 
 
@@ -222,20 +223,106 @@ _GOLDEN_MICRO = {
 }
 
 
-@pytest.mark.parametrize("kind", ["two_cell_sweep", *_GOLDEN_MICRO])
-def test_golden_micro_scenario_is_pinned(tmp_path, kind):
-    """Byte-for-byte output lock against tests/data/golden_<kind>.csv."""
+def _golden(kind):
+    """The micro scenario of ``kind`` and the text of its golden CSV."""
     if kind == "two_cell_sweep":
         sc, name = _micro_scenario(), "golden_micro.csv"
     else:
         sc, name = scenario_from_mapping(_GOLDEN_MICRO[kind]), f"golden_{kind}.csv"
-    golden = os.path.join(os.path.dirname(__file__), "data", name)
-    table = run_scenario(sc)
-    assert not table.errors
+    with open(os.path.join(os.path.dirname(__file__), "data", name)) as fh:
+        return sc, fh.read()
+
+
+def _csv(table, tmp_path):
     path = tmp_path / "fresh.csv"
     emit_results(table, path, fmt="csv")
-    with open(golden) as fh:
-        assert path.read_text() == fh.read()
+    return path.read_text()
+
+
+@pytest.mark.parametrize("kind", ["two_cell_sweep", *_GOLDEN_MICRO])
+def test_golden_micro_scenario_is_pinned(tmp_path, kind):
+    """Byte-for-byte output lock against tests/data/golden_<kind>.csv."""
+    sc, golden = _golden(kind)
+    table = run_scenario(sc)
+    assert not table.errors
+    assert _csv(table, tmp_path) == golden
+
+
+def _counting(monkeypatch, *names):
+    """Wrap the runner's ``names``; returns the dict of their call counts."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _real=getattr(runner, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(runner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind, chains, points", [("two_cell_sweep", 4, 3),
+                                                  ("three_cell_sweep", 16, 2)])
+def test_a_chain_draws_its_channel_and_zf_once(monkeypatch, tmp_path, kind, chains, points):
+    # three_cell_sweep: 8 slots of the bundled profile (384 rows, stride 48)
+    # times 2 realizations, each solved at 2 energy levels.
+    monkeypatch.setenv("ECOMP_WORKERS", "1")
+    calls = _counting(monkeypatch, "generate_rayleigh", "zf_gains")
+    sc, golden = _golden(kind)
+    table = run_scenario(sc)
+    assert calls == {"generate_rayleigh": chains, "zf_gains": chains}
+    assert sum(row.n for row in table.rows) == chains * points * len(sc.schemes)
+    assert _csv(table, tmp_path) == golden
+
+
+def test_a_zf_failure_is_recorded_at_every_point_of_its_chain(monkeypatch):
+    # The first chain's ZF fails once; its joint and comm_only schemes get
+    # the message at each point, in scheme order, as a fresh ZF per point
+    # would give them.  The per-BS schemes still solve that draw.
+    monkeypatch.setenv("ECOMP_WORKERS", "1")
+    real_zf, failed = runner.zf_gains, []
+
+    def degenerate_first(ch, weights):
+        if not failed:
+            failed.append(ch)
+            raise DegeneracyError("rank-deficient channel matrix")
+        return real_zf(ch, weights)
+
+    monkeypatch.setattr(runner, "zf_gains", degenerate_first)
+    calls = _counting(monkeypatch, "zf_gains")
+    sc = scenario_from_mapping(_GOLDEN_MICRO["two_cell_random"])
+    table = run_scenario(sc)
+    assert calls["zf_gains"] == sc.n_realizations
+    message = "DegeneracyError: rank-deficient channel matrix"
+    keys = [f"{row.sweep_key}/-1/{row.scheme}" for row in table.rows
+            if row.scheme in ("joint@0.9", "comm_only")]
+    assert len(keys) == 2 * len(sc.energy_db)
+    assert table.errors == [(key, message) for key in keys]
+    for row in table.rows:
+        assert row.n == sc.n_realizations - (row.scheme in ("joint@0.9", "comm_only"))
+
+
+def test_comm_only_starts_from_its_prices_at_the_point_before(monkeypatch):
+    monkeypatch.setenv("ECOMP_WORKERS", "1")
+    real_solve, starts, prices = runner.solve_comm_only, [], []
+
+    def recorded(gains, es, start=None):
+        starts.append(start)
+        sol = real_solve(gains, es, start=start)
+        prices.append(sol.mu)
+        return sol
+
+    monkeypatch.setattr(runner, "solve_comm_only", recorded)
+    sc = scenario_from_mapping(_GOLDEN_MICRO["two_cell_random"])
+    run_scenario(sc)
+    points = len(sc.energy_db)
+    assert len(starts) == points * sc.n_realizations
+    for c, start in enumerate(starts):       # chain c // points, point c % points
+        if c % points == 0:
+            assert start is None
+        else:
+            np.testing.assert_array_equal(start, prices[c - 1])
+    starts.clear()
+    run_scenario(scenario_from_mapping(_GOLDEN_MICRO["three_cell_profile"]))
+    assert starts and all(start is None for start in starts)
 
 
 @pytest.mark.parametrize("kind", ["two_cell_random", "three_cell_sweep"])
@@ -260,8 +347,8 @@ def test_a_profile_sends_one_unit_per_point_and_a_sweep_one_per_chain(monkeypatc
     class RecordingPool:
         """Stands in for ProcessPoolExecutor: records the units, runs them here."""
 
-        def __init__(self, max_workers):
-            pass
+        def __init__(self, max_workers, initializer, initargs):
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -279,13 +366,13 @@ def test_a_profile_sends_one_unit_per_point_and_a_sweep_one_per_chain(monkeypatc
     table = run_scenario(scenario_from_mapping(_GOLDEN_MICRO["three_cell_profile"]))
     slots = sorted({row.slot for row in table.rows})
     assert len(slots) > 1 and starts and all(start is None for start in starts)
-    assert [(list(points), pick) for _, _, points, pick in sent] == \
-        [([pi], None) for pi in range(len(slots))]
+    assert [(list(points), picks) for points, picks in sent] == \
+        [([pi], [(48 * pi, 0), (48 * pi, 1)]) for pi in range(len(slots))]
     sent.clear()
     sc = _micro_scenario()
     run_scenario(sc)
-    assert [(list(points), pick) for _, _, points, pick in sent] == \
-        [([0, 1, 2], r) for r in range(sc.n_realizations)]
+    assert [(list(points), picks) for points, picks in sent] == \
+        [([0, 1, 2], [r]) for r in range(sc.n_realizations)]
 
 
 def test_a_chain_restarts_cold_after_a_failure_and_errors_stay_point_major(monkeypatch):

@@ -87,6 +87,18 @@ def test_transfer_free_schemes_reject_a_beta():
                                "schemes": "comm_only@0.5"})
 
 
+@pytest.mark.parametrize("mapping, label", [
+    ({"kind": "two_cell_random", "energy_db": "0, 10", "beta": "0.9",
+      "schemes": "joint, comm_only, joint@0.9"}, "joint@0.9"),
+    ({"kind": "two_cell_sweep", "betas": "0.5, 0.5"}, "joint@0.5"),
+    ({"kind": "two_cell_random", "energy_db": "0, 10", "schemes": "none, none"}, "none"),
+])
+def test_a_scheme_listed_twice_is_rejected(mapping, label):
+    # Both would be solved at every draw and emit rows with the same key.
+    with pytest.raises(ScenarioError, match=f"^scheme {label} is listed twice$"):
+        scenario_from_mapping(mapping)
+
+
 def test_noise_dbm_is_converted_to_watts():
     sc = scenario_from_mapping({"kind": "two_cell_random",
                                 "energy_db": "0, 10",
