@@ -11,7 +11,7 @@ from .baselines import solve_comm_only, solve_energy_only, solve_no_coop
 from .channel import (ClusterChannel, DegeneracyError, FeasibilityError,
                       ZfGains, generate_rayleigh, per_bs_zf_gains,
                       strongest_channel_association, variance_matrix, zf_gains)
-from .energy import EnergyState, as_beta_matrix, power_region_boundary
+from .energy import EnergyState, TransferNetwork, as_beta_matrix, power_region_boundary
 from .oracle import kkt_residual
 from .profiles import EnergyProfile, ProfileError, load_profiles
 from .runner import ResultRow, ResultTable, emit_results, parse_results, run_scenario
@@ -23,7 +23,7 @@ __all__ = [
     "ClusterChannel", "DegeneracyError", "EnergyProfile", "EnergyState",
     "FeasibilityError", "InfeasibleError", "ProfileError", "ResultRow",
     "ResultTable", "Scenario", "ScenarioError", "SchemeSpec", "Solution",
-    "ZfGains", "as_beta_matrix", "emit_results", "generate_rayleigh",
+    "TransferNetwork", "ZfGains", "as_beta_matrix", "emit_results", "generate_rayleigh",
     "kkt_residual", "load_profiles", "load_scenario", "parse_results",
     "per_bs_zf_gains", "phase1_feasible", "power_region_boundary",
     "recover_transfers", "run_scenario", "scenario_from_mapping",

@@ -3,8 +3,8 @@
 Each BS i has a transmit budget E_i = RE_i + G - P_C from its renewable
 rate plus a constant grid draw.  BSs may exchange energy through the grid:
 BS i injects e_ij and BS j may draw beta_ij * e_ij, the rest is network
-loss.  ``as_beta_matrix`` expands and validates the efficiencies once;
-the solver finds the transfer pattern itself.
+loss.  ``TransferNetwork`` validates the efficiencies once and derives
+all that solves over them share; the solver finds the transfer pattern.
 """
 
 from __future__ import annotations
@@ -60,6 +60,62 @@ def as_beta_matrix(beta, n_bs: int) -> np.ndarray:
     if not np.all((vals >= 0) & (vals <= 1)):
         raise ValueError("transfer efficiencies must be finite and lie in [0, 1]")
     return out
+
+
+def _best_paths(eff: np.ndarray) -> np.ndarray:
+    """Best multi-hop efficiency between all station pairs, zero diagonal."""
+    for m in range(eff.shape[0]):
+        eff = np.maximum(eff, eff[:, m, None] * eff[m])
+        np.fill_diagonal(eff, 0.0)
+    return eff
+
+
+def _incidence(beta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edges and incidence matrix D of the transfer network.
+
+    The edges are the positive pairs (src, dst) of ``beta``, whose diagonal
+    is zero, in row-major order; edge (i, j) is the row e_i - beta_ij e_j
+    of D.  So D mu >= 0 is the price cone beta_ij mu_j <= mu_i, and D^T e
+    is what each station sends minus what it is delivered.
+    """
+    src, dst = np.nonzero(beta > 0)
+    d = np.zeros((src.size, beta.shape[0]))
+    rows = np.arange(src.size)
+    d[rows, src], d[rows, dst] = 1.0, -beta[src, dst]
+    return src, dst, d
+
+
+class TransferNetwork:
+    """Validated efficiencies ``beta`` of N stations and all derived from them alone; read-only.
+
+    Best ``paths``; lossless ``groups`` (paths of 1 both ways, which float products of factors
+    <= 1 give only on loss-free links) and ``label``; group ``betag``, ``pathsg``, ``cone`` and
+    ``edges`` (g, h, b); station incidence ``(src, dst, d)``, the group one if none merge.
+    """
+
+    def __init__(self, beta, n_bs: int):
+        self.n_bs, self.beta = n_bs, as_beta_matrix(beta, n_bs)
+        self.paths = _best_paths(self.beta)
+        linked = (self.paths >= 1.0) & (self.paths.T >= 1.0) | np.eye(n_bs, dtype=bool)
+        rep = linked.argmax(axis=1)
+        first = (rep == np.arange(n_bs)).nonzero()[0]
+        ng, self.label = first.size, first.searchsorted(rep)
+        self.groups = [(self.label == g).nonzero()[0].tolist() for g in range(ng)]
+        # Across groups keep the largest efficiency; hops inside a group are free.
+        self.betag, self.pathsg = np.zeros((ng, ng)), np.zeros((ng, ng))
+        for group_level, station_level in ((self.betag, self.beta), (self.pathsg, self.paths)):
+            np.maximum.at(group_level, (self.label[:, None], self.label), station_level)
+            np.fill_diagonal(group_level, 0.0)
+        src, dst, self.cone = _incidence(self.betag)
+        self.edges = list(zip(src.tolist(), dst.tolist(), self.betag[src, dst].tolist()))
+        self.src, self.dst, self.d = (src, dst, self.cone) if ng == n_bs else _incidence(self.beta)
+
+    @classmethod
+    def of(cls, beta, n_bs: int) -> TransferNetwork:
+        """``beta`` itself when it is a network of ``n_bs`` stations, else one built from it."""
+        if isinstance(beta, cls) and beta.n_bs != n_bs:
+            raise ValueError(f"beta matrix shape {beta.beta.shape} != {(n_bs, n_bs)}")
+        return beta if isinstance(beta, cls) else cls(beta, n_bs)
 
 
 def power_region_boundary(budgets, beta, n_samples: int = 101) -> np.ndarray:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import ZfGains
-from .energy import EnergyState, as_beta_matrix
+from .energy import EnergyState, TransferNetwork
 from .solver import LN2, Solution
 
 
@@ -22,7 +22,7 @@ def kkt_residual(solution: Solution, gains: ZfGains, es: EnergyState, beta,
     complementary slackness; a small value certifies (near-)optimality of
     the convex program.
     """
-    bm = as_beta_matrix(beta, es.n_bs)
+    bm = TransferNetwork.of(beta, es.n_bs).beta
     p = solution.p
     e = solution.e
     mu = solution.mu

@@ -23,7 +23,7 @@ import numpy as np
 from .baselines import solve_comm_only, solve_energy_only, solve_no_coop
 from .channel import (DegeneracyError, FeasibilityError, generate_rayleigh,
                       strongest_channel_association, variance_matrix, zf_gains)
-from .energy import EnergyState
+from .energy import EnergyState, TransferNetwork
 from .profiles import EnergyProfile, load_profiles
 from .scenario import Scenario, ScenarioError
 from .simplex import InfeasibleError
@@ -95,14 +95,14 @@ def _kept(kept, key, make):
     return kept[key]
 
 
-def _evaluate_instance(ch, variances, budgets, specs, weights, starts, kept):
+def _evaluate_instance(ch, variances, budgets, specs, weights, starts, kept, networks):
     """Sum-rate of each scheme on one channel/energy draw, keyed by label.
 
     A scheme that raises one of SOLVER_ERRORS gets its error message
     instead of a rate and does not abort the others.  The cluster-ZF gains
     and the association are made once per draw and ``kept`` with it.  A
     joint or comm_only scheme starts from and leaves its prices in
-    ``starts[spec]``, none on failure.
+    ``starts[spec]``, none on failure; one with a beta solves over ``networks[spec]``.
     """
     es = EnergyState(re=budgets)
     out = {}
@@ -111,14 +111,14 @@ def _evaluate_instance(ch, variances, budgets, specs, weights, starts, kept):
             if spec.variant in ("joint", "comm_only"):
                 gains = _kept(kept, "zf", lambda: zf_gains(ch, weights))
                 start = starts.pop(spec, None)
-                sol = (solve_p1(gains, es, spec.beta, start=start) if spec.variant == "joint"
+                sol = (solve_p1(gains, es, networks[spec], start=start) if spec.variant == "joint"
                        else solve_comm_only(gains, es, start=start))
                 starts[spec] = sol.mu
             else:
                 association = _kept(kept, "association",
                                     lambda: strongest_channel_association(variances, ch.m_ant))
                 if spec.variant == "energy_only":
-                    sol = solve_energy_only(ch, association, es, spec.beta, weights)
+                    sol = solve_energy_only(ch, association, es, networks[spec], weights)
                 else:
                     sol = solve_no_coop(ch, association, es, weights)
             out[spec.label()] = sol.objective
@@ -242,7 +242,7 @@ def _units(scenario, profile):
     return [(points, [(slot, r)]) for slot in slots for r in realizations]
 
 
-_shared = None      # a pool worker's (scenario, profile), set once by its initializer
+_shared = None      # a pool worker's (scenario, profile, networks), set once by its initializer
 
 
 def _share(*shared):
@@ -252,7 +252,7 @@ def _share(*shared):
 
 def _eval_unit(unit, shared=None):
     """Outcomes of a unit's draws, a list per point; a chain starts warm."""
-    (scenario, profile), (points, picks) = shared or _shared, unit
+    (scenario, profile, networks), (points, picks) = shared or _shared, unit
     levels = [_point(scenario, profile, pi)[2] for pi in points]
     draws = (_two_cell_draws(scenario, picks) if scenario.kind.startswith("two_cell")
              else _three_cell_draws(scenario, profile, picks))
@@ -261,7 +261,7 @@ def _eval_unit(unit, shared=None):
         starts, kept = {}, {}
         for got, level in zip(found, levels):
             got.append(_evaluate_instance(ch, var, base * level, scenario.schemes, weights,
-                                          starts, kept))
+                                          starts, kept, networks))
     return found
 
 
@@ -289,12 +289,14 @@ def run_scenario(scenario: Scenario, profile: EnergyProfile = None) -> ResultTab
     if profile is None and scenario.kind.startswith("three_cell"):
         profile = load_profiles(scenario.profile)
     units = _units(scenario, profile)
+    networks = {spec: TransferNetwork(spec.beta, scenario.n_bs) for spec in scenario.schemes
+                if spec.beta is not None}
     if workers > 1 and len(units) > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_share,
-                                 initargs=(scenario, profile)) as pool:
+                                 initargs=(scenario, profile, networks)) as pool:
             results = list(pool.map(_eval_unit, units))
     else:
-        results = [_eval_unit(unit, (scenario, profile)) for unit in units]
+        results = [_eval_unit(unit, (scenario, profile, networks)) for unit in units]
     # Back to point-major order, realizations in unit order at each point.
     outcomes = [[] for _ in range(_n_points(scenario, profile))]
     for (points, _), found in zip(units, results):

@@ -28,6 +28,7 @@ SCENARIO_KINDS = {
 }
 
 DEFAULT_SCHEMES = ("joint", "comm_only", "energy_only", "none")
+NO_TRANSFER = ("comm_only", "none")
 
 
 class ScenarioError(ValueError):
@@ -93,9 +94,11 @@ class Scenario:
         for i, spec in enumerate(self.schemes):
             if spec.variant not in DEFAULT_SCHEMES:
                 raise ScenarioError(f"unknown scheme {spec.variant!r}")
-            for b in ([spec.beta] if spec.beta is not None else []):
-                if not 0.0 <= b <= 1.0:
-                    raise ScenarioError(f"beta {b} outside [0, 1]")
+            if (spec.beta is None) != (spec.variant in NO_TRANSFER):
+                raise ScenarioError(f"{spec.variant} " + ("needs a beta" if spec.beta is None
+                                                          else "does not take a beta"))
+            if spec.beta is not None and not 0.0 <= spec.beta <= 1.0:
+                raise ScenarioError(f"beta {spec.beta} outside [0, 1]")
             if spec.label() in [other.label() for other in self.schemes[:i]]:
                 raise ScenarioError(f"scheme {spec.label()} is listed twice")
         if self.noise <= 0:
@@ -149,10 +152,7 @@ def _parse_schemes(text: str, default_beta: float) -> tuple:
         else:
             variant, beta = tok, None
         variant = variant.strip()
-        if variant in ("comm_only", "none"):
-            if beta is not None:
-                raise ScenarioError(f"{variant} does not take a beta")
-        elif beta is None:
+        if beta is None and variant not in NO_TRANSFER:
             beta = default_beta
         specs.append(SchemeSpec(variant, beta))
     return tuple(specs)

@@ -6,9 +6,9 @@ concave with affine constraints, so it is solved through its dual: pricing
 each BS budget with a multiplier mu_i, the per-terminal power allocation
 has a water-filling closed form, the dual is minimized with the ellipsoid
 method over the cone {mu >= 0, beta_ij mu_j <= mu_i} (or exactly, when
-one price covers all stations or each terminal has a price of its own),
-and a feasible transfer pattern is recovered from the optimal powers with
-a small LP.
+one price covers all stations or each terminal has a price of its own).
+The transfers are the flows of an accepted Newton polish with one station
+per price, or else come from the optimal powers through a small LP.
 ``solve_p1`` is one pass of array stages: normalize, dual, powers,
 transfers, certificate.
 """
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ZfGains
-from .energy import EnergyState, as_beta_matrix
+from .energy import EnergyState, TransferNetwork
 from .simplex import InfeasibleError, phase1_feasible
 
 LN2 = math.log(2.0)
@@ -73,64 +73,24 @@ def _dot(u, v) -> float:
     return t
 
 
-def _best_paths(eff: np.ndarray) -> np.ndarray:
-    """Best multi-hop efficiency between all station pairs, zero diagonal."""
-    for m in range(eff.shape[0]):
-        eff = np.maximum(eff, eff[:, m, None] * eff[m])
-        np.fill_diagonal(eff, 0.0)
-    return eff
-
-
-def _incidence(beta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Edges and incidence matrix D of the transfer network.
-
-    The edges are the positive pairs (src, dst) of ``beta``, whose diagonal
-    is zero, in row-major order; edge (i, j) is the row e_i - beta_ij e_j
-    of D.  So D mu >= 0 is the price cone beta_ij mu_j <= mu_i, and D^T e
-    is what each station sends minus what it is delivered.
-    """
-    src, dst = np.nonzero(beta > 0)
-    d = np.zeros((src.size, beta.shape[0]))
-    rows = np.arange(src.size)
-    d[rows, src], d[rows, dst] = 1.0, -beta[src, dst]
-    return src, dst, d
-
-
 class _DualProblem:
     """Reduced dual problem over the lossless groups: one price per group.
 
-    ``paths`` is ``_best_paths(beta)``.  A chain of beta = 1 links from i
-    to j forces mu_i >= mu_j in the cone, so stations whose best paths
-    reach each other at 1 share a price; left apart, such a loss-free
-    cycle leaves the cone no interior.  A float product of efficiencies
-    at most 1 rounds to at most its first factor, so a best path reads 1
-    only along loss-free links.  Groups ascend by their first member.
-
-    ``bg[g, k]`` is what terminal k spends at group g per unit power,
-    ``eg`` the group budgets, ``betag[g, h]`` and ``paths[g, h]`` the best
-    efficiency and best path from a station of g to one of h.  ``cone``
-    is the incidence matrix D of the group-level edges, so the price cone
-    is D x >= 0; ``edges`` lists the same edges as floats (g, h, b).
+    A loss-free cycle leaves the cone no interior, so each lossless group of
+    the ``TransferNetwork`` shares a price (``paths`` is its ``pathsg``).
+    ``bg[g, k]`` is what terminal k spends at group g per unit power, ``eg``
+    the group budgets.  An accepted ``_polish_dual`` leaves ``polished``: its
+    last oracle's powers and value (at its prices), active edges and flows.
     """
 
-    def __init__(self, a: np.ndarray, b: np.ndarray, w: np.ndarray,
-                 budget: np.ndarray, beta: np.ndarray, paths: np.ndarray):
-        linked = (paths >= 1.0) & (paths.T >= 1.0) | np.eye(len(paths), dtype=bool)
-        rep = linked.argmax(axis=1)
-        first = (rep == np.arange(rep.size)).nonzero()[0]
-        self.n, self.label = first.size, first.searchsorted(rep)
-        self.groups = [(self.label == g).nonzero()[0].tolist() for g in range(self.n)]
-        self.w = w
-        self.a = a
+    def __init__(self, a: np.ndarray, b: np.ndarray, w: np.ndarray, budget: np.ndarray, network):
+        self.n, self.label, self.groups = len(network.groups), network.label, network.groups
+        self.betag, self.paths = network.betag, network.pathsg
+        self.cone, self.edges = network.cone, network.edges
+        self.w, self.a = w, a
         self.bg = np.array([b[g].sum(axis=0) for g in self.groups])
         self.eg = np.array([budget[g].sum() for g in self.groups])
-        # Across groups keep the largest efficiency; hops inside a group are free.
-        self.betag, self.paths = np.zeros((self.n, self.n)), np.zeros((self.n, self.n))
-        for group_level, station_level in ((self.betag, beta), (self.paths, paths)):
-            np.maximum.at(group_level, (self.label[:, None], self.label), station_level)
-            np.fill_diagonal(group_level, 0.0)
-        src, dst, self.cone = _incidence(self.betag)
-        self.edges = list(zip(src.tolist(), dst.tolist(), self.betag[src, dst].tolist()))
+        self.polished = None
         # Float tables for the oracle: per terminal (bg[:, k], w_k, a_k, 1/a_k); bg's rows.
         self._terminals = list(zip(self.bg.T.tolist(), w.tolist(), a.tolist(),
                                    (1.0 / a).tolist()))
@@ -172,9 +132,6 @@ class _DualProblem:
             if v > worst:
                 worst, cut = v, (i, j, b)
         return cut
-
-    def expand(self, x: np.ndarray) -> np.ndarray:
-        return x[self.label]
 
     def box(self) -> list[float]:
         """Upper corner u of a price box [0, u] that holds a dual optimum.
@@ -371,7 +328,7 @@ def _polish_dual(prob: _DualProblem, x0: np.ndarray) -> np.ndarray | None:
     at its first singular Newton step, stalls at once: it skips only steps
     that could not pass the test (and a failed or non-finite lstsq among
     them, which would reject).  Returns the refined prices, or None when
-    none validate.
+    none validate; an accepted round leaves ``prob.polished``.
     """
     scale = max(float(x0.max()), 1e-12)
     p0, f0, slack = prob.oracle(x0)
@@ -492,6 +449,7 @@ def _polish_dual(prob: _DualProblem, x0: np.ndarray) -> np.ndarray | None:
             return None
         if f_xx > f0 + 1e-9 * max(scale, 1.0):
             return None
+        prob.polished = (p_xx, f_xx, edges, flow)
         return xx
     return None
 
@@ -505,7 +463,7 @@ def _solve_dual(prob: _DualProblem, start) -> tuple[np.ndarray, int]:
         return x, 0
     x, it, converged = _minimize_dual_ellipsoid(prob, start)
     if not converged:
-        raise ConvergenceError(f"dual not converged after {it} cuts", prob.expand(x))
+        raise ConvergenceError(f"dual not converged after {it} cuts", x[prob.label])
     return x, it
 
 
@@ -550,29 +508,37 @@ def _cancel_bidirectional(e: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return np.maximum(e, 0.0)
 
 
-def recover_transfers(p_star, budget: np.ndarray, beta: np.ndarray,
-                      b: np.ndarray) -> np.ndarray:
+def recover_transfers(p_star, budget: np.ndarray, beta, b: np.ndarray) -> np.ndarray:
     """Feasible transfer pattern for the optimal powers (phase-1 LP).
 
-    ``budget`` holds the per-BS budgets E_i, ``beta`` the N x N efficiency
-    matrix from ``as_beta_matrix`` and ``b`` the ZF power fractions.  Finds
-    e >= 0 with spent_i <= E_i + sum_j beta_ji e_ji - sum_j e_ij at every
-    BS, then reroutes any bidirectional flows away.  Raises
-    InfeasibleError when no pattern covers the deficits, which signals
-    that ``p_star`` is not primal optimal.
+    ``budget`` holds the per-BS budgets E_i, ``beta`` the efficiencies (as in
+    ``solve_p1``) and ``b`` the ZF power fractions.  Finds e >= 0 with spent_i <=
+    E_i + sum_j beta_ji e_ji - sum_j e_ij at every BS, then reroutes any
+    bidirectional flows away.  Raises InfeasibleError when no pattern covers
+    the deficits, which signals that ``p_star`` is not primal optimal.
     """
     n = budget.size
+    net = TransferNetwork.of(beta, n)
     deficit = b @ np.asarray(p_star, dtype=float) - budget
-    src, dst, d = _incidence(beta)
-    if not src.size:
+    if not net.src.size:
         if deficit.max() > RECOVERY_TOL * max(1.0, float(budget.max(initial=1.0))):
             raise InfeasibleError(float(deficit.max()))
         return np.zeros((n, n))
     # Row i: (D^T e)_i + slack_i = -deficit_i.
-    x = phase1_feasible(np.hstack([d.T, np.eye(n)]), -deficit, tol=RECOVERY_TOL)
+    x = phase1_feasible(np.hstack([net.d.T, np.eye(n)]), -deficit, tol=RECOVERY_TOL)
     e = np.zeros((n, n))
-    e[src, dst] = x[:src.size]
-    return _cancel_bidirectional(e, beta)
+    e[net.src, net.dst] = x[:net.src.size]
+    return _cancel_bidirectional(e, net.beta)
+
+
+def _polished_transfers(net: TransferNetwork, rows, flow, deficit) -> np.ndarray | None:
+    """Flows on cone ``rows`` (station edges: no merges) as e, or None past RECOVERY_TOL."""
+    flow = np.maximum(flow, 0.0)
+    if (deficit + net.d[rows].T @ flow).max() > RECOVERY_TOL:
+        return None
+    e = np.zeros((net.n_bs, net.n_bs))
+    e[net.src[rows], net.dst[rows]] = flow
+    return _cancel_bidirectional(e, net.beta)
 
 
 # ---------------------------------------------------------------------------
@@ -583,12 +549,12 @@ def solve_p1(gains: ZfGains, es: EnergyState, beta,
              bandwidth: float = 1.0, start=None) -> Solution:
     """Solve the joint power-allocation and energy-transfer problem.
 
-    ``bandwidth`` scales every rate (used by the per-BS baseline, which
-    splits the band in N orthogonal shares).  ``start``, the ``mu`` of an
-    earlier solution for the same stations, is polished before any
-    ellipsoid cut.  The returned objective is certified by the reported
-    duality gap.  A ``bandwidth`` that is not positive and finite, or a
-    ``start`` that is not N finite prices >= 0, raises ValueError.
+    ``beta`` is a scalar, an N x N matrix or a ``TransferNetwork``.  ``bandwidth``
+    scales every rate (used by the per-BS baseline, which splits the band in N
+    orthogonal shares).  ``start``, the ``mu`` of an earlier solution for the same
+    stations, is polished before any ellipsoid cut.  The returned objective is
+    certified by the reported duality gap.  A ``bandwidth`` that is not positive
+    and finite, or a ``start`` that is not N finite prices >= 0, raises ValueError.
     """
     if not (math.isfinite(bandwidth) and bandwidth > 0.0):
         raise ValueError(f"bandwidth must be positive and finite; got {bandwidth}")
@@ -600,12 +566,11 @@ def solve_p1(gains: ZfGains, es: EnergyState, beta,
         start = np.asarray(start, dtype=float)
         if start.shape != (n,) or not (np.isfinite(start) & (start >= 0.0)).all():
             raise ValueError(f"start must hold {n} finite prices >= 0; got {start}")
-    bm = as_beta_matrix(beta, n)
+    net = TransferNetwork.of(beta, n)
     w = gains.weights * bandwidth
     # Stations no positive budget reaches, even over several hops, force
     # p_k = 0 for every terminal they must power.
-    paths = _best_paths(bm)
-    dead = budget + paths.T @ budget <= 0.0
+    dead = budget + net.paths.T @ budget <= 0.0
     keep = ~((b > 1e-12) & dead[:, None]).any(axis=0)
 
     p = np.zeros(k_all)
@@ -618,14 +583,16 @@ def solve_p1(gains: ZfGains, es: EnergyState, beta,
         # absolute solver tolerances meaningful at any energy level.
         scale = float(budget.max())
         a_s, b_s, budget_s = a[keep] * scale, b[:, keep], budget / scale
-        prob = _DualProblem(a_s, b_s, w[keep], budget_s, bm, paths)
+        prob = _DualProblem(a_s, b_s, w[keep], budget_s, net)
         x0 = None if start is None else start[[g[0] for g in prob.groups]] * scale
         x, iters = _solve_dual(prob, x0)
-        q = np.zeros(k_all)
-        q[keep], dual_value, _ = prob.oracle(x)
-        e = scale * recover_transfers(q, budget_s, bm, b)
+        polished, q = prob.polished, np.zeros(k_all)
+        q[keep], dual_value = polished[:2] if polished else prob.oracle(x)[:2]
+        e = (_polished_transfers(net, *polished[2:], b @ q - budget_s)
+             if polished and prob.n == n and net.src.size else None)
+        e = scale * (recover_transfers(q, budget_s, net, b) if e is None else e)
         p = scale * q
-        mu = prob.expand(x) / scale
+        mu = x[prob.label] / scale
     if dead.any():
         # One common price on the unreachable stations: it prices every
         # pinned terminal at least at its marginal rate at zero power, and
@@ -635,7 +602,7 @@ def solve_p1(gains: ZfGains, es: EnergyState, beta,
         pinned = ~keep
         cap = w[pinned] * a[pinned] / (LN2 * b[dead][:, pinned].max(axis=0))
         mu[dead] = max(cap.max(initial=0.0),
-                       (bm[dead][:, ~dead] * mu[~dead]).max(initial=0.0))
+                       (net.beta[dead][:, ~dead] * mu[~dead]).max(initial=0.0))
 
     rates = bandwidth * np.log2(1.0 + a * p)
     objective = float(gains.weights @ rates)

@@ -1,13 +1,17 @@
 """Cooperation baselines: beamforming-only, transfer-only, and no cooperation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from ecomp import (
     EnergyState,
+    TransferNetwork,
     generate_rayleigh,
     kkt_residual,
     per_bs_zf_gains,
+    recover_transfers,
     solve_comm_only,
     solve_energy_only,
     solve_no_coop,
@@ -81,3 +85,39 @@ def test_no_coop_with_empty_station_still_serves_the_other_cell():
         assert sol.objective > 0.0
         gains = per_bs_zf_gains(ch, assoc)
         assert kkt_residual(sol, gains, es, 0.0, bandwidth=1.0 / n_bs) <= 1e-9
+
+
+def test_a_transfer_network_gives_the_raw_beta_s_solutions_bit_for_bit():
+    rng = np.random.default_rng(27)
+    for seed in range(8):
+        n = 2 + seed % 3
+        ch, _, es, assoc = _instance(40 + seed, n_bs=n, m_ant=2, n_mt=n + 1)
+        g = zf_gains(ch)
+        beta = 0.7 if seed % 2 else rng.uniform(size=(n, n)) * (rng.random((n, n)) < 0.7)
+        net, zero = TransferNetwork(beta, n), TransferNetwork(0.0, n)
+        joint = solve_p1(g, es, beta)
+        # comm_only and no_coop take no beta: they match a beta = 0 network.
+        pairs = [(joint, solve_p1(g, es, net)),
+                 (solve_comm_only(g, es), solve_p1(g, es, zero)),
+                 (solve_energy_only(ch, assoc, es, beta), solve_energy_only(ch, assoc, es, net)),
+                 (solve_no_coop(ch, assoc, es), solve_energy_only(ch, assoc, es, zero))]
+        for raw, built in pairs:
+            for f in dataclasses.fields(raw):
+                np.testing.assert_array_equal(getattr(built, f.name), getattr(raw, f.name))
+        assert kkt_residual(joint, g, es, net) == kkt_residual(joint, g, es, beta)
+        np.testing.assert_array_equal(recover_transfers(joint.p, es.budget, net, g.b),
+                                      recover_transfers(joint.p, es.budget, beta, g.b))
+
+
+def test_a_network_of_another_station_count_raises():
+    ch, _, es, assoc = _instance(3)
+    g = zf_gains(ch)
+    net = TransferNetwork(0.5, 3)
+    with pytest.raises(ValueError, match="shape"):
+        solve_p1(g, es, net)
+    with pytest.raises(ValueError, match="shape"):
+        solve_energy_only(ch, assoc, es, net)
+    with pytest.raises(ValueError, match="shape"):
+        recover_transfers(np.zeros(2), es.budget, net, g.b)
+    with pytest.raises(ValueError, match="shape"):
+        kkt_residual(solve_p1(g, es, 0.5), g, es, net)

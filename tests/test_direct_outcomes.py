@@ -104,14 +104,16 @@ def test_compare_prints_mean_cuts_only_when_both_records_carry_them(capsys):
     assert "iterations" not in direct_outcomes.compact(new)["seeds"]["1"]
 
 
-def _fake_workloads(monkeypatch, e_entry=0.25):
+def _fake_workloads(monkeypatch, e_entry=0.25, p_entry=1.0):
     """A stand-in for bench/workloads.py: one raise, one certificate
-    failure and two passes, the last with ``e[0, 1] = e_entry``."""
+    failure and two passes, the last with ``e[0, 1] = e_entry`` and
+    ``p[1] = p_entry``."""
     def solve(inst):
         if inst == 0:
             return ValueError("x")
         e = np.array([[0.0, e_entry if inst == 3 else 0.25], [0.0, 0.0]])
-        return types.SimpleNamespace(p=np.array([0.5, 1.0]), e=e, mu=np.array([2.0, 1.0]),
+        p = np.array([0.5, p_entry if inst == 3 else 1.0])
+        return types.SimpleNamespace(p=p, e=e, mu=np.array([2.0, 1.0]),
                                      objective=1.5, dual_value=1.5 + 1e-12,
                                      iterations=10 * min(inst, 2))
 
@@ -125,13 +127,14 @@ def _fake_workloads(monkeypatch, e_entry=0.25):
 def test_a_full_record_keeps_each_instance_s_iterations(monkeypatch):
     _fake_workloads(monkeypatch)
     rec = direct_outcomes.record([3])
-    digests = rec["3"].pop("digest")
+    digests, e_digests = rec["3"].pop("digest"), rec["3"].pop("e_digest")
     assert rec == {"3": {"class": ["raised:ValueError", "certificate:gap", "ok", "ok"],
                          "objective": [None, 1.5, 1.5, 1.5],
                          "iterations": [None, 10, 20, 20]}}
     # Equal solutions hash alike; #1 differs from them in its iterations.
     assert digests[0] is None and digests[2] == digests[3] != digests[1]
-    assert all(len(d) == 16 and int(d, 16) >= 0 for d in digests[1:])
+    assert e_digests[0] is None and e_digests[1] == e_digests[2] == e_digests[3]
+    assert all(len(d) == 16 and int(d, 16) >= 0 for d in digests[1:] + e_digests[1:])
 
 
 def test_compare_reports_a_last_bit_change_in_one_transfer(monkeypatch, capsys):
@@ -141,13 +144,34 @@ def test_compare_reports_a_last_bit_change_in_one_transfer(monkeypatch, capsys):
     new = direct_outcomes.record([3])
     assert direct_outcomes.compare(old, new) == 0
     out = capsys.readouterr().out
-    # Objective and iterations agree exactly; only the digest sees the change.
+    # Objective and iterations agree exactly; only the transfers' digest
+    # sees the change, and the rest of the solution keeps its digest.
     assert "objective or iterations changed on 0 of 2 passing instances (exact)" in out
-    assert "solution bits changed on 1 of 2 passing instances" in out
+    assert "solution bits changed on 0 of 2 passing instances" in out
+    assert "transfer bits changed on 1 of 2 passing instances" in out
     assert direct_outcomes.compare(old, old) == 0
-    assert "solution bits changed on 0 of 2 passing instances" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "solution bits changed on 0 of 2" in out and "transfer bits changed on 0 of 2" in out
     assert direct_outcomes.compare(direct_outcomes.compact(old), new) == 0
-    assert "solution bits" not in capsys.readouterr().out
+    assert "bits changed" not in capsys.readouterr().out
+
+
+def test_compare_reports_a_last_bit_change_in_one_power_apart_from_the_transfers(
+        monkeypatch, capsys):
+    _fake_workloads(monkeypatch)
+    old = direct_outcomes.record([3])
+    _fake_workloads(monkeypatch, p_entry=np.nextafter(1.0, 2.0))
+    new = direct_outcomes.record([3])
+    assert direct_outcomes.compare(old, new) == 0
+    out = capsys.readouterr().out
+    assert "solution bits changed on 1 of 2 passing instances" in out
+    assert "transfer bits changed on 0 of 2 passing instances" in out
+    # A record without e_digest (taken before it existed) prints the solution count only.
+    for rec in (old, new):
+        del rec["3"]["e_digest"]
+    assert direct_outcomes.compare(old, new) == 0
+    out = capsys.readouterr().out
+    assert "solution bits changed on 1 of 2" in out and "transfer bits" not in out
 
 
 def test_record_leaves_sys_path_as_it_was(monkeypatch):

@@ -166,6 +166,19 @@ def test_validation_rejects_bad_beta_and_skew():
     with pytest.raises(ScenarioError, match="unknown scheme"):
         Scenario(kind="two_cell_random", n_bs=2, m_ant=1, n_mt=2,
                  schemes=(SchemeSpec("comm-only"),), energy_db=(0.0, 10.0))
+    # A scheme that never transfers takes no beta, and one that does needs
+    # it, whether parsed or built directly.
+    for variant in ("comm_only", "none"):
+        with pytest.raises(ScenarioError, match=f"{variant} does not take a beta"):
+            scenario_from_mapping({"kind": "two_cell_random", "energy_db": "0, 10",
+                                   "schemes": f"{variant}@0.5"})
+        with pytest.raises(ScenarioError, match=f"{variant} does not take a beta"):
+            Scenario(kind="two_cell_random", n_bs=2, m_ant=1, n_mt=2,
+                     schemes=(SchemeSpec(variant, 0.5),), energy_db=(0.0, 10.0))
+    for variant in ("joint", "energy_only"):
+        with pytest.raises(ScenarioError, match=f"{variant} needs a beta"):
+            Scenario(kind="two_cell_random", n_bs=2, m_ant=1, n_mt=2,
+                     schemes=(SchemeSpec(variant),), energy_db=(0.0, 10.0))
     # two_cell_sweep takes its curves from betas; a schemes list would be
     # validated and then ignored.
     for schemes in ("comm_only, none", "joint"):

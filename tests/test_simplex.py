@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ecomp import InfeasibleError, phase1_feasible
-from ecomp.solver import _incidence
+from ecomp.energy import _incidence
 
 
 def test_finds_feasible_point_of_consistent_system():

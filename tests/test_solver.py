@@ -20,9 +20,9 @@ from ecomp import (
     zf_gains,
 )
 from ecomp import solver
-from ecomp.solver import (ConvergenceError, _best_paths, _DualProblem,
-                          _cancel_bidirectional, _incidence, _minimize_dual_1d,
-                          _minimize_dual_ellipsoid, _polish_dual)
+from ecomp.energy import TransferNetwork, _best_paths, _incidence
+from ecomp.solver import (ConvergenceError, _DualProblem, _cancel_bidirectional,
+                          _minimize_dual_1d, _minimize_dual_ellipsoid, _polish_dual)
 from verifiers import grid_search_p1, waterfill_sum_power
 
 
@@ -699,8 +699,7 @@ def _dual_problems(count):
             beta[u > 0.8] = 1.0
             if seed % 3 == 0:
                 beta[0, 1] = beta[1, 0] = 1.0
-        bm = as_beta_matrix(beta, n)
-        yield _DualProblem(g.a, g.b, g.weights, es.budget, bm, _best_paths(bm))
+        yield _DualProblem(g.a, g.b, g.weights, es.budget, TransferNetwork(beta, n))
 
 
 def _probe_points(prob, rng):
@@ -765,7 +764,7 @@ def test_violated_cut_keeps_the_argmax_rule_on_ties_and_zero_pairs():
                      [0.5, 0.5, 0.0, 0.0],
                      [0.5, 0.0, 0.0, 0.0]])
     g, es = _instance(300, n_bs=4, m_ant=2, n_mt=5)
-    prob = _DualProblem(g.a, g.b, g.weights, es.budget, beta, _best_paths(beta))
+    prob = _DualProblem(g.a, g.b, g.weights, es.budget, TransferNetwork(beta, 4))
     assert prob.n == 4
     for _ in range(3000):
         x = rng.choice([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0], size=4)
@@ -812,8 +811,7 @@ def test_a_degenerate_exit_is_converged_only_when_the_polish_accepts(monkeypatch
     monkeypatch.setattr(_DualProblem, "box", lambda self: [0.0] * self.n)
     monkeypatch.setattr(solver, "_polish_dual", lambda prob, x0: None)
     g, es = _instance(3, n_bs=3, m_ant=2, n_mt=4)
-    bm = as_beta_matrix(0.5, 3)
-    prob = _DualProblem(g.a, g.b, g.weights, es.budget, bm, _best_paths(bm))
+    prob = _DualProblem(g.a, g.b, g.weights, es.budget, TransferNetwork(0.5, 3))
     x, cuts, converged = _minimize_dual_ellipsoid(prob)
     assert (cuts, converged) == (1, False)
     ref = _ref_ellipsoid(prob, 1e-9, 5000 * 9, _box_start(prob), polish=lambda p, x0: None)
@@ -838,8 +836,8 @@ def test_one_price_dual_lies_in_the_bisection_bracket():
     for n in range(1, 7):
         g, es = _instance(200 + n, n_bs=n, m_ant=2, n_mt=n + 1)
         for scale in (1e-4, 1.0, 1e4):
-            bm = as_beta_matrix(1.0, n)
-            prob = _DualProblem(g.a, g.b, g.weights, es.budget * scale, bm, _best_paths(bm))
+            prob = _DualProblem(g.a, g.b, g.weights, es.budget * scale,
+                                TransferNetwork(1.0, n))
             assert prob.n == 1
             price = _minimize_dual_1d(prob)
             lo, hi = _ref_bisection(prob, 1e-9)
@@ -868,9 +866,8 @@ def _low_snr_problems(count):
     """The reduced duals ``solve_p1`` builds for ``_low_snr_instances``."""
     for g, es, beta in _low_snr_instances(count):
         scale = es.budget.max()
-        bm = as_beta_matrix(beta, es.n_bs)
-        yield _DualProblem(g.a * scale, g.b, g.weights, es.budget / scale, bm,
-                           _best_paths(bm))
+        yield _DualProblem(g.a * scale, g.b, g.weights, es.budget / scale,
+                           TransferNetwork(beta, es.n_bs))
 
 
 def _recorded_runs(monkeypatch):
@@ -928,13 +925,11 @@ def test_a_polish_prices_a_zero_price_group_that_overspends():
     accepted = 0
     for seed in range(30):
         g, _ = _instance(700 + seed)
-        beta = as_beta_matrix(0.0, 2)
-        rich = _DualProblem(g.a, g.b, g.weights, np.array([1.0, 1e3]), beta,
-                            _best_paths(beta))
+        net = TransferNetwork(0.0, 2)
+        rich = _DualProblem(g.a, g.b, g.weights, np.array([1.0, 1e3]), net)
         x0 = _minimize_dual_ellipsoid(rich)[0]
         assert x0[1] == 0.0
-        poor = _DualProblem(g.a, g.b, g.weights, np.array([1.0, 0.05]), beta,
-                            _best_paths(beta))
+        poor = _DualProblem(g.a, g.b, g.weights, np.array([1.0, 0.05]), net)
         x = _polish_dual(poor, x0)
         if x is None:
             continue
@@ -988,7 +983,7 @@ def test_a_round_whose_budget_rows_have_no_solution_stops_at_once(monkeypatch, x
     # From [0.5, 5] it drops station 1, then prices it again and accepts;
     # from [1, 30] it drops station 0, whose round stalls too.
     prob = _DualProblem(np.array([1.0, 2.0]), np.eye(2), np.array([1.0, 1.5]),
-                        np.array([1.0, 0.5]), np.zeros((2, 2)), _best_paths(np.zeros((2, 2))))
+                        np.array([1.0, 0.5]), TransferNetwork(0.0, 2))
     x0 = np.array(x0)
     calls = [0]
     lstsq = np.linalg.lstsq
@@ -1022,8 +1017,8 @@ def _random_betas():
 def _structure(beta):
     """The reduced dual of ``beta`` with one terminal that every station powers."""
     n = beta.shape[0]
-    return _DualProblem(np.ones(1), np.ones((n, 1)), np.ones(1), np.ones(n), beta,
-                        _best_paths(beta))
+    return _DualProblem(np.ones(1), np.ones((n, 1)), np.ones(1), np.ones(n),
+                        TransferNetwork(beta, n))
 
 
 def test_lossless_groups_match_the_reachability_reference():
@@ -1039,7 +1034,7 @@ def test_a_directed_lossless_cycle_is_one_group():
                      [1.0, 0.0, 0.0, 1.0],
                      [0.0, 0.7, 0.0, 0.0]])
     g, es = _instance(17, n_bs=4, m_ant=2, n_mt=5)
-    prob = _DualProblem(g.a, g.b, g.weights, es.budget, beta, _best_paths(beta))
+    prob = _DualProblem(g.a, g.b, g.weights, es.budget, TransferNetwork(beta, 4))
     assert prob.groups == [[0, 1, 2], [3]]
     np.testing.assert_array_equal(prob.label, [0, 0, 0, 1])
     np.testing.assert_array_equal(prob.betag, [[0.0, 1.0], [0.7, 0.0]])
@@ -1210,3 +1205,85 @@ def test_a_start_that_is_not_n_prices_raises_before_any_cut(monkeypatch, start):
     g, es = _instance(3)
     with pytest.raises(ValueError, match="start"):
         solve_p1(g, es, 0.5, start=start)
+
+
+def test_the_station_incidence_is_the_group_one_unless_stations_merge():
+    shared = merged = 0
+    for beta in _random_betas():
+        n = beta.shape[0]
+        net = TransferNetwork(beta, n)
+        ref = _incidence(as_beta_matrix(beta, n))
+        for got, want in zip((net.src, net.dst, net.d), ref):
+            np.testing.assert_array_equal(got, want)
+        shared += net.d is net.cone
+        merged += len(net.groups) < n
+        assert (net.d is net.cone) == (len(net.groups) == n)
+    assert shared >= 500 and merged >= 500
+
+
+# ---------------------------------------------------------------------------
+# Transfers: an accepted polish's flows, the LP as the fallback
+
+
+def test_an_accepted_polish_s_flows_are_the_transfers(monkeypatch):
+    """Without merged stations an accepted polish's flows give e; the
+    closed-form duals (one price, per-station precoding) still take the LP.
+    Every returned e is nonnegative, meets every budget, passes the KKT
+    bound and sends nothing both ways between two stations."""
+    events = []
+
+    def record(name, event):
+        real = getattr(solver, name)
+
+        def wrapped(*args, **kwargs):
+            out = real(*args, **kwargs)
+            if out is not None:
+                events.append(event)
+            return out
+
+        monkeypatch.setattr(solver, name, wrapped)
+
+    record("_minimize_dual_1d", "one price")
+    record("_minimize_dual_separable", "separable")
+    record("recover_transfers", "lp")
+    record("_polished_transfers", "flows")
+    cases = ([(g, es, beta, 1.0) for g, es, beta in _direct_instances(200)]
+             + [(g, es, beta, 1.0 / es.n_bs) for g, es, beta in _per_bs_instances(60)])
+    counts = {}
+    for g, es, beta, bw in cases:
+        events.clear()
+        sol = solve_p1(g, es, beta, bandwidth=bw)
+        if events[:1] in (["one price"], ["separable"]):
+            assert events[1:] == ["lp"]
+        assert events.count("flows") + events.count("lp") <= 1
+        key = (events[0] if events else "none", "matrix" if np.ndim(beta) else "scalar")
+        counts[key] = counts.get(key, 0) + 1
+        bm = as_beta_matrix(beta, es.n_bs)
+        slack = es.budget + (bm * sol.e).sum(axis=0) - sol.e.sum(axis=1) - g.b @ sol.p
+        assert np.all(sol.e >= 0) and np.min(slack) >= -1e-6 * np.max(es.budget)
+        assert kkt_residual(sol, g, es, beta, bandwidth=bw) <= 1e-5
+        assert not np.any((sol.e > 0) & (sol.e.T > 0))
+    assert counts[("flows", "scalar")] >= 50 and counts[("flows", "matrix")] >= 50
+    assert counts[("one price", "scalar")] >= 10 and counts[("separable", "scalar")] >= 30
+
+
+def test_flows_short_of_a_deficit_fall_back_to_the_lp_and_only_e_differs(monkeypatch):
+    # Deficits raised by 2 RECOVERY_TOL leave a free station short, since
+    # the polish meets its budget row; the LP then recovers the transfers
+    # for the same powers and prices.
+    real, fallbacks = solver._polished_transfers, []
+
+    def short(net, rows, flow, deficit):
+        e = real(net, rows, flow, deficit + 2 * solver.RECOVERY_TOL)
+        fallbacks.append(e is None)
+        return e
+
+    for g, es, beta in _direct_instances(60):
+        flows = solve_p1(g, es, beta)
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_polished_transfers", short)
+            lp = solve_p1(g, es, beta)
+        for f in dataclasses.fields(lp):
+            if f.name != "e":
+                np.testing.assert_array_equal(getattr(lp, f.name), getattr(flows, f.name))
+    assert len(fallbacks) >= 30 and all(fallbacks)

@@ -7,10 +7,13 @@
 The first form solves each instance of ``make_direct`` (``bench/workloads.py``)
 once per seed and writes its class -- ``ok``, ``raised:<Class>`` or
 ``certificate:<check,...>`` with the benchmark's own checks -- its
-objective, its ``iterations`` and the ``digest`` of the whole solution
-(all null when the solve raised).  The digest is 16 hex digits of BLAKE2b
-over the bytes of ``p``, ``e`` and ``mu`` and of the objective, the dual
-value and the iterations, so equal digests mean bit-identical results.  With
+objective, its ``iterations``, the ``digest`` of the solution without its
+transfers and the ``e_digest`` of its transfers (all null when the solve
+raised).  The digest is 16 hex digits of BLAKE2b over the bytes of ``p``
+and ``mu`` and of the objective, the dual value and the iterations, the
+e_digest the same over the bytes of ``e``; equal digest pairs mean
+bit-identical results, and a change that only moves the transfers keeps
+every digest.  With
 ``--compact`` it writes only the numpy version, each seed's instance count
 and its failing instances with their class; every instance not listed is
 ``ok``.  The third form prints the per-seed ``failed`` counts, the
@@ -22,8 +25,8 @@ objective.  When both records carry
 iterations, it also prints each seed's mean ellipsoid cuts: the mean of
 the positive ``iterations`` (closed-form solves take none), and how many
 instances that pass on both sides changed their objective or their
-iterations at all, compared exactly.  When both records carry digests,
-it prints on how many of those instances the solution's bits changed.
+iterations at all, compared exactly.  For each digest both records
+carry, it prints on how many of those instances its bits changed.
 Either side may be compact.  It exits 1 when an instance that passes in
 OLD fails in NEW.
 
@@ -48,6 +51,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MOVED_RTOL = 1e-9
+# The digests a full record carries, and what --compare calls each.
+DIGESTS = {"digest": "solution", "e_digest": "transfer"}
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -60,12 +65,17 @@ def parse_seeds(text: str) -> list[int]:
 
 
 def digest(sol) -> str:
-    """16 hex digits of BLAKE2b over p, e, mu, objective, dual value and cuts."""
+    """16 hex digits of BLAKE2b over p, mu, objective, dual value and cuts."""
     h = hashlib.blake2b(digest_size=8)
-    for arr in (sol.p, sol.e, sol.mu):
+    for arr in (sol.p, sol.mu):
         h.update(arr.tobytes())
     h.update(struct.pack("<ddq", sol.objective, sol.dual_value, sol.iterations))
     return h.hexdigest()
+
+
+def e_digest(sol) -> str:
+    """16 hex digits of BLAKE2b over the transfers e."""
+    return hashlib.blake2b(sol.e.tobytes(), digest_size=8).hexdigest()
 
 
 def record(seeds: list[int]) -> dict:
@@ -79,24 +89,20 @@ def record(seeds: list[int]) -> dict:
 
     out = {}
     for seed in seeds:
-        classes, objectives, iterations, digests = [], [], [], []
+        rec = {key: [] for key in ("class", "objective", "iterations", "digest", "e_digest")}
         for inst in wl.make_direct(seed):
             sol = wl.solve(inst)
             if isinstance(sol, Exception):
-                classes.append(f"raised:{type(sol).__name__}")
-                objectives.append(None)
-                iterations.append(None)
-                digests.append(None)
-                continue
-            bad = wl.certificate_failures(inst, sol)
-            classes.append("certificate:" + ",".join(bad) if bad else "ok")
-            objectives.append(sol.objective)
-            iterations.append(sol.iterations)
-            digests.append(digest(sol))
-        out[str(seed)] = {"class": classes, "objective": objectives,
-                          "iterations": iterations, "digest": digests}
-        print(f"seed {seed}: failed {sum(c != 'ok' for c in classes)} "
-              f"of {len(classes)}", file=sys.stderr)
+                got = [f"raised:{type(sol).__name__}", None, None, None, None]
+            else:
+                bad = wl.certificate_failures(inst, sol)
+                got = ["certificate:" + ",".join(bad) if bad else "ok", sol.objective,
+                       sol.iterations, digest(sol), e_digest(sol)]
+            for values, value in zip(rec.values(), got):
+                values.append(value)
+        out[str(seed)] = rec
+        print(f"seed {seed}: failed {sum(c != 'ok' for c in rec['class'])} "
+              f"of {len(rec['class'])}", file=sys.stderr)
     return out
 
 
@@ -135,7 +141,8 @@ def compare(old: dict, new: dict) -> int:
     newly_failing, newly_passing, swaps, moved = [], [], [], []
     worst, worst_at = 0.0, None
     total_old = total_new = both = priced = 0
-    exact = changed = hashed = flipped = 0
+    exact = changed = 0
+    flipped = {key: [0, 0] for key in DIGESTS}     # [changed, compared]
     for seed in sorted(set(old) & set(new), key=int):
         a, b = old[seed], new[seed]
         if len(a["class"]) != len(b["class"]):
@@ -146,7 +153,6 @@ def compare(old: dict, new: dict) -> int:
         total_old, total_new = total_old + fail_a, total_new + fail_b
         print(f"seed {seed}: failed {fail_a} -> {fail_b}")
         full = "iterations" in a and "iterations" in b
-        bits = "digest" in a and "digest" in b
         if full:
             print(f"seed {seed}: mean cuts {mean_cuts(a)} -> {mean_cuts(b)}")
         for idx, (ca, cb) in enumerate(zip(a["class"], b["class"])):
@@ -163,9 +169,10 @@ def compare(old: dict, new: dict) -> int:
                 if full:
                     exact += 1
                     changed += fa != fb or a["iterations"][idx] != b["iterations"][idx]
-                if bits:
-                    hashed += 1
-                    flipped += a["digest"][idx] != b["digest"][idx]
+                for key, count in flipped.items():
+                    if key in a and key in b:
+                        count[0] += a[key][idx] != b[key][idx]
+                        count[1] += 1
                 if fa is None or fb is None:
                     continue
                 priced += 1
@@ -178,8 +185,10 @@ def compare(old: dict, new: dict) -> int:
     if exact:
         print(f"objective or iterations changed on {changed} of {exact} "
               "passing instances (exact)")
-    if hashed:
-        print(f"solution bits changed on {flipped} of {hashed} passing instances")
+    for key, (moved_bits, hashed) in flipped.items():
+        if hashed:
+            print(f"{DIGESTS[key]} bits changed on {moved_bits} of {hashed} "
+                  "passing instances")
     lists = [("newly failing", newly_failing), ("newly passing", newly_passing),
              ("class swaps", swaps)]
     if priced:
