@@ -9,6 +9,7 @@ all that solves over them share; the solver finds the transfer pattern.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +24,12 @@ class EnergyState:
     circuit: float = 0.0     # constant non-transmission power P_C
 
     def __post_init__(self):
-        re = np.atleast_1d(np.asarray(self.re, dtype=float))
+        re = np.asarray(self.re, dtype=float)
         object.__setattr__(self, "re", re)
+        if re.ndim != 1 or re.size == 0:
+            raise ValueError(f"renewable rates must be a nonempty 1-D array; got shape {re.shape}")
+        if not all(isinstance(v, numbers.Real) for v in (self.grid, self.circuit)):
+            raise ValueError("grid draw G and circuit power P_C must be real scalars")
         if not np.all(np.isfinite(np.append(re, [self.grid, self.circuit]))):
             raise ValueError("renewable rates, grid draw and circuit power must be finite")
         if np.any(re < 0):
@@ -90,7 +95,9 @@ class TransferNetwork:
 
     Best ``paths``; lossless ``groups`` (paths of 1 both ways, which float products of factors
     <= 1 give only on loss-free links) and ``label``; group ``betag``, ``pathsg``, ``cone`` and
-    ``edges`` (g, h, b); station incidence ``(src, dst, d)``, the group one if none merge.
+    ``edges`` (g, h, b), ``beta1`` (the one cross-group efficiency, zero pairs included, if below
+    1, else None); station incidence ``(src, dst, d)``, the group one if none merge, and
+    recovery's ``phase1`` matrix [D^T | I].
     """
 
     def __init__(self, beta, n_bs: int):
@@ -108,7 +115,10 @@ class TransferNetwork:
             np.fill_diagonal(group_level, 0.0)
         src, dst, self.cone = _incidence(self.betag)
         self.edges = list(zip(src.tolist(), dst.tolist(), self.betag[src, dst].tolist()))
+        off = set(self.betag[~np.eye(ng, dtype=bool)].tolist())
+        self.beta1 = min(off) if len(off) == 1 and min(off) < 1.0 else None
         self.src, self.dst, self.d = (src, dst, self.cone) if ng == n_bs else _incidence(self.beta)
+        self.phase1 = np.hstack([self.d.T, np.eye(n_bs)])
 
     @classmethod
     def of(cls, beta, n_bs: int) -> TransferNetwork:

@@ -80,16 +80,17 @@ class _DualProblem:
     the ``TransferNetwork`` shares a price (``paths`` is its ``pathsg``).
     ``bg[g, k]`` is what terminal k spends at group g per unit power, ``eg``
     the group budgets.  An accepted ``_polish_dual`` leaves ``polished``: its
-    last oracle's powers and value (at its prices), active edges and flows.
+    last oracle's powers and value (at its prices), active cone rows and flows.
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray, w: np.ndarray, budget: np.ndarray, network):
         self.n, self.label, self.groups = len(network.groups), network.label, network.groups
-        self.betag, self.paths = network.betag, network.pathsg
+        self.betag, self.paths, self.beta1 = network.betag, network.pathsg, network.beta1
         self.cone, self.edges = network.cone, network.edges
         self.w, self.a = w, a
-        self.bg = np.array([b[g].sum(axis=0) for g in self.groups])
-        self.eg = np.array([budget[g].sum() for g in self.groups])
+        one = self.n == network.n_bs        # every group is one station
+        self.bg = b if one else np.array([b[g].sum(axis=0) for g in self.groups])
+        self.eg = budget if one else np.array([budget[g].sum() for g in self.groups])
         self.polished = None
         # Float tables for the oracle: per terminal (bg[:, k], w_k, a_k, 1/a_k); bg's rows.
         self._terminals = list(zip(self.bg.T.tolist(), w.tolist(), a.tolist(),
@@ -206,12 +207,10 @@ def _minimize_dual_separable(prob: _DualProblem) -> np.ndarray | None:
     times beta) it reads A - B / L, so the root is B / A on the first
     piece whose right end has Phi' >= 0.
     """
-    owner = prob.bg > 0
-    beta = prob.betag[~np.eye(prob.n, dtype=bool)]
-    if np.any(owner.sum(axis=0) != 1) or np.any(beta != beta[0]) or beta[0] >= 1.0:
+    beta = prob.beta1
+    if beta is None or any(sum(c > 0 for c in col) != 1 for col, *_ in prob._terminals):
         return None
-    beta = float(beta[0])
-    grp = np.argmax(owner, axis=0)
+    grp = np.argmax(prob.bg > 0, axis=0)
     c = prob.bg[grp, np.arange(grp.size)]
     x_star, tau = _water_levels(prob, c, grp)
     if beta == 0.0:
@@ -328,129 +327,136 @@ def _polish_dual(prob: _DualProblem, x0: np.ndarray) -> np.ndarray | None:
     at its first singular Newton step, stalls at once: it skips only steps
     that could not pass the test (and a failed or non-finite lstsq among
     them, which would reject).  Returns the refined prices, or None when
-    none validate; an accepted round leaves ``prob.polished``.
+    none validate; an accepted round leaves ``prob.polished``.  numpy builds
+    the Jacobian, multiplies by it and the cone and runs the equilibrated
+    lstsq; the rest runs on Python values, in numpy's float operations.
     """
-    scale = max(float(x0.max()), 1e-12)
-    p0, f0, slack = prob.oracle(x0)
-    p0, slack = np.array(p0), np.array(slack)
-    active_p = p0 > 1e-8 * max(float(p0.max(initial=0.0)), 1.0)
-    free = x0 > 1e-7 * scale
+    xs = x0.tolist()
+    scale = max(max(xs), 1e-12)
+    big = max(scale, 1.0)
+    p0, f0, slack = prob.oracle(xs)
+    p_on = 1e-8 * max(p0 + [1.0])
+    active_p = [p > p_on for p in p0]
+    free = [x > 1e-7 * scale for x in xs]
     # Over-include nearly-active edges: spurious ones are pruned when their
     # flow comes out negative, while a missing edge leaves the balance
     # equations inconsistent and stalls the Newton iteration.
-    edges = prob.cone @ x0 < 1e-3 * scale
+    edges = [c < 1e-3 * scale for c in (prob.cone @ x0).tolist()]
 
     # A round depends only on the three sets, so a repeated one would cycle
     # through the remaining rounds to a rejection.
     seen = set()
     for _ in range(6):          # active-set adjustment rounds
-        sets = (active_p.tobytes(), free.tobytes(), edges.tobytes())
+        sets = (tuple(active_p), tuple(free), tuple(edges))
         if sets in seen:
             return None
         seen.add(sets)
-        ks, gs = active_p.nonzero()[0], free.nonzero()[0]
-        if not ks.size or not gs.size:
+        ks, gs, rows = ([i for i, on in enumerate(s) if on] for s in sets)
+        if not ks or not gs:
             return None
-        nk, ng = ks.size, gs.size
-        d_act = prob.cone[edges]
-        dg = d_act[:, gs]
-        jac = np.zeros((nk + ng + dg.shape[0],) * 2)
-        bgk = prob.bg[gs][:, ks]
+        nk, ng = len(ks), len(gs)
+        d_act = prob.cone.take(rows, 0)
+        dg = d_act.take(gs, 1)
+        jac = np.zeros((nk + ng + len(rows),) * 2)
+        bgk = prob.bg.take(gs, 0).take(ks, 1)
         jac[:nk, :ng] = -bgk.T
         jac[nk:nk + ng, ng:ng + nk] = bgk
         jac[nk:nk + ng, ng + nk:] = dg.T
         jac[nk + ng:, :ng] = 0.0 - dg       # keeps the zeros +0.0
         # S is at (k, ng + k); the other entries and their row maxima are fixed.
-        flat, diag = jac.reshape(-1), np.arange(nk) * (jac.shape[0] + 1) + ng
-        off_s = abs(jac).max(axis=1)
-        a, eg = prob.a[ks], prob.eg[gs]
-        wa, hess = prob.w[ks] * a, -prob.w[ks] * a ** 2
+        s_diag = jac.reshape(-1)[ng::jac.shape[0] + 1][:nk]
+        off_s = abs(jac).max(axis=1).tolist()
+        off_rest = [o or 1.0 for o in off_s[nk:]]
+        a = [prob._terminals[k][2] for k in ks]
+        wa = [prob._terminals[k][1] * ak for k, ak in zip(ks, a)]
+        hess = [-prob._terminals[k][1] * (ak * ak) for k, ak in zip(ks, a)]
+        eg = [prob._eg[g] for g in gs]
 
-        v = np.concatenate([x0[gs], p0[ks], np.zeros(dg.shape[0])])
+        v = [xs[g] for g in gs] + [p0[k] for k in ks] + [0.0] * len(rows)
         ok = checked = False
         # Converging rounds pass the residual test within about 19 steps;
         # a round still short of it after 20 has stalled.
         for _ in range(20):
-            denom = 1.0 + a * v[ng:ng + nk]
-            flat[diag] = 0.0
-            f = jac @ v
-            f[:nk] += wa / (LN2 * denom)
-            f[nk:nk + ng] -= eg
-            flat[diag] = s_k = hess / (LN2 * denom ** 2)
             # The residual lives in price units while the powers respond with
             # a factor ~1/s^2, so take one more step after the residual test
             # before accepting: quadratic convergence squares the power error.
             if ok:
                 break
-            if abs(f).max() < 1e-12 * max(scale, 1.0):
-                ok = True
+            denom = [1.0 + ak * pk for ak, pk in zip(a, v[ng:ng + nk])]
+            s_diag[:] = 0.0
+            f = (jac @ v).tolist()
+            try:    # at a zero divisor numpy's inf would give lstsq a NaN matrix: reject
+                f[:nk] = [fk + c / (LN2 * d) for fk, c, d in zip(f, wa, denom)]
+                s_diag[:] = s_k = [h / (LN2 * (d * d)) for h, d in zip(hess, denom)]
+            except ZeroDivisionError:
+                return None
+            f[nk:nk + ng] = [fg - e for fg, e in zip(f[nk:], eg)]
+            ok = all(abs(r) < 1e-12 * big for r in f)
             # Equilibrate: stationarity rows are O(a^2) while budget rows are
             # O(1), and the raw system's conditioning caps lstsq accuracy.
-            row_s = off_s.copy()
-            row_s[:nk] = np.maximum(off_s[:nk], abs(s_k))
-            row_s[row_s == 0.0] = 1.0
-            jac_r = jac / row_s[:, None]
+            # A NaN in S reaches its row scale, as np.maximum would carry it.
+            row_s = [(o if o >= abs(s) else abs(s)) or 1.0 for o, s in zip(off_s, s_k)] + off_rest
+            jac_r = jac / np.array(row_s)[:, None]
             col_s = abs(jac_r).max(axis=0)
             col_s[col_s == 0.0] = 1.0
             try:
-                step, _, rank, _ = np.linalg.lstsq(jac_r / col_s[None, :], -f / row_s,
-                                                   rcond=None)
+                step, _, rank, _ = np.linalg.lstsq(
+                    jac_r / col_s[None, :], [-r / s for r, s in zip(f, row_s)], rcond=None)
                 # The budget rows [B | Dg^T] y = eg are linear, so every
                 # iterate has max|f| >= |r|_2 / sqrt(ng) for their least-
                 # squares residual r.  Where that bound is 1000x the residual
                 # test's, no step can pass it: the round has stalled.
-                if not checked and rank < f.size:
+                if not checked and rank < len(f):
                     checked = True
-                    rows = jac[nk:nk + ng, ng:]
-                    r = rows @ np.linalg.lstsq(rows, eg, rcond=None)[0] - eg
-                    if np.linalg.norm(r) > math.sqrt(ng) * 1e-9 * max(scale, 1.0):
+                    budget_rows = jac[nk:nk + ng, ng:]
+                    r = budget_rows @ np.linalg.lstsq(budget_rows, eg, rcond=None)[0] - eg
+                    if np.linalg.norm(r) > math.sqrt(ng) * 1e-9 * big:
                         break
             except np.linalg.LinAlgError:
                 return None
-            step = step / col_s
-            if not np.isfinite(step).all():
+            step = (step / col_s).tolist()
+            if not all(map(math.isfinite, step)):
                 return None
-            v = v + step
+            v = [vi + si for vi, si in zip(v, step)]
         if not ok:
             # Newton can stall when a nearly-zero price was misread as a
             # tight budget, making the balance equations inconsistent.
             # Drop the free group with the largest surplus and retry.
-            g_drop = gs[slack[gs].argmax()]
+            g_drop = max(gs, key=slack.__getitem__)
             if ng > 1 and slack[g_drop] > 0:
                 free[g_drop] = False
                 continue
             return None
-        xx = np.zeros(prob.n)
-        xx[gs] = v[:ng]
+        at = dict(zip(gs, v))
+        xx = [at.get(g, 0.0) for g in range(prob.n)]
         # Validate the active-set guess; shrink it where signs flipped.
         # Terminals left out of the active set can come back above the water
         # level at the refined prices; transfer recovery sees their power, so
         # the balance equations must too.
         flow = v[ng + nk:]
-        neg_e = flow < -1e-9 * max(scale, 1.0)
-        neg_k = ks[v[ng:ng + nk] < -1e-10]
-        p_xx, f_xx, spare = prob.oracle(np.maximum(xx, 0.0))
-        rises = np.array(p_xx) > 0.0
-        neg_x = xx < -1e-10 * scale
+        neg_e = [i for i, fl in zip(rows, flow) if fl < -1e-9 * big]
+        neg_k = [k for k, p in zip(ks, v[ng:]) if p < -1e-10]
+        xx_plus = [x if x > 0.0 else 0.0 for x in xx]     # +0.0 at -0.0, as np.maximum
+        p_xx, f_xx, spare = prob.oracle(xx_plus)
+        rises = [p > 0.0 for p in p_xx]
+        neg_x = [x < -1e-10 * scale for x in xx]
         # A group held at price 0 has no budget row; with the flows on the
         # active edges it must still not overspend, or it gets a price.
-        spare = np.array(spare) - d_act.T @ flow
-        over = ~free & (spare < -1e-9 * scale)
-        if (neg_e.any() or neg_k.size or (rises & ~active_p).any() or neg_x.any()
-                or over.any()):
-            edges[edges.nonzero()[0][neg_e]] = False
-            active_p[neg_k] = False
-            active_p |= rises
-            free &= ~neg_x
-            free |= over
+        sent = (d_act.T @ flow).tolist()
+        over = [not fr and s - t < -1e-9 * scale for fr, s, t in zip(free, spare, sent)]
+        if (neg_e or neg_k or any(r and not on for r, on in zip(rises, active_p))
+                or any(neg_x) or any(over)):
+            edges = [on and i not in neg_e for i, on in enumerate(edges)]
+            active_p = [(on and k not in neg_k) or r
+                        for k, (on, r) in enumerate(zip(active_p, rises))]
+            free = [(fr and not nx) or ov for fr, nx, ov in zip(free, neg_x, over)]
             continue
-        xx = np.maximum(xx, 0.0)
-        if (prob.cone @ xx < -1e-9 * max(scale, 1.0)).any():
+        if any(c < -1e-9 * big for c in (prob.cone @ xx_plus).tolist()):
             return None
-        if f_xx > f0 + 1e-9 * max(scale, 1.0):
+        if f_xx > f0 + 1e-9 * big:
             return None
-        prob.polished = (p_xx, f_xx, edges, flow)
-        return xx
+        prob.polished = (p_xx, f_xx, rows, flow)
+        return np.array(xx_plus)
     return None
 
 
@@ -525,7 +531,7 @@ def recover_transfers(p_star, budget: np.ndarray, beta, b: np.ndarray) -> np.nda
             raise InfeasibleError(float(deficit.max()))
         return np.zeros((n, n))
     # Row i: (D^T e)_i + slack_i = -deficit_i.
-    x = phase1_feasible(np.hstack([net.d.T, np.eye(n)]), -deficit, tol=RECOVERY_TOL)
+    x = phase1_feasible(net.phase1, -deficit, tol=RECOVERY_TOL)
     e = np.zeros((n, n))
     e[net.src, net.dst] = x[:net.src.size]
     return _cancel_bidirectional(e, net.beta)
@@ -564,7 +570,7 @@ def solve_p1(gains: ZfGains, es: EnergyState, beta,
     n, k_all = b.shape
     if start is not None:
         start = np.asarray(start, dtype=float)
-        if start.shape != (n,) or not (np.isfinite(start) & (start >= 0.0)).all():
+        if start.shape != (n,) or not all(0.0 <= s < math.inf for s in start.tolist()):
             raise ValueError(f"start must hold {n} finite prices >= 0; got {start}")
     net = TransferNetwork.of(beta, n)
     w = gains.weights * bandwidth

@@ -104,23 +104,35 @@ def test_compare_prints_mean_cuts_only_when_both_records_carry_them(capsys):
     assert "iterations" not in direct_outcomes.compact(new)["seeds"]["1"]
 
 
-def _fake_workloads(monkeypatch, e_entry=0.25, p_entry=1.0):
+def _fake_workloads(monkeypatch, e_entry=0.25, p_entry=1.0, w_entry=1.0):
     """A stand-in for bench/workloads.py: one raise, one certificate
     failure and two passes, the last with ``e[0, 1] = e_entry`` and
-    ``p[1] = p_entry``."""
-    def solve(inst):
-        if inst == 0:
-            return ValueError("x")
-        e = np.array([[0.0, e_entry if inst == 3 else 0.25], [0.0, 0.0]])
-        p = np.array([0.5, p_entry if inst == 3 else 1.0])
-        return types.SimpleNamespace(p=p, e=e, mu=np.array([2.0, 1.0]),
+    ``p[1] = p_entry``, and with ``p[1] = w_entry`` when solved warm
+    (``w_entry=None`` makes that warm solve raise)."""
+    def solution(idx, e_01=0.25, p_1=1.0, start=None):
+        e = np.array([[0.0, e_01], [0.0, 0.0]])
+        return types.SimpleNamespace(p=np.array([0.5, p_1]), e=e, mu=np.array([2.0, 1.0]),
                                      objective=1.5, dual_value=1.5 + 1e-12,
-                                     iterations=10 * min(inst, 2))
+                                     iterations=10 * min(idx, 2) if start is None else 0)
+
+    def solve(inst):
+        if inst.gains == 0:
+            return ValueError("x")
+        last = inst.gains == 3
+        return solution(inst.gains, e_entry if last else 0.25, p_entry if last else 1.0)
+
+    def solve_p1(gains, es, beta, start):
+        assert np.array_equal(start, [1.0, 0.5])
+        if gains == 3 and w_entry is None:
+            raise ValueError("warm")
+        return solution(gains, p_1=w_entry if gains == 3 else 1.0, start=start)
 
     fake = types.ModuleType("workloads")
-    fake.make_direct = lambda seed: [0, 1, 2, 3]
+    fake.make_direct = lambda seed: [types.SimpleNamespace(gains=i, es=None, beta=None)
+                                     for i in range(4)]
     fake.solve = solve
-    fake.certificate_failures = lambda inst, sol: ["gap"] if inst == 1 else []
+    fake.solver = types.SimpleNamespace(solve_p1=solve_p1)
+    fake.certificate_failures = lambda inst, sol: ["gap"] if inst.gains == 1 else []
     monkeypatch.setitem(sys.modules, "workloads", fake)
 
 
@@ -128,13 +140,19 @@ def test_a_full_record_keeps_each_instance_s_iterations(monkeypatch):
     _fake_workloads(monkeypatch)
     rec = direct_outcomes.record([3])
     digests, e_digests = rec["3"].pop("digest"), rec["3"].pop("e_digest")
+    w_digests = rec["3"].pop("w_digest")
     assert rec == {"3": {"class": ["raised:ValueError", "certificate:gap", "ok", "ok"],
                          "objective": [None, 1.5, 1.5, 1.5],
                          "iterations": [None, 10, 20, 20]}}
     # Equal solutions hash alike; #1 differs from them in its iterations.
     assert digests[0] is None and digests[2] == digests[3] != digests[1]
     assert e_digests[0] is None and e_digests[1] == e_digests[2] == e_digests[3]
-    assert all(len(d) == 16 and int(d, 16) >= 0 for d in digests[1:] + e_digests[1:])
+    # Only passing instances are solved warm; their warm solves differ from
+    # the cold ones in the iterations alone.
+    assert w_digests[:2] == [None, None] and w_digests[2] == w_digests[3]
+    assert w_digests[2] not in digests + e_digests
+    assert all(len(d) == 16 and int(d, 16) >= 0
+               for d in digests[1:] + e_digests[1:] + w_digests[2:])
 
 
 def test_compare_reports_a_last_bit_change_in_one_transfer(monkeypatch, capsys):
@@ -172,6 +190,24 @@ def test_compare_reports_a_last_bit_change_in_one_power_apart_from_the_transfers
     assert direct_outcomes.compare(old, new) == 0
     out = capsys.readouterr().out
     assert "solution bits changed on 1 of 2" in out and "transfer bits" not in out
+
+
+def test_compare_reports_a_last_bit_change_in_a_warm_solve_alone(monkeypatch, capsys):
+    _fake_workloads(monkeypatch)
+    old = direct_outcomes.record([3])
+    _fake_workloads(monkeypatch, w_entry=np.nextafter(1.0, 2.0))
+    new = direct_outcomes.record([3])
+    assert direct_outcomes.compare(old, new) == 0
+    out = capsys.readouterr().out
+    assert "solution bits changed on 0 of 2 passing instances" in out
+    assert "transfer bits changed on 0 of 2 passing instances" in out
+    assert "warm bits changed on 1 of 2 passing instances" in out
+    # A warm solve that raises is recorded by its class, and counts as changed.
+    _fake_workloads(monkeypatch, w_entry=None)
+    raised = direct_outcomes.record([3])
+    assert raised["3"]["w_digest"][3] == "raised:ValueError"
+    assert direct_outcomes.compare(old, raised) == 0
+    assert "warm bits changed on 1 of 2" in capsys.readouterr().out
 
 
 def test_record_leaves_sys_path_as_it_was(monkeypatch):

@@ -27,6 +27,13 @@ def test_energy_state_rejects_negative_supply():
                    {"re": [1.0], "circuit": nan}):
         with pytest.raises(ValueError, match="finite"):
             EnergyState(**kwargs)
+    # Shapes no solver can use: stations must be one nonempty axis, G and P_C scalars.
+    for re in ([[1.0], [2.0]], [[1.0, 2.0]], [], 1.0):
+        with pytest.raises(ValueError, match="1-D"):
+            EnergyState(re=re)
+    for kwargs in ({"grid": np.array([1.0, 2.0])}, {"grid": "2"}, {"circuit": [0.5]}):
+        with pytest.raises(ValueError, match="scalars"):
+            EnergyState(re=[1.0], **kwargs)
 
 
 def test_as_beta_matrix_scalar_expansion():

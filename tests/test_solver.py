@@ -972,6 +972,18 @@ def test_polish_matches_the_loop_reference():
     assert polished >= 150 and rejected >= 30
 
 
+def _counting(monkeypatch, owner, name):
+    """Patch ``owner.name`` with a wrapper that counts its calls; returns the count."""
+    calls, real = [0], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("x0, accepts", [([0.5, 5.0], True), ([1.0, 30.0], False)])
 def test_a_round_whose_budget_rows_have_no_solution_stops_at_once(monkeypatch, x0, accepts):
     # Station 1 serves only terminal 1, which is off at x0 (its cutoff
@@ -985,20 +997,48 @@ def test_a_round_whose_budget_rows_have_no_solution_stops_at_once(monkeypatch, x
     prob = _DualProblem(np.array([1.0, 2.0]), np.eye(2), np.array([1.0, 1.5]),
                         np.array([1.0, 0.5]), TransferNetwork(0.0, 2))
     x0 = np.array(x0)
-    calls = [0]
-    lstsq = np.linalg.lstsq
-
-    def counting(*args, **kwargs):
-        calls[0] += 1
-        return lstsq(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "lstsq", counting)
+    calls = _counting(monkeypatch, np.linalg, "lstsq")
     got = _polish_dual(prob, x0)
     polish_calls, calls[0] = calls[0], 0
     ref = _ref_polish(prob, x0)
     assert (got is None) == (ref is None) == (not accepts)
     assert got is None or np.array_equal(got, ref)
     assert polish_calls < calls[0] / 4
+
+
+def test_a_warm_solve_from_its_own_optimum_costs_its_newton_steps(monkeypatch):
+    # A sweep2-sized draw (2 stations, 1 antenna, 2 terminals) at beta 0.5,
+    # restarted from its own prices: no cut, two Newton steps (one lstsq
+    # each) and two oracle calls, at the start prices and at the result.
+    g, es = _instance(0)
+    start = solve_p1(g, es, 0.5).mu
+    lstsq = _counting(monkeypatch, np.linalg, "lstsq")
+    oracle = _counting(monkeypatch, _DualProblem, "oracle")
+    warm = solve_p1(g, es, 0.5, start=start)
+    assert warm.iterations == 0
+    assert (lstsq[0], oracle[0]) == (2, 2)
+
+
+@pytest.mark.parametrize("power_step, rejects_at", [(-1.0, "1 + a p == 0"), (np.nan, "nan")])
+def test_a_step_numpy_would_carry_as_inf_or_nan_rejects_without_raising(
+        monkeypatch, power_step, rejects_at):
+    # w = ln2 and unit prices put both powers at exactly 1 - 1/a = 0.5, and
+    # each power's column scale is exactly 1 (its budget row holds one 1).
+    # A step of -1 on power 0 then lands it on -1/a, so the next residual
+    # divides by 1 + a p = 0, where numpy gave inf and Python raises; a NaN
+    # step fails the finite check.  Both reject after one lstsq call.
+    prob = _DualProblem(np.array([2.0, 2.0]), np.eye(2), np.full(2, math.log(2.0)),
+                        np.ones(2), TransferNetwork(0.0, 2))
+    assert prob.oracle([1.0, 1.0])[0] == [0.5, 0.5]
+    calls = [0]
+
+    def stub(a_mat, rhs, rcond=None):
+        calls[0] += 1
+        return np.array([0.0, 0.0, power_step, 0.0]), np.zeros(0), len(rhs), np.ones(len(rhs))
+
+    monkeypatch.setattr(np.linalg, "lstsq", stub)
+    assert _polish_dual(prob, np.array([1.0, 1.0])) is None, rejects_at
+    assert calls[0] == 1
 
 
 def _random_betas():
@@ -1208,8 +1248,9 @@ def test_a_start_that_is_not_n_prices_raises_before_any_cut(monkeypatch, start):
 
 
 def test_the_station_incidence_is_the_group_one_unless_stations_merge():
-    shared = merged = 0
-    for beta in _random_betas():
+    shared = merged = separable = 0
+    scalars = [as_beta_matrix(s, n) for s in (0.0, 0.5, 1.0) for n in (1, 2, 4)]
+    for beta in [*_random_betas(), *scalars]:
         n = beta.shape[0]
         net = TransferNetwork(beta, n)
         ref = _incidence(as_beta_matrix(beta, n))
@@ -1218,7 +1259,13 @@ def test_the_station_incidence_is_the_group_one_unless_stations_merge():
         shared += net.d is net.cone
         merged += len(net.groups) < n
         assert (net.d is net.cone) == (len(net.groups) == n)
-    assert shared >= 500 and merged >= 500
+        np.testing.assert_array_equal(net.phase1, np.hstack([net.d.T, np.eye(n)]))
+        # beta1: the one cross-group efficiency, zero pairs included, when below 1.
+        off = net.betag[~np.eye(len(net.groups), dtype=bool)]
+        one = off.size > 0 and np.all(off == off[0]) and off[0] < 1.0
+        assert net.beta1 == (float(off[0]) if one else None)
+        separable += net.beta1 is not None
+    assert shared >= 500 and merged >= 500 and separable >= 4
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,14 @@ once per seed and writes its class -- ``ok``, ``raised:<Class>`` or
 ``certificate:<check,...>`` with the benchmark's own checks -- its
 objective, its ``iterations``, the ``digest`` of the solution without its
 transfers and the ``e_digest`` of its transfers (all null when the solve
-raised).  The digest is 16 hex digits of BLAKE2b over the bytes of ``p``
-and ``mu`` and of the objective, the dual value and the iterations, the
-e_digest the same over the bytes of ``e``; equal digest pairs mean
-bit-identical results, and a change that only moves the transfers keeps
-every digest.  With
+raised), and the ``w_digest`` of a warm solve of the same instance started
+from half its prices, ``solve_p1(..., start=0.5 * mu)`` (null unless the
+instance passes; ``raised:<Class>`` when the warm solve raises).  The digest
+is 16 hex digits of BLAKE2b over the bytes of ``p`` and ``mu`` and of the
+objective, the dual value and the iterations, the e_digest the same over
+the bytes of ``e``, the w_digest the same over the warm solution's digest
+and e_digest; equal digest pairs mean bit-identical results, and a change
+that only moves the transfers keeps the other digests.  With
 ``--compact`` it writes only the numpy version, each seed's instance count
 and its failing instances with their class; every instance not listed is
 ``ok``.  The third form prints the per-seed ``failed`` counts, the
@@ -52,7 +55,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 MOVED_RTOL = 1e-9
 # The digests a full record carries, and what --compare calls each.
-DIGESTS = {"digest": "solution", "e_digest": "transfer"}
+DIGESTS = {"digest": "solution", "e_digest": "transfer", "w_digest": "warm"}
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -78,6 +81,15 @@ def e_digest(sol) -> str:
     return hashlib.blake2b(sol.e.tobytes(), digest_size=8).hexdigest()
 
 
+def w_digest(wl, inst, sol) -> str:
+    """The digest of the instance's solve started from half of ``sol``'s prices."""
+    try:
+        warm = wl.solver.solve_p1(inst.gains, inst.es, inst.beta, start=0.5 * sol.mu)
+    except Exception as exc:  # a warm solve that raises is an outcome too
+        return f"raised:{type(exc).__name__}"
+    return hashlib.blake2b((digest(warm) + e_digest(warm)).encode(), digest_size=8).hexdigest()
+
+
 def record(seeds: list[int]) -> dict:
     paths = [str(ROOT / "src"), str(ROOT / "bench")]
     sys.path[:0] = paths
@@ -89,15 +101,16 @@ def record(seeds: list[int]) -> dict:
 
     out = {}
     for seed in seeds:
-        rec = {key: [] for key in ("class", "objective", "iterations", "digest", "e_digest")}
+        rec = {key: [] for key in ("class", "objective", "iterations", *DIGESTS)}
         for inst in wl.make_direct(seed):
             sol = wl.solve(inst)
             if isinstance(sol, Exception):
-                got = [f"raised:{type(sol).__name__}", None, None, None, None]
+                got = [f"raised:{type(sol).__name__}", None, None, None, None, None]
             else:
                 bad = wl.certificate_failures(inst, sol)
                 got = ["certificate:" + ",".join(bad) if bad else "ok", sol.objective,
-                       sol.iterations, digest(sol), e_digest(sol)]
+                       sol.iterations, digest(sol), e_digest(sol),
+                       None if bad else w_digest(wl, inst, sol)]
             for values, value in zip(rec.values(), got):
                 values.append(value)
         out[str(seed)] = rec
