@@ -18,16 +18,24 @@ over draws, as in the shipped scenarios.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .channel import ClusterChannel, ZfGains, per_bs_zf_gains
-from .energy import EnergyState
+from .energy import EnergyState, TransferNetwork
 from .solver import Solution, solve_p1
+
+
+@lru_cache(maxsize=None)
+def no_transfers(n_bs: int) -> TransferNetwork:
+    """The beta = 0 network of ``n_bs`` stations, built once (networks are read-only)."""
+    return TransferNetwork(0.0, n_bs)
 
 
 def solve_comm_only(gains: ZfGains, es: EnergyState, start=None) -> Solution:
     """Cluster-wide ZF with no energy transfers (beta = 0); ``start`` as in ``solve_p1``."""
-    return solve_p1(gains, es, beta=0.0, start=start)
+    return solve_p1(gains, es, beta=no_transfers(gains.n_bs), start=start)
 
 
 def solve_energy_only(ch: ClusterChannel, association, es: EnergyState, beta,
@@ -40,6 +48,6 @@ def solve_energy_only(ch: ClusterChannel, association, es: EnergyState, beta,
 def solve_no_coop(ch: ClusterChannel, association, es: EnergyState,
                   weights=None) -> Solution:
     """Per-BS ZF, per-BS budgets, no transfers."""
-    sol = solve_energy_only(ch, association, es, beta=0.0, weights=weights)
+    sol = solve_energy_only(ch, association, es, beta=no_transfers(ch.n_bs), weights=weights)
     assert np.all(sol.e == 0.0)
     return sol

@@ -6,8 +6,14 @@ budget base; a draw's budgets at a point are base * level.  Seeds derive
 from (scenario seed, slot, realization).  Where a sweep only rescales
 energies, one draw at every point, a chain, is a unit of work: it is drawn
 once, and its joint and comm_only solves start from the prices at the
-point before; elsewhere a point is.  Units share nothing (ECOMP_WORKERS
-runs them in parallel), so results do not depend on the worker count.
+point before.  three_cell_profile draws fresh terminals at every point,
+so its unit is a chunk of consecutive points holding at least
+``CHUNK_DRAWS`` draws: the joint and comm_only solves that would start
+cold each start from the prices of one batched interior-point run per
+scheme (``ipm.warm_starts``), which the solver's polish certifies.  Units
+share nothing (ECOMP_WORKERS runs them in parallel), and an instance's
+prices do not depend on its batch, so results do not depend on the
+worker count.
 """
 
 from __future__ import annotations
@@ -20,16 +26,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import solve_comm_only, solve_energy_only, solve_no_coop
+from .baselines import no_transfers, solve_comm_only, solve_energy_only, solve_no_coop
 from .channel import (DegeneracyError, FeasibilityError, generate_rayleigh,
                       strongest_channel_association, variance_matrix, zf_gains)
 from .energy import EnergyState, TransferNetwork
+from .ipm import warm_starts
 from .profiles import EnergyProfile, load_profiles
 from .scenario import Scenario, ScenarioError
 from .simplex import InfeasibleError
 from .solver import ConvergenceError, solve_p1
 
 RESULT_COLUMNS = ("sweep_key", "slot", "scheme", "beta", "mean_rate", "stderr", "n")
+
+# A three_cell_profile unit holds at least this many draws, so that its
+# batched interior-point runs amortize their per-iteration cost.
+CHUNK_DRAWS = 16
 
 # Failures a valid draw can meet; they are recorded per row.  Any other
 # exception is a bug and aborts the run.
@@ -95,7 +106,7 @@ def _kept(kept, key, make):
     return kept[key]
 
 
-def _evaluate_instance(ch, variances, budgets, specs, weights, starts, kept, networks):
+def _evaluate_instance(ch, variances, es, specs, weights, starts, kept, networks):
     """Sum-rate of each scheme on one channel/energy draw, keyed by label.
 
     A scheme that raises one of SOLVER_ERRORS gets its error message
@@ -104,7 +115,6 @@ def _evaluate_instance(ch, variances, budgets, specs, weights, starts, kept, net
     joint or comm_only scheme starts from and leaves its prices in
     ``starts[spec]``, none on failure; one with a beta solves over ``networks[spec]``.
     """
-    es = EnergyState(re=budgets)
     out = {}
     for spec in specs:
         try:
@@ -231,14 +241,18 @@ def _units(scenario, profile):
     Where a sweep only rescales energies, a unit is a chain: one
     realization (for three_cell_sweep one (slot, realization)) at every
     point.  three_cell_profile draws fresh terminals at every point: a
-    unit is a point with all its realizations.
+    unit is a chunk of consecutive points with all their realizations, each
+    pick solved at its own slot's point only, and the last chunk may hold
+    fewer than ``CHUNK_DRAWS`` draws.
     """
     points, realizations = range(_n_points(scenario, profile)), range(scenario.n_realizations)
     if scenario.kind.startswith("two_cell"):
         return [(points, [r]) for r in realizations]
     slots = range(0, len(profile), scenario.slot_stride)
     if scenario.kind == "three_cell_profile":
-        return [([pi], [(slot, r) for r in realizations]) for pi, slot in enumerate(slots)]
+        per = -(-CHUNK_DRAWS // len(realizations))
+        return [(points[i:i + per], [(slot, r) for slot in slots[i:i + per] for r in realizations])
+                for i in range(0, len(points), per)]
     return [(points, [(slot, r)]) for slot in slots for r in realizations]
 
 
@@ -250,9 +264,41 @@ def _share(*shared):
     _shared = shared
 
 
+def _eval_chunk(scenario, profile, networks, points, picks):
+    """Outcomes of a three_cell_profile chunk, a list per point.
+
+    Every draw is made and ZF-designed first; then one ``warm_starts`` batch
+    per joint or comm_only scheme gives each draw's solve its start.
+    """
+    weights, found = scenario.weight_vector, [[] for _ in points]
+    level = _point(scenario, profile, points[0])[2]     # ebar: one level at every point
+    draws = list(_three_cell_draws(scenario, profile, picks))
+    kepts, gains = [{} for _ in draws], []
+    for (ch, _, _), kept in zip(draws, kepts):
+        try:
+            gains.append(_kept(kept, "zf", lambda: zf_gains(ch, weights)))
+        except SOLVER_ERRORS:
+            gains.append(None)
+    states = [EnergyState(re=base * level) for _, _, base in draws]
+    starts = [{} for _ in draws]
+    for spec in scenario.schemes:
+        if spec.variant in ("joint", "comm_only"):
+            net = networks[spec] if spec.variant == "joint" else no_transfers(scenario.n_bs)
+            solved = [i for i, g in enumerate(gains) if g is not None]
+            for i, start in zip(solved, warm_starts([(gains[i], states[i], net) for i in solved])):
+                if start is not None:
+                    starts[i][spec] = start
+    for (ch, var, _), (slot, _), es, start, kept in zip(draws, picks, states, starts, kepts):
+        found[slot // scenario.slot_stride - points[0]].append(_evaluate_instance(
+            ch, var, es, scenario.schemes, weights, start, kept, networks))
+    return found
+
+
 def _eval_unit(unit, shared=None):
     """Outcomes of a unit's draws, a list per point; a chain starts warm."""
     (scenario, profile, networks), (points, picks) = shared or _shared, unit
+    if scenario.kind == "three_cell_profile":
+        return _eval_chunk(scenario, profile, networks, points, picks)
     levels = [_point(scenario, profile, pi)[2] for pi in points]
     draws = (_two_cell_draws(scenario, picks) if scenario.kind.startswith("two_cell")
              else _three_cell_draws(scenario, profile, picks))
@@ -260,8 +306,8 @@ def _eval_unit(unit, shared=None):
     for ch, var, base in draws:
         starts, kept = {}, {}
         for got, level in zip(found, levels):
-            got.append(_evaluate_instance(ch, var, base * level, scenario.schemes, weights,
-                                          starts, kept, networks))
+            got.append(_evaluate_instance(ch, var, EnergyState(re=base * level),
+                                          scenario.schemes, weights, starts, kept, networks))
     return found
 
 

@@ -10,7 +10,9 @@ one price covers all stations or each terminal has a price of its own).
 The transfers are the flows of an accepted Newton polish with one station
 per price, or else come from the optimal powers through a small LP.
 ``solve_p1`` is one pass of array stages: normalize, dual, powers,
-transfers, certificate.
+transfers, certificate.  A ``start`` is polished before any cut; for the
+cold solves of a three_cell_profile chunk it comes from the batched
+interior-point method of ``ipm``, which shares the normalize stage.
 """
 
 from __future__ import annotations
@@ -385,16 +387,20 @@ def _polish_dual(prob: _DualProblem, x0: np.ndarray) -> np.ndarray | None:
             denom = [1.0 + ak * pk for ak, pk in zip(a, v[ng:ng + nk])]
             s_diag[:] = 0.0
             f = (jac @ v).tolist()
-            try:    # at a zero divisor numpy's inf would give lstsq a NaN matrix: reject
+            # At a zero divisor numpy's inf, and an S that overflows near it,
+            # would give lstsq a NaN matrix, on which it can spin: reject.
+            try:
                 f[:nk] = [fk + c / (LN2 * d) for fk, c, d in zip(f, wa, denom)]
-                s_diag[:] = s_k = [h / (LN2 * (d * d)) for h, d in zip(hess, denom)]
+                s_k = [h / (LN2 * (d * d)) for h, d in zip(hess, denom)]
             except ZeroDivisionError:
                 return None
+            if not all(map(math.isfinite, s_k)):
+                return None
+            s_diag[:] = s_k
             f[nk:nk + ng] = [fg - e for fg, e in zip(f[nk:], eg)]
             ok = all(abs(r) < 1e-12 * big for r in f)
             # Equilibrate: stationarity rows are O(a^2) while budget rows are
             # O(1), and the raw system's conditioning caps lstsq accuracy.
-            # A NaN in S reaches its row scale, as np.maximum would carry it.
             row_s = [(o if o >= abs(s) else abs(s)) or 1.0 for o, s in zip(off_s, s_k)] + off_rest
             jac_r = jac / np.array(row_s)[:, None]
             col_s = abs(jac_r).max(axis=0)
@@ -486,9 +492,12 @@ def _cancel_bidirectional(e: np.ndarray, beta: np.ndarray) -> np.ndarray:
     pass stops and the relay stays, which general beta allows.
     """
     n = e.shape[0]
-    e = e.copy()
     scale = max(float(e.max()), 1.0)
-    e[e < FLOW_FLOOR * scale] = 0.0
+    e = np.where(e < FLOW_FLOOR * scale, 0.0, e)
+    # Every flow left is positive: with no relay there is nothing to reroute.
+    src, dst = e.nonzero()
+    if set(src.tolist()).isdisjoint(dst.tolist()):
+        return e
     for _ in range(4 * n * n * n):
         inflow = e.sum(axis=0)
         outflow = e.sum(axis=1)
@@ -551,6 +560,28 @@ def _polished_transfers(net: TransferNetwork, rows, flow, deficit) -> np.ndarray
 # full pipeline
 
 
+def _normalize(gains: ZfGains, es: EnergyState, net: TransferNetwork, bandwidth: float = 1.0):
+    """``(w, dead, keep, scale, prob)``: ``solve_p1``'s problem before its dual.
+
+    ``w`` are the weights times ``bandwidth``; ``dead`` the stations no
+    positive budget reaches, even over several hops, which force p_k = 0 for
+    every terminal they must power; ``keep`` the other terminals.  Over
+    those, p = scale * q maps the problem onto one with O(1) budgets and
+    gains a * scale, which keeps the absolute solver tolerances meaningful
+    at any energy level; ``prob`` is its ``_DualProblem`` (None, and
+    ``scale`` None, when no terminal is kept).
+    """
+    a, b, budget = gains.a, gains.b, es.budget
+    w = gains.weights * bandwidth
+    dead = budget + net.paths.T @ budget <= 0.0
+    keep = ~((b > 1e-12) & dead[:, None]).any(axis=0)
+    if not keep.any():
+        return w, dead, keep, None, None
+    scale = float(budget.max())
+    return w, dead, keep, scale, _DualProblem(a[keep] * scale, b[:, keep], w[keep],
+                                              budget / scale, net)
+
+
 def solve_p1(gains: ZfGains, es: EnergyState, beta,
              bandwidth: float = 1.0, start=None) -> Solution:
     """Solve the joint power-allocation and energy-transfer problem.
@@ -573,23 +604,14 @@ def solve_p1(gains: ZfGains, es: EnergyState, beta,
         if start.shape != (n,) or not all(0.0 <= s < math.inf for s in start.tolist()):
             raise ValueError(f"start must hold {n} finite prices >= 0; got {start}")
     net = TransferNetwork.of(beta, n)
-    w = gains.weights * bandwidth
-    # Stations no positive budget reaches, even over several hops, force
-    # p_k = 0 for every terminal they must power.
-    dead = budget + net.paths.T @ budget <= 0.0
-    keep = ~((b > 1e-12) & dead[:, None]).any(axis=0)
+    w, dead, keep, scale, prob = _normalize(gains, es, net, bandwidth)
 
     p = np.zeros(k_all)
     e = np.zeros((n, n))
     mu = np.zeros(n)
     dual_value, iters = 0.0, 0
-    if keep.any():
-        # Normalize the budget scale: p = scale * q maps the problem onto
-        # one with O(1) budgets and gains a * scale, which keeps the
-        # absolute solver tolerances meaningful at any energy level.
-        scale = float(budget.max())
-        a_s, b_s, budget_s = a[keep] * scale, b[:, keep], budget / scale
-        prob = _DualProblem(a_s, b_s, w[keep], budget_s, net)
+    if prob is not None:
+        budget_s = budget / scale
         x0 = None if start is None else start[[g[0] for g in prob.groups]] * scale
         x, iters = _solve_dual(prob, x0)
         polished, q = prob.polished, np.zeros(k_all)

@@ -300,6 +300,18 @@ def test_a_zf_failure_is_recorded_at_every_point_of_its_chain(monkeypatch):
         assert row.n == sc.n_realizations - (row.scheme in ("joint@0.9", "comm_only"))
 
 
+def _recorded_warm_starts(monkeypatch):
+    """Wrap ``runner.warm_starts``; returns the list of its results, one list per batch."""
+    given, real = [], runner.warm_starts
+
+    def recorded(cases):
+        given.append(real(cases))
+        return given[-1]
+
+    monkeypatch.setattr(runner, "warm_starts", recorded)
+    return given
+
+
 def test_comm_only_starts_from_its_prices_at_the_point_before(monkeypatch):
     monkeypatch.setenv("ECOMP_WORKERS", "1")
     real_solve, starts, prices = runner.solve_comm_only, [], []
@@ -320,9 +332,15 @@ def test_comm_only_starts_from_its_prices_at_the_point_before(monkeypatch):
             assert start is None
         else:
             np.testing.assert_array_equal(start, prices[c - 1])
+    # A profile draws fresh terminals at every point: each comm_only solve
+    # starts from its own draw's batched IPM prices, never from another draw's.
     starts.clear()
+    given = _recorded_warm_starts(monkeypatch)
     run_scenario(scenario_from_mapping(_GOLDEN_MICRO["three_cell_profile"]))
-    assert starts and all(start is None for start in starts)
+    comm_only = given[1]        # one chunk: the joint batch, then the comm_only one
+    assert len(starts) == len(comm_only) == 16
+    for start, want in zip(starts, comm_only):
+        np.testing.assert_array_equal(start, want)
 
 
 @pytest.mark.parametrize("kind", ["two_cell_random", "three_cell_sweep"])
@@ -336,8 +354,10 @@ def test_chained_kinds_do_not_depend_on_the_worker_count(monkeypatch, kind):
     assert serial.errors == parallel.errors
 
 
-def test_a_profile_sends_one_unit_per_point_and_a_sweep_one_per_chain(monkeypatch):
-    # A profile draws fresh terminals at every point, so no solve starts warm.
+def test_a_profile_sends_chunks_of_16_draws_and_a_sweep_one_unit_per_chain(monkeypatch):
+    # A profile draws fresh terminals at every point, so its unit is a chunk
+    # of consecutive points holding at least CHUNK_DRAWS draws, whatever the
+    # worker count; each joint solve starts from its draw's IPM prices.
     real_solve, starts, sent = runner.solve_p1, [], []
 
     def recorded(gains, es, beta, start=None):
@@ -363,11 +383,18 @@ def test_a_profile_sends_one_unit_per_point_and_a_sweep_one_per_chain(monkeypatc
     monkeypatch.setenv("ECOMP_WORKERS", "2")
     monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(runner, "solve_p1", recorded)
-    table = run_scenario(scenario_from_mapping(_GOLDEN_MICRO["three_cell_profile"]))
-    slots = sorted({row.slot for row in table.rows})
-    assert len(slots) > 1 and starts and all(start is None for start in starts)
+    given = _recorded_warm_starts(monkeypatch)
+    # 8 points at 3 realizations: chunks of ceil(16 / 3) = 6 points, then 2.
+    sc = scenario_from_mapping({**_GOLDEN_MICRO["three_cell_profile"], "n_realizations": "3"})
+    table = run_scenario(sc)
+    assert sorted({row.slot for row in table.rows}) == [48 * pi for pi in range(8)]
     assert [(list(points), picks) for points, picks in sent] == \
-        [([pi], [(48 * pi, 0), (48 * pi, 1)]) for pi in range(len(slots))]
+        [(list(chunk), [(48 * pi, r) for pi in chunk for r in range(3)])
+         for chunk in (range(6), range(6, 8))]
+    joint = given[0] + given[2]         # per chunk: the joint batch, then the comm_only one
+    assert len(starts) == len(joint) == 24 and all(start is not None for start in joint)
+    for start, want in zip(starts, joint):
+        np.testing.assert_array_equal(start, want)
     sent.clear()
     sc = _micro_scenario()
     run_scenario(sc)

@@ -1041,6 +1041,31 @@ def test_a_step_numpy_would_carry_as_inf_or_nan_rejects_without_raising(
     assert calls[0] == 1
 
 
+def test_a_step_whose_s_overflows_rejects_before_lstsq(monkeypatch):
+    # Near 1 + a p = 0 the stationarity diagonal S = -w a^2 / (ln2 (1 + a p)^2)
+    # can overflow.  In floats 1 + a p is 0 or at least 2^-53, so a large
+    # w a^2 makes it here: w = ln2 2^1000, a = 2 and prices 2^1000 put both
+    # powers at exactly 0.5, with S = -2^1000 and budgets of 2^1000 that the
+    # first step does not meet.  That (stubbed) step moves power 0 to
+    # -1/2 + 2^-53, where 1 + a p = 2^-52 and S is -inf: the polish must
+    # reject with no lstsq call at that step, where an inf row scale would
+    # give lstsq a NaN matrix.
+    w, x = math.log(2.0) * 2.0 ** 1000, 2.0 ** 1000
+    prob = _DualProblem(np.array([2.0, 2.0]), np.eye(2), np.full(2, w), np.full(2, x),
+                        TransferNetwork(0.0, 2))
+    assert prob.oracle([x, x])[0] == [0.5, 0.5]
+    calls = [0]
+
+    def stub(a_mat, rhs, rcond=None):
+        calls[0] += 1
+        assert np.all(np.isfinite(a_mat))
+        return np.array([0.0, 0.0, 2.0 ** -53 - 1.0, 0.0]), np.zeros(0), len(rhs), np.ones(len(rhs))
+
+    monkeypatch.setattr(np.linalg, "lstsq", stub)
+    assert _polish_dual(prob, np.array([x, x])) is None
+    assert calls[0] == 1
+
+
 def _random_betas():
     """3000 seeded efficiency matrices, N in 1..7, with many loss-free links."""
     rng = np.random.default_rng(404)
