@@ -8,9 +8,9 @@ energies, one draw at every point, a chain, is a unit of work: it is drawn
 once, and its joint and comm_only solves start from the prices at the
 point before.  three_cell_profile draws fresh terminals at every point,
 so its unit is a chunk of consecutive points holding at least
-``CHUNK_DRAWS`` draws: the joint and comm_only solves that would start
-cold each start from the prices of one batched interior-point run per
-scheme (``ipm.warm_starts``), which the solver's polish certifies.  Units
+``CHUNK_DRAWS`` draws, each solved at its own slot's point: its joint and
+comm_only solves start from one batched interior-point run per scheme
+(``ipm.warm_starts``), whose prices the solver's polish certifies.  Units
 share nothing (ECOMP_WORKERS runs them in parallel), and an instance's
 prices do not depend on its batch, so results do not depend on the
 worker count.
@@ -211,52 +211,43 @@ def _three_cell_draws(scenario, profile, picks):
 
 
 # ---------------------------------------------------------------------------
-# Sweep points
+# Sweep points and units of work
 
 
-def _n_points(scenario, profile):
+def _points(scenario, profile):
+    """``(sweep_key, slot, level)`` of every point; two_cell_sweep's level is its budgets."""
     if scenario.kind == "two_cell_sweep":
-        return scenario.sweep_points
+        return [(f"{e1:g}", -1, np.array([e1, scenario.sum_energy - e1]))
+                for e1 in np.linspace(0.0, scenario.sum_energy, scenario.sweep_points).tolist()]
     if scenario.kind == "three_cell_profile":
-        return len(range(0, len(profile), scenario.slot_stride))
-    return len(scenario.energy_db)
-
-
-def _point(scenario, profile, pi):
-    """``(sweep_key, slot, level)`` of point ``pi``; two_cell_sweep's level is its budgets."""
-    if scenario.kind == "two_cell_sweep":
-        e1 = float(np.linspace(0.0, scenario.sum_energy, scenario.sweep_points)[pi])
-        return f"{e1:g}", -1, np.array([e1, scenario.sum_energy - e1])
-    if scenario.kind == "three_cell_profile":
-        slot = pi * scenario.slot_stride
-        hours = (profile.timestamps[slot] - profile.timestamps[0]).total_seconds() / 3600.0
-        return f"{hours:g}", slot, 10.0 ** (scenario.ebar_dbw / 10.0)
-    e_db = scenario.energy_db[pi]
-    return f"{e_db:g}", -1, 10.0 ** (e_db / 10.0)
+        level, t0 = 10.0 ** (scenario.ebar_dbw / 10.0), profile.timestamps[0]
+        return [(f"{(profile.timestamps[slot] - t0).total_seconds() / 3600.0:g}", slot, level)
+                for slot in range(0, len(profile), scenario.slot_stride)]
+    return [(f"{e_db:g}", -1, 10.0 ** (e_db / 10.0)) for e_db in scenario.energy_db]
 
 
 def _units(scenario, profile):
-    """Units of work ``(points, picks)``: each pick is drawn once, then solved at every point.
+    """Units of work, each a list of picks: each pick is drawn once, then solved at its points.
 
     Where a sweep only rescales energies, a unit is a chain: one
-    realization (for three_cell_sweep one (slot, realization)) at every
-    point.  three_cell_profile draws fresh terminals at every point: a
-    unit is a chunk of consecutive points with all their realizations, each
-    pick solved at its own slot's point only, and the last chunk may hold
-    fewer than ``CHUNK_DRAWS`` draws.
+    realization (for three_cell_sweep one (slot, realization)) solved at
+    every point.  three_cell_profile draws fresh terminals at every point:
+    a unit is a chunk of consecutive points with all their realizations,
+    each solved at its own slot's point, and the last chunk may hold fewer
+    than ``CHUNK_DRAWS`` draws.
     """
-    points, realizations = range(_n_points(scenario, profile)), range(scenario.n_realizations)
+    realizations = range(scenario.n_realizations)
     if scenario.kind.startswith("two_cell"):
-        return [(points, [r]) for r in realizations]
+        return [[r] for r in realizations]
     slots = range(0, len(profile), scenario.slot_stride)
     if scenario.kind == "three_cell_profile":
         per = -(-CHUNK_DRAWS // len(realizations))
-        return [(points[i:i + per], [(slot, r) for slot in slots[i:i + per] for r in realizations])
-                for i in range(0, len(points), per)]
-    return [(points, [(slot, r)]) for slot in slots for r in realizations]
+        return [[(slot, r) for slot in slots[i:i + per] for r in realizations]
+                for i in range(0, len(slots), per)]
+    return [[(slot, r)] for slot in slots for r in realizations]
 
 
-_shared = None      # a pool worker's (scenario, profile, networks), set once by its initializer
+_shared = None      # a pool worker's (scenario, profile, networks, points), set by its initializer
 
 
 def _share(*shared):
@@ -264,51 +255,40 @@ def _share(*shared):
     _shared = shared
 
 
-def _eval_chunk(scenario, profile, networks, points, picks):
-    """Outcomes of a three_cell_profile chunk, a list per point.
-
-    Every draw is made and ZF-designed first; then one ``warm_starts`` batch
-    per joint or comm_only scheme gives each draw's solve its start.
-    """
-    weights, found = scenario.weight_vector, [[] for _ in points]
-    level = _point(scenario, profile, points[0])[2]     # ebar: one level at every point
-    draws = list(_three_cell_draws(scenario, profile, picks))
-    kepts, gains = [{} for _ in draws], []
-    for (ch, _, _), kept in zip(draws, kepts):
-        try:
-            gains.append(_kept(kept, "zf", lambda: zf_gains(ch, weights)))
-        except SOLVER_ERRORS:
-            gains.append(None)
-    states = [EnergyState(re=base * level) for _, _, base in draws]
-    starts = [{} for _ in draws]
-    for spec in scenario.schemes:
-        if spec.variant in ("joint", "comm_only"):
-            net = networks[spec] if spec.variant == "joint" else no_transfers(scenario.n_bs)
-            solved = [i for i, g in enumerate(gains) if g is not None]
-            for i, start in zip(solved, warm_starts([(gains[i], states[i], net) for i in solved])):
-                if start is not None:
-                    starts[i][spec] = start
-    for (ch, var, _), (slot, _), es, start, kept in zip(draws, picks, states, starts, kepts):
-        found[slot // scenario.slot_stride - points[0]].append(_evaluate_instance(
-            ch, var, es, scenario.schemes, weights, start, kept, networks))
-    return found
-
-
 def _eval_unit(unit, shared=None):
-    """Outcomes of a unit's draws, a list per point; a chain starts warm."""
-    (scenario, profile, networks), (points, picks) = shared or _shared, unit
-    if scenario.kind == "three_cell_profile":
-        return _eval_chunk(scenario, profile, networks, points, picks)
-    levels = [_point(scenario, profile, pi)[2] for pi in points]
-    draws = (_two_cell_draws(scenario, picks) if scenario.kind.startswith("two_cell")
-             else _three_cell_draws(scenario, profile, picks))
-    weights, found = scenario.weight_vector, [[] for _ in points]
-    for ch, var, base in draws:
-        starts, kept = {}, {}
-        for got, level in zip(found, levels):
-            got.append(_evaluate_instance(ch, var, EnergyState(re=base * level),
-                                          scenario.schemes, weights, starts, kept, networks))
-    return found
+    """``(point index, outcomes by label)`` of each evaluation of a unit's draws, in order.
+
+    A chain's draw is solved at every point, a three_cell_profile draw at
+    its own slot's point only.  A draw's joint and comm_only solves
+    start from its prices at the point before; a profile draw's start from
+    one ``warm_starts`` batch per scheme over the unit's draws.
+    """
+    (scenario, profile, networks, points), picks = shared or _shared, unit
+    weights, profiled = scenario.weight_vector, scenario.kind == "three_cell_profile"
+    draws = list(_two_cell_draws(scenario, picks) if scenario.kind.startswith("two_cell")
+                 else _three_cell_draws(scenario, profile, picks))
+    ats = ([[slot // scenario.slot_stride] for slot, _ in picks] if profiled
+           else [range(len(points))] * len(draws))
+    states = [[EnergyState(re=base * points[pi][2]) for pi in at]
+              for (_, _, base), at in zip(draws, ats)]
+    starts, kepts = [{} for _ in draws], [{} for _ in draws]
+    if profiled:
+        cases = []
+        for j, ((ch, _, _), kept) in enumerate(zip(draws, kepts)):
+            try:
+                cases.append((j, _kept(kept, "zf", lambda: zf_gains(ch, weights))))
+            except SOLVER_ERRORS:
+                pass
+        for spec in scenario.schemes:
+            if spec.variant in ("joint", "comm_only"):
+                net = networks[spec] if spec.variant == "joint" else no_transfers(scenario.n_bs)
+                batch = warm_starts([(gains, states[j][0], net) for j, gains in cases])
+                for (j, _), start in zip(cases, batch):
+                    if start is not None:
+                        starts[j][spec] = start
+    return [(pi, _evaluate_instance(ch, var, es, scenario.schemes, weights, start, kept, networks))
+            for (ch, var, _), at, ess, start, kept in zip(draws, ats, states, starts, kepts)
+            for pi, es in zip(at, ess)]
 
 
 def _workers() -> int:
@@ -334,23 +314,23 @@ def run_scenario(scenario: Scenario, profile: EnergyProfile = None) -> ResultTab
     workers = _workers()
     if profile is None and scenario.kind.startswith("three_cell"):
         profile = load_profiles(scenario.profile)
+    points = _points(scenario, profile)
     units = _units(scenario, profile)
     networks = {spec: TransferNetwork(spec.beta, scenario.n_bs) for spec in scenario.schemes
                 if spec.beta is not None}
+    shared = (scenario, profile, networks, points)
     if workers > 1 and len(units) > 1:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_share,
-                                 initargs=(scenario, profile, networks)) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_share, initargs=shared) as pool:
             results = list(pool.map(_eval_unit, units))
     else:
-        results = [_eval_unit(unit, (scenario, profile, networks)) for unit in units]
+        results = [_eval_unit(unit, shared) for unit in units]
     # Back to point-major order, realizations in unit order at each point.
-    outcomes = [[] for _ in range(_n_points(scenario, profile))]
-    for (points, _), found in zip(units, results):
-        for pi, got in zip(points, found):
-            outcomes[pi] += got
+    outcomes = [[] for _ in points]
+    for found in results:
+        for pi, out in found:
+            outcomes[pi].append(out)
     table = ResultTable()
-    for pi, point_outcomes in enumerate(outcomes):
-        sweep_key, slot, _ = _point(scenario, profile, pi)
+    for (sweep_key, slot, _), point_outcomes in zip(points, outcomes):
         for spec in scenario.schemes:
             label = spec.label()
             got = [out[label] for out in point_outcomes]
@@ -372,28 +352,31 @@ def _format_value(value) -> str:
     return str(value)
 
 
+def _result_lines(table, fmt):
+    """The lines of a result table as CSV or JSON lines; ValueError for another format."""
+    if fmt == "csv":
+        return [",".join(RESULT_COLUMNS) + "\n"] + [
+            ",".join(_format_value(v) for v in row.as_tuple()) + "\n" for row in table.rows]
+    if fmt != "jsonl":
+        raise ValueError(f"unknown format {fmt!r}")
+    # JSON has no NaN: a row with no successful realization gets nulls.
+    return [json.dumps({col: (val if not isinstance(val, float) else
+                              float(f"{val:.9g}") if math.isfinite(val) else None)
+                        for col, val in zip(RESULT_COLUMNS, row.as_tuple())}) + "\n"
+            for row in table.rows]
+
+
 def write_results(table: ResultTable, fh, fmt: str = "csv") -> None:
     """Write a result table to an open text stream as CSV or JSON lines."""
-    if fmt == "csv":
-        fh.write(",".join(RESULT_COLUMNS) + "\n")
-        for row in table.rows:
-            fh.write(",".join(_format_value(v) for v in row.as_tuple()) + "\n")
-    else:
-        # JSON has no NaN: a row with no successful realization gets nulls.
-        for row in table.rows:
-            record = {col: (val if not isinstance(val, float) else
-                            float(f"{val:.9g}") if math.isfinite(val) else None)
-                      for col, val in zip(RESULT_COLUMNS, row.as_tuple())}
-            fh.write(json.dumps(record) + "\n")
+    fh.writelines(_result_lines(table, fmt))
 
 
 def emit_results(table: ResultTable, path, fmt: str = "csv") -> None:
     """Write a result table as CSV or JSON lines with stable columns."""
-    if fmt not in ("csv", "jsonl"):
-        raise ValueError(f"unknown format {fmt!r}")
+    lines = _result_lines(table, fmt)
     try:
         with open(path, "w") as fh:
-            write_results(table, fh, fmt)
+            fh.writelines(lines)
     except OSError as exc:
         raise OSError(f"cannot write results to {path}: {exc}") from exc
 

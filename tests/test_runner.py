@@ -1,5 +1,6 @@
 """Monte-Carlo runner: determinism, parallelism, and result emission."""
 
+import io
 import math
 import os
 
@@ -9,7 +10,7 @@ import numpy as np
 
 from ecomp import EnergyProfile, runner, scenario_from_mapping
 from ecomp.runner import (RESULT_COLUMNS, ResultRow, ResultTable,
-                          emit_results, parse_results, run_scenario)
+                          emit_results, parse_results, run_scenario, write_results)
 from ecomp.channel import DegeneracyError
 from ecomp.solver import ConvergenceError
 
@@ -186,8 +187,15 @@ def test_a_row_without_realizations_is_strict_json_and_nan_in_csv(tmp_path, monk
 
 
 def test_unknown_format_rejected(tmp_path):
+    # Neither writes anything: no text to the stream, no file on disk.
+    table = ResultTable(rows=[ResultRow("0", -1, "joint@0.9", 0.9, 1.5, 0.25, 2)])
+    fh = io.StringIO()
     with pytest.raises(ValueError, match="format"):
-        emit_results(ResultTable(), tmp_path / "out.bin", fmt="bin")
+        write_results(table, fh, fmt="tsv")
+    assert fh.getvalue() == ""
+    with pytest.raises(ValueError, match="format"):
+        emit_results(table, tmp_path / "out.bin", fmt="bin")
+    assert not (tmp_path / "out.bin").exists()
 
 
 def test_unwritable_path_raises_oserror(tmp_path):
@@ -273,11 +281,8 @@ def test_a_chain_draws_its_channel_and_zf_once(monkeypatch, tmp_path, kind, chai
     assert _csv(table, tmp_path) == golden
 
 
-def test_a_zf_failure_is_recorded_at_every_point_of_its_chain(monkeypatch):
-    # The first chain's ZF fails once; its joint and comm_only schemes get
-    # the message at each point, in scheme order, as a fresh ZF per point
-    # would give them.  The per-BS schemes still solve that draw.
-    monkeypatch.setenv("ECOMP_WORKERS", "1")
+def _first_zf_fails(monkeypatch):
+    """Make the runner's first ``zf_gains`` call raise; returns the dict of its call count."""
     real_zf, failed = runner.zf_gains, []
 
     def degenerate_first(ch, weights):
@@ -287,7 +292,15 @@ def test_a_zf_failure_is_recorded_at_every_point_of_its_chain(monkeypatch):
         return real_zf(ch, weights)
 
     monkeypatch.setattr(runner, "zf_gains", degenerate_first)
-    calls = _counting(monkeypatch, "zf_gains")
+    return _counting(monkeypatch, "zf_gains")
+
+
+def test_a_zf_failure_is_recorded_at_every_point_of_its_chain(monkeypatch):
+    # The first chain's ZF fails once; its joint and comm_only schemes get
+    # the message at each point, in scheme order, as a fresh ZF per point
+    # would give them.  The per-BS schemes still solve that draw.
+    monkeypatch.setenv("ECOMP_WORKERS", "1")
+    calls = _first_zf_fails(monkeypatch)
     sc = scenario_from_mapping(_GOLDEN_MICRO["two_cell_random"])
     table = run_scenario(sc)
     assert calls["zf_gains"] == sc.n_realizations
@@ -310,6 +323,23 @@ def _recorded_warm_starts(monkeypatch):
 
     monkeypatch.setattr(runner, "warm_starts", recorded)
     return given
+
+
+def test_a_zf_failure_in_a_profile_chunk_leaves_its_draw_out_of_the_batches(monkeypatch):
+    # The chunk's first draw (slot 0, realization 0) fails its ZF once: it
+    # is left out of the joint and comm_only batches, and those two schemes
+    # record the message at its point only.  The per-BS schemes still solve it.
+    monkeypatch.setenv("ECOMP_WORKERS", "1")
+    calls = _first_zf_fails(monkeypatch)
+    given = _recorded_warm_starts(monkeypatch)
+    table = run_scenario(scenario_from_mapping(_GOLDEN_MICRO["three_cell_profile"]))
+    assert calls["zf_gains"] == 16
+    assert [len(batch) for batch in given] == [15, 15]
+    message = "DegeneracyError: rank-deficient channel matrix"
+    assert table.errors == [("0/0/joint@0.9", message), ("0/0/comm_only", message)]
+    for row in table.rows:
+        failing = row.slot == 0 and row.scheme in ("joint@0.9", "comm_only")
+        assert row.n == (1 if failing else 2)
 
 
 def test_comm_only_starts_from_its_prices_at_the_point_before(monkeypatch):
@@ -343,8 +373,9 @@ def test_comm_only_starts_from_its_prices_at_the_point_before(monkeypatch):
         np.testing.assert_array_equal(start, want)
 
 
-@pytest.mark.parametrize("kind", ["two_cell_random", "three_cell_sweep"])
-def test_chained_kinds_do_not_depend_on_the_worker_count(monkeypatch, kind):
+@pytest.mark.parametrize("kind", ["two_cell_random", "three_cell_sweep", "three_cell_profile"])
+def test_golden_kinds_do_not_depend_on_the_worker_count(monkeypatch, kind):
+    # At 3 realizations the micro profile is two chunks, so the pool runs.
     sc = scenario_from_mapping({**_GOLDEN_MICRO[kind], "n_realizations": "3"})
     monkeypatch.setenv("ECOMP_WORKERS", "1")
     serial = run_scenario(sc)
@@ -388,9 +419,8 @@ def test_a_profile_sends_chunks_of_16_draws_and_a_sweep_one_unit_per_chain(monke
     sc = scenario_from_mapping({**_GOLDEN_MICRO["three_cell_profile"], "n_realizations": "3"})
     table = run_scenario(sc)
     assert sorted({row.slot for row in table.rows}) == [48 * pi for pi in range(8)]
-    assert [(list(points), picks) for points, picks in sent] == \
-        [(list(chunk), [(48 * pi, r) for pi in chunk for r in range(3)])
-         for chunk in (range(6), range(6, 8))]
+    assert sent == [[(48 * pi, r) for pi in chunk for r in range(3)]
+                    for chunk in (range(6), range(6, 8))]
     joint = given[0] + given[2]         # per chunk: the joint batch, then the comm_only one
     assert len(starts) == len(joint) == 24 and all(start is not None for start in joint)
     for start, want in zip(starts, joint):
@@ -398,8 +428,7 @@ def test_a_profile_sends_chunks_of_16_draws_and_a_sweep_one_unit_per_chain(monke
     sent.clear()
     sc = _micro_scenario()
     run_scenario(sc)
-    assert [(list(points), picks) for points, picks in sent] == \
-        [([0, 1, 2], [r]) for r in range(sc.n_realizations)]
+    assert sent == [[r] for r in range(sc.n_realizations)]
 
 
 def test_a_chain_restarts_cold_after_a_failure_and_errors_stay_point_major(monkeypatch):
