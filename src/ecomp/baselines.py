@@ -1,9 +1,10 @@
 """Benchmark schemes: cooperation on only one axis, or neither.
 
 All three reuse the joint solver with modified inputs: communication-only
-zeroes the transfer efficiencies, energy-only replaces the cluster-wide ZF
-precoder with per-BS precoding over orthogonal 1/N band shares, and
-no-cooperation does both.
+zeroes the transfer efficiencies, energy-only takes per-BS ZF gains
+(``per_bs_zf_gains``) in place of the cluster-wide ones and solves over
+orthogonal 1/N band shares, and no-cooperation does both.  Each takes
+gains its caller designed, so one design serves every scheme of a draw.
 
 Ordering.  Within a family, more transfer efficiency never lowers the
 objective on any instance: it enlarges the feasible set of the same
@@ -22,7 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import ClusterChannel, ZfGains, per_bs_zf_gains
+# per_bs_zf_gains is bound here only because bench/workloads.py traces it here (ROADMAP item 4).
+from .channel import ZfGains, per_bs_zf_gains
 from .energy import EnergyState, TransferNetwork
 from .solver import Solution, solve_p1
 
@@ -38,16 +40,13 @@ def solve_comm_only(gains: ZfGains, es: EnergyState, start=None) -> Solution:
     return solve_p1(gains, es, beta=no_transfers(gains.n_bs), start=start)
 
 
-def solve_energy_only(ch: ClusterChannel, association, es: EnergyState, beta,
-                      weights=None) -> Solution:
-    """Per-BS ZF over orthogonal 1/N band shares, with energy transfers."""
-    gains = per_bs_zf_gains(ch, association, weights)
-    return solve_p1(gains, es, beta=beta, bandwidth=1.0 / ch.n_bs)
+def solve_energy_only(gains: ZfGains, es: EnergyState, beta) -> Solution:
+    """Per-BS ZF ``gains`` over orthogonal 1/N band shares, with energy transfers."""
+    return solve_p1(gains, es, beta=beta, bandwidth=1.0 / gains.n_bs)
 
 
-def solve_no_coop(ch: ClusterChannel, association, es: EnergyState,
-                  weights=None) -> Solution:
-    """Per-BS ZF, per-BS budgets, no transfers."""
-    sol = solve_energy_only(ch, association, es, beta=no_transfers(ch.n_bs), weights=weights)
+def solve_no_coop(gains: ZfGains, es: EnergyState) -> Solution:
+    """Per-BS ZF ``gains``, per-BS budgets, no transfers."""
+    sol = solve_energy_only(gains, es, beta=no_transfers(gains.n_bs))
     assert np.all(sol.e == 0.0)
     return sol

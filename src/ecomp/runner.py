@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baselines import no_transfers, solve_comm_only, solve_energy_only, solve_no_coop
-from .channel import (DegeneracyError, FeasibilityError, generate_rayleigh,
+from .channel import (DegeneracyError, FeasibilityError, generate_rayleigh, per_bs_zf_gains,
                       strongest_channel_association, variance_matrix, zf_gains)
 from .energy import EnergyState, TransferNetwork
 from .ipm import warm_starts
@@ -110,8 +110,8 @@ def _evaluate_instance(ch, variances, es, specs, weights, starts, kept, networks
     """Sum-rate of each scheme on one channel/energy draw, keyed by label.
 
     A scheme that raises one of SOLVER_ERRORS gets its error message
-    instead of a rate and does not abort the others.  The cluster-ZF gains
-    and the association are made once per draw and ``kept`` with it.  A
+    instead of a rate and does not abort the others.  The cluster-ZF and
+    per-BS ZF gains are made once per draw and ``kept`` with it.  A
     joint or comm_only scheme starts from and leaves its prices in
     ``starts[spec]``, none on failure; one with a beta solves over ``networks[spec]``.
     """
@@ -125,12 +125,10 @@ def _evaluate_instance(ch, variances, es, specs, weights, starts, kept, networks
                        else solve_comm_only(gains, es, start=start))
                 starts[spec] = sol.mu
             else:
-                association = _kept(kept, "association",
-                                    lambda: strongest_channel_association(variances, ch.m_ant))
-                if spec.variant == "energy_only":
-                    sol = solve_energy_only(ch, association, es, networks[spec], weights)
-                else:
-                    sol = solve_no_coop(ch, association, es, weights)
+                gains = _kept(kept, "per_bs", lambda: per_bs_zf_gains(
+                    ch, strongest_channel_association(variances, ch.m_ant), weights))
+                sol = (solve_energy_only(gains, es, networks[spec]) if spec.variant == "energy_only"
+                       else solve_no_coop(gains, es))
             out[spec.label()] = sol.objective
         except SOLVER_ERRORS as exc:
             out[spec.label()] = f"{type(exc).__name__}: {exc}"
@@ -272,20 +270,20 @@ def _eval_unit(unit, shared=None):
     states = [[EnergyState(re=base * points[pi][2]) for pi in at]
               for (_, _, base), at in zip(draws, ats)]
     starts, kepts = [{} for _ in draws], [{} for _ in draws]
-    if profiled:
+    cluster = [spec for spec in scenario.schemes if spec.variant in ("joint", "comm_only")]
+    if profiled and cluster:
         cases = []
         for j, ((ch, _, _), kept) in enumerate(zip(draws, kepts)):
             try:
                 cases.append((j, _kept(kept, "zf", lambda: zf_gains(ch, weights))))
             except SOLVER_ERRORS:
                 pass
-        for spec in scenario.schemes:
-            if spec.variant in ("joint", "comm_only"):
-                net = networks[spec] if spec.variant == "joint" else no_transfers(scenario.n_bs)
-                batch = warm_starts([(gains, states[j][0], net) for j, gains in cases])
-                for (j, _), start in zip(cases, batch):
-                    if start is not None:
-                        starts[j][spec] = start
+        for spec in cluster:
+            net = networks[spec] if spec.variant == "joint" else no_transfers(scenario.n_bs)
+            batch = warm_starts([(gains, states[j][0], net) for j, gains in cases])
+            for (j, _), start in zip(cases, batch):
+                if start is not None:
+                    starts[j][spec] = start
     return [(pi, _evaluate_instance(ch, var, es, scenario.schemes, weights, start, kept, networks))
             for (ch, var, _), at, ess, start, kept in zip(draws, ats, states, starts, kepts)
             for pi, es in zip(at, ess)]

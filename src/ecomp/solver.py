@@ -43,10 +43,6 @@ RECOVERY_TOL = 1e-7
 class ConvergenceError(RuntimeError):
     """Ellipsoid ended unconverged (cut cap, degenerate shape), no polish accepted."""
 
-    def __init__(self, msg: str, best_mu: np.ndarray):
-        super().__init__(msg)
-        self.best_mu = best_mu
-
 
 @dataclass(frozen=True)
 class Solution:
@@ -475,7 +471,7 @@ def _solve_dual(prob: _DualProblem, start) -> tuple[np.ndarray, int]:
         return x, 0
     x, it, converged = _minimize_dual_ellipsoid(prob, start)
     if not converged:
-        raise ConvergenceError(f"dual not converged after {it} cuts", x[prob.label])
+        raise ConvergenceError(f"dual not converged after {it} cuts")
     return x, it
 
 

@@ -254,9 +254,8 @@ def test_criterion_6_dominance_chain():
             solved = {
                 "joint": (sol, g, beta, 1.0),
                 "comm_only": (solve_comm_only(g, es), g, 0.0, 1.0),
-                "energy_only": (solve_energy_only(ch, association, es, beta),
-                                gbar, beta, share),
-                "none": (solve_no_coop(ch, association, es), gbar, 0.0, share),
+                "energy_only": (solve_energy_only(gbar, es, beta), gbar, beta, share),
+                "none": (solve_no_coop(gbar, es), gbar, 0.0, share),
             }
             for name in ("comm_only", "energy_only", "none"):
                 s, gains, b, bw = solved[name]

@@ -59,7 +59,7 @@ def test_solver_errors_are_recorded_and_other_errors_propagate(monkeypatch):
     def fail_once(*args, **kwargs):
         calls.append(1)
         if len(calls) == 1:
-            raise ConvergenceError("dual not converged after 7 cuts", np.ones(2))
+            raise ConvergenceError("dual not converged after 7 cuts")
         return real_solve(*args, **kwargs)
 
     monkeypatch.setattr(runner, "solve_p1", fail_once)
@@ -171,7 +171,7 @@ def test_a_row_without_realizations_is_strict_json_and_nan_in_csv(tmp_path, monk
         raise ValueError(f"{name} is not JSON")
 
     def fail(*args, **kwargs):
-        raise ConvergenceError("dual not converged after 7 cuts", np.ones(2))
+        raise ConvergenceError("dual not converged after 7 cuts")
 
     monkeypatch.setenv("ECOMP_WORKERS", "1")
     monkeypatch.setattr(runner, "solve_p1", fail)
@@ -268,31 +268,34 @@ def _counting(monkeypatch, *names):
 
 
 @pytest.mark.parametrize("kind, chains, points", [("two_cell_sweep", 4, 3),
-                                                  ("three_cell_sweep", 16, 2)])
+                                                  ("three_cell_sweep", 16, 2),
+                                                  ("two_cell_random", 4, 3)])
 def test_a_chain_draws_its_channel_and_zf_once(monkeypatch, tmp_path, kind, chains, points):
     # three_cell_sweep: 8 slots of the bundled profile (384 rows, stride 48)
-    # times 2 realizations, each solved at 2 energy levels.
+    # times 2 realizations, each solved at 2 energy levels.  energy_only and
+    # none share one per-BS ZF per chain; two_cell_sweep lists joint alone.
     monkeypatch.setenv("ECOMP_WORKERS", "1")
-    calls = _counting(monkeypatch, "generate_rayleigh", "zf_gains")
+    calls = _counting(monkeypatch, "generate_rayleigh", "zf_gains", "per_bs_zf_gains")
     sc, golden = _golden(kind)
     table = run_scenario(sc)
-    assert calls == {"generate_rayleigh": chains, "zf_gains": chains}
+    per_bs = chains if any(spec.variant in ("energy_only", "none") for spec in sc.schemes) else 0
+    assert calls == {"generate_rayleigh": chains, "zf_gains": chains, "per_bs_zf_gains": per_bs}
     assert sum(row.n for row in table.rows) == chains * points * len(sc.schemes)
     assert _csv(table, tmp_path) == golden
 
 
-def _first_zf_fails(monkeypatch):
-    """Make the runner's first ``zf_gains`` call raise; returns the dict of its call count."""
-    real_zf, failed = runner.zf_gains, []
+def _first_call_fails(monkeypatch, name):
+    """Make the runner's first ``name`` call raise; returns the dict of its call count."""
+    real, failed = getattr(runner, name), []
 
-    def degenerate_first(ch, weights):
+    def degenerate_first(*args):
         if not failed:
-            failed.append(ch)
+            failed.append(args)
             raise DegeneracyError("rank-deficient channel matrix")
-        return real_zf(ch, weights)
+        return real(*args)
 
-    monkeypatch.setattr(runner, "zf_gains", degenerate_first)
-    return _counting(monkeypatch, "zf_gains")
+    monkeypatch.setattr(runner, name, degenerate_first)
+    return _counting(monkeypatch, name)
 
 
 def test_a_zf_failure_is_recorded_at_every_point_of_its_chain(monkeypatch):
@@ -300,7 +303,7 @@ def test_a_zf_failure_is_recorded_at_every_point_of_its_chain(monkeypatch):
     # the message at each point, in scheme order, as a fresh ZF per point
     # would give them.  The per-BS schemes still solve that draw.
     monkeypatch.setenv("ECOMP_WORKERS", "1")
-    calls = _first_zf_fails(monkeypatch)
+    calls = _first_call_fails(monkeypatch, "zf_gains")
     sc = scenario_from_mapping(_GOLDEN_MICRO["two_cell_random"])
     table = run_scenario(sc)
     assert calls["zf_gains"] == sc.n_realizations
@@ -311,6 +314,24 @@ def test_a_zf_failure_is_recorded_at_every_point_of_its_chain(monkeypatch):
     assert table.errors == [(key, message) for key in keys]
     for row in table.rows:
         assert row.n == sc.n_realizations - (row.scheme in ("joint@0.9", "comm_only"))
+
+
+def test_a_per_bs_zf_failure_is_recorded_at_every_point_of_its_chain(monkeypatch):
+    # The mirror of the cluster-ZF case: the first chain's per-BS ZF fails
+    # once, and energy_only and none get the message at each point, in
+    # scheme order.  The cluster schemes still solve that draw.
+    monkeypatch.setenv("ECOMP_WORKERS", "1")
+    calls = _first_call_fails(monkeypatch, "per_bs_zf_gains")
+    sc = scenario_from_mapping(_GOLDEN_MICRO["two_cell_random"])
+    table = run_scenario(sc)
+    assert calls["per_bs_zf_gains"] == sc.n_realizations
+    message = "DegeneracyError: rank-deficient channel matrix"
+    per_bs = ("energy_only@0.9", "none")
+    keys = [f"{row.sweep_key}/-1/{row.scheme}" for row in table.rows if row.scheme in per_bs]
+    assert len(keys) == 2 * len(sc.energy_db)
+    assert table.errors == [(key, message) for key in keys]
+    for row in table.rows:
+        assert row.n == sc.n_realizations - (row.scheme in per_bs)
 
 
 def _recorded_warm_starts(monkeypatch):
@@ -330,7 +351,7 @@ def test_a_zf_failure_in_a_profile_chunk_leaves_its_draw_out_of_the_batches(monk
     # is left out of the joint and comm_only batches, and those two schemes
     # record the message at its point only.  The per-BS schemes still solve it.
     monkeypatch.setenv("ECOMP_WORKERS", "1")
-    calls = _first_zf_fails(monkeypatch)
+    calls = _first_call_fails(monkeypatch, "zf_gains")
     given = _recorded_warm_starts(monkeypatch)
     table = run_scenario(scenario_from_mapping(_GOLDEN_MICRO["three_cell_profile"]))
     assert calls["zf_gains"] == 16
@@ -340,6 +361,22 @@ def test_a_zf_failure_in_a_profile_chunk_leaves_its_draw_out_of_the_batches(monk
     for row in table.rows:
         failing = row.slot == 0 and row.scheme in ("joint@0.9", "comm_only")
         assert row.n == (1 if failing else 2)
+
+
+def test_a_profile_without_cluster_schemes_designs_no_cluster_zf(monkeypatch, tmp_path):
+    # With no joint or comm_only scheme there is no warm-start batch, so no
+    # draw needs its cluster ZF; the per-BS rows are the full run's.
+    monkeypatch.setenv("ECOMP_WORKERS", "1")
+    calls = _counting(monkeypatch, "zf_gains")
+    given = _recorded_warm_starts(monkeypatch)
+    _, golden = _golden("three_cell_profile")
+    table = run_scenario(scenario_from_mapping({**_GOLDEN_MICRO["three_cell_profile"],
+                                                "schemes": "energy_only, none"}))
+    assert calls == {"zf_gains": 0} and given == []
+    assert len(table) == 16 and not table.errors
+    header, *rows = golden.splitlines(keepends=True)
+    assert _csv(table, tmp_path) == "".join(
+        [header] + [row for row in rows if row.split(",")[2] in ("energy_only@0.9", "none")])
 
 
 def test_comm_only_starts_from_its_prices_at_the_point_before(monkeypatch):
@@ -442,7 +479,7 @@ def test_a_chain_restarts_cold_after_a_failure_and_errors_stay_point_major(monke
         starts.append(start)
         if len(starts) in (5, 10, 14):         # chain 0 point 1, chain 1 points 0 and 1
             prices.append(None)
-            raise ConvergenceError(f"call {len(starts)}", np.ones(2))
+            raise ConvergenceError(f"call {len(starts)}")
         sol = real_solve(gains, es, beta, start=start)
         prices.append(sol.mu)
         return sol
