@@ -150,29 +150,39 @@ def generate_rayleigh(n_bs: int, m_ant: int, n_mt: int,
                           noise_var=np.broadcast_to(noise_var, (n_mt,)).copy())
 
 
-def _zf_beams(h: np.ndarray, noise_var: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit ZF directions (rows) and effective gains for the rows of ``h``.
+def _zf_beams(h: np.ndarray, noise_var: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    """Unit ZF directions (rows) and effective gains of each matrix of a stack ``h`` (..., r, c).
 
-    Row k's beam is column k of the pseudo-inverse of ``h``: it is nulled
-    by every other row and has unit gain on row k, so its squared norm is
-    the inverse of the power of h_k orthogonal to the other rows.  Raises
-    DegeneracyError if the rows are not numerically independent.
+    Row k's beam is column k of the pseudo-inverse of its matrix: it is
+    nulled by every other row and has unit gain on row k, so its squared
+    norm is the inverse of the power of h_k orthogonal to the other rows.
+    The third value lists per matrix None, or the DegeneracyError message
+    of rows that are not numerically independent.  Bits do not depend on the stack.
     """
     u, s, vh = np.linalg.svd(h, full_matrices=False)
-    if s[-1] <= RANK_RTOL * s[0]:
-        raise DegeneracyError("rank-deficient channel matrix")
-    beams = vh.conj().T @ (u.conj().T / s[:, None])
-    norm = np.linalg.norm(beams, axis=0)
+    rank_low = s[..., -1] <= RANK_RTOL * s[..., 0]
+    s = np.where(rank_low[..., None], 1.0, s)       # keeps a failed matrix's beams finite
+    beams = vh.conj().swapaxes(-1, -2) @ (u.conj().swapaxes(-1, -2) / s[..., None])
+    norm = np.linalg.norm(beams, axis=-2)
     power = 1.0 / norm ** 2
-    low = power <= GAIN_FLOOR * np.linalg.norm(h, axis=1) ** 2
-    if np.any(low):
-        raise DegeneracyError(f"row {int(np.argmax(low))} lies in the other rows' span")
-    return (beams / norm).T, power / noise_var
+    low = power <= GAIN_FLOOR * np.linalg.norm(h, axis=-1) ** 2
+    low_rows = low.reshape(-1, low.shape[-1]).tolist()
+    errors = ["rank-deficient channel matrix" if bad else
+              f"row {rows.index(True)} lies in the other rows' span" if True in rows else None
+              for bad, rows in zip(rank_low.ravel().tolist(), low_rows)]
+    return (beams / norm[..., None, :]).swapaxes(-1, -2), power / noise_var, errors
 
 
 def _rate_weights(weights, k_mt: int):
     """Rate weights, all ones when ``weights`` is None; ZfGains checks them."""
     return np.ones(k_mt) if weights is None else weights
+
+
+def _one(results):
+    (got,) = results
+    if isinstance(got, Exception):
+        raise got
+    return got
 
 
 def zf_gains(ch: ClusterChannel, weights=None) -> ZfGains:
@@ -183,13 +193,25 @@ def zf_gains(ch: ClusterChannel, weights=None) -> ZfGains:
     terminals' channels over the noise and ``b[i, k]`` the squared norm of
     the direction's BS-i antenna block.
     """
-    w = _rate_weights(weights, ch.n_mt)
-    t_dir, a = _zf_beams(ch.h, ch.noise_var)
-    b = (np.abs(t_dir) ** 2).reshape(ch.n_mt, ch.n_bs, ch.m_ant).sum(axis=2).T
-    if np.any(b <= GAIN_FLOOR):
-        i, k = np.unravel_index(int(np.argmin(b)), b.shape)
-        raise DegeneracyError(f"vanishing power coefficient b[{i},{k}]")
-    return ZfGains(a=a, b=b, t_dir=t_dir, weights=w)
+    return _one(zf_gains_stack([ch], weights))
+
+
+def zf_gains_stack(chs, weights=None) -> list:
+    """``zf_gains`` of one or more channels ``chs`` of one shape, in one stacked design.
+
+    Each entry is a ZfGains, or the DegeneracyError ``zf_gains`` raises for it alone.
+    """
+    n_bs, m_ant, k_mt = chs[0].n_bs, chs[0].m_ant, chs[0].n_mt
+    t_dir, a, errors = _zf_beams(np.array([ch.h for ch in chs]),
+                                 np.array([ch.noise_var for ch in chs]))
+    b = (np.abs(t_dir) ** 2).reshape(len(chs), k_mt, n_bs, m_ant).sum(axis=3).swapaxes(1, 2)
+    w, out = _rate_weights(weights, k_mt), []
+    for t_d, a_d, b_d, error in zip(t_dir, a, b, errors):
+        if error is None and np.any(b_d <= GAIN_FLOOR):
+            i, k = np.unravel_index(int(np.argmin(b_d)), b_d.shape)
+            error = f"vanishing power coefficient b[{i},{k}]"
+        out.append(DegeneracyError(error) if error else ZfGains(a=a_d, b=b_d, t_dir=t_d, weights=w))
+    return out
 
 
 def per_bs_zf_gains(ch: ClusterChannel, association, weights=None) -> ZfGains:
@@ -200,31 +222,44 @@ def per_bs_zf_gains(ch: ClusterChannel, association, weights=None) -> ZfGains:
     per-BS antenna budget (K_i <= M).  Power cost coefficients become the
     association indicator.
     """
-    k_mt = ch.n_mt
-    w = _rate_weights(weights, k_mt)
-    assoc = [list(g) for g in association]
-    if len(assoc) != ch.n_bs:
-        raise FeasibilityError("association must have one terminal set per BS")
-    flat = sorted(k for g in assoc for k in g)
-    if flat != list(range(k_mt)):
-        raise FeasibilityError("association is not a partition of the terminals")
-    for i, g in enumerate(assoc):
-        if len(g) > ch.m_ant:
-            raise FeasibilityError(f"BS {i} oversubscribed: {len(g)} MTs > M={ch.m_ant}")
+    return _one(per_bs_zf_gains_stack([ch], [association], weights))
 
-    a = np.empty(k_mt)
-    b = np.zeros((ch.n_bs, k_mt))
-    t_dir = np.zeros((k_mt, ch.m_ant * ch.n_bs), dtype=complex)
-    for i, group in enumerate(assoc):
-        if not group:
-            continue
-        blk = ch.block(i)
-        try:
-            t_dir[group, blk], a[group] = _zf_beams(ch.h[group, blk], ch.noise_var[group])
-        except DegeneracyError as exc:
-            raise DegeneracyError(f"BS {i} serving MTs {group}: {exc}") from exc
-        b[i, group] = 1.0
-    return ZfGains(a=a, b=b, t_dir=t_dir, weights=w)
+
+def per_bs_zf_gains_stack(chs, associations, weights=None) -> list:
+    """``per_bs_zf_gains`` of one or more channels ``chs`` of one shape, under their associations.
+
+    One stacked design per block shape serves every channel's BS blocks.
+    Each entry is a ZfGains, or the error ``per_bs_zf_gains`` raises for it alone.
+    """
+    n_bs, m_ant, k_mt = chs[0].n_bs, chs[0].m_ant, chs[0].n_mt
+    w, out, blocks, failed = _rate_weights(weights, k_mt), [None] * len(chs), {}, {}
+    for d, association in enumerate(associations):
+        assoc = [list(g) for g in association]
+        over = [i for i, g in enumerate(assoc) if len(g) > m_ant]
+        if len(assoc) != n_bs:
+            out[d] = FeasibilityError("association must have one terminal set per BS")
+        elif sorted(k for g in assoc for k in g) != list(range(k_mt)):
+            out[d] = FeasibilityError("association is not a partition of the terminals")
+        elif over:
+            out[d] = FeasibilityError(
+                f"BS {over[0]} oversubscribed: {len(assoc[over[0]])} MTs > M={m_ant}")
+        for i, group in enumerate(assoc if out[d] is None else []):
+            if group:
+                blocks.setdefault(len(group), []).append((d, i, group))
+    a, b = np.empty((len(chs), k_mt)), np.zeros((len(chs), n_bs, k_mt))
+    t_dir = np.zeros((len(chs), k_mt, m_ant * n_bs), dtype=complex)
+    for cases in blocks.values():
+        dirs, gains, errors = _zf_beams(
+            np.array([chs[d].h[group, chs[d].block(i)] for d, i, group in cases]),
+            np.array([chs[d].noise_var[group] for d, _, group in cases]))
+        for (d, i, group), t_d, a_d, error in zip(cases, dirs, gains, errors):
+            t_dir[d, group, chs[d].block(i)], a[d, group], b[d, i, group] = t_d, a_d, 1.0
+            if error:
+                failed[d, i] = f"BS {i} serving MTs {group}: {error}"
+    for (d, _), message in sorted(failed.items(), reverse=True):    # a draw's first BS last
+        out[d] = DegeneracyError(message)
+    return [got if got is not None else ZfGains(a=a[d], b=b[d], t_dir=t_dir[d], weights=w)
+            for d, got in enumerate(out)]
 
 
 def strongest_channel_association(variances, m_ant: int) -> list[list[int]]:

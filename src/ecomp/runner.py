@@ -7,13 +7,13 @@ from (scenario seed, slot, realization).  Where a sweep only rescales
 energies, one draw at every point, a chain, is a unit of work: it is drawn
 once, and its joint and comm_only solves start from the prices at the
 point before.  three_cell_profile draws fresh terminals at every point,
-so its unit is a chunk of consecutive points holding at least
-``CHUNK_DRAWS`` draws, each solved at its own slot's point: its joint and
+so its unit is a run of consecutive points, one per worker and at most
+``UNIT_DRAWS`` draws, each solved at its own slot's point: its joint and
 comm_only solves start from one batched interior-point run per scheme
 (``ipm.warm_starts``), whose prices the solver's polish certifies.  Units
-share nothing (ECOMP_WORKERS runs them in parallel), and an instance's
-prices do not depend on its batch, so results do not depend on the
-worker count.
+share nothing (ECOMP_WORKERS runs them in parallel), and neither an
+instance's prices nor its stacked ZF bits depend on its batch, so results
+do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -27,8 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baselines import no_transfers, solve_comm_only, solve_energy_only, solve_no_coop
-from .channel import (DegeneracyError, FeasibilityError, generate_rayleigh, per_bs_zf_gains,
-                      strongest_channel_association, variance_matrix, zf_gains)
+# zf_gains is bound here only because bench/workloads.py traces it here (ROADMAP item 4).
+from .channel import (DegeneracyError, FeasibilityError, generate_rayleigh, per_bs_zf_gains_stack,
+                      strongest_channel_association, variance_matrix, zf_gains, zf_gains_stack)
 from .energy import EnergyState, TransferNetwork
 from .ipm import warm_starts
 from .profiles import EnergyProfile, load_profiles
@@ -38,9 +39,9 @@ from .solver import ConvergenceError, solve_p1
 
 RESULT_COLUMNS = ("sweep_key", "slot", "scheme", "beta", "mean_rate", "stderr", "n")
 
-# A three_cell_profile unit holds at least this many draws, so that its
-# batched interior-point runs amortize their per-iteration cost.
-CHUNK_DRAWS = 16
+# A three_cell_profile unit holds at most this many draws (rounded up to
+# whole points), which bounds a worker's memory; below that, one per worker.
+UNIT_DRAWS = 128
 
 # Failures a valid draw can meet; they are recorded per row.  Any other
 # exception is a bug and aborts the run.
@@ -94,39 +95,27 @@ def _aggregate(samples) -> tuple[float, float, int]:
     return mean, stderr, n
 
 
-def _kept(kept, key, make):
-    """``kept[key]``, made by ``make()`` the first time; a solver error is kept and raised again."""
-    if key not in kept:
-        try:
-            kept[key] = make()
-        except SOLVER_ERRORS as exc:
-            kept[key] = exc
-    if isinstance(kept[key], Exception):
-        raise kept[key]
-    return kept[key]
+def _evaluate_instance(es, specs, starts, kept, networks):
+    """Sum-rate of each scheme on one draw's designs ``kept`` at budgets ``es``, keyed by label.
 
-
-def _evaluate_instance(ch, variances, es, specs, weights, starts, kept, networks):
-    """Sum-rate of each scheme on one channel/energy draw, keyed by label.
-
-    A scheme that raises one of SOLVER_ERRORS gets its error message
-    instead of a rate and does not abort the others.  The cluster-ZF and
-    per-BS ZF gains are made once per draw and ``kept`` with it.  A
-    joint or comm_only scheme starts from and leaves its prices in
-    ``starts[spec]``, none on failure; one with a beta solves over ``networks[spec]``.
+    A scheme that raises one of SOLVER_ERRORS, or whose design raised
+    one, gets its error message instead of a rate and does not abort the
+    others.  A joint or comm_only scheme starts from and leaves its prices
+    in ``starts[spec]``, none on failure; one with a beta solves over ``networks[spec]``.
     """
     out = {}
     for spec in specs:
+        cluster = spec.variant in ("joint", "comm_only")
+        gains = kept["zf" if cluster else "per_bs"]
         try:
-            if spec.variant in ("joint", "comm_only"):
-                gains = _kept(kept, "zf", lambda: zf_gains(ch, weights))
+            if isinstance(gains, Exception):
+                raise gains
+            if cluster:
                 start = starts.pop(spec, None)
                 sol = (solve_p1(gains, es, networks[spec], start=start) if spec.variant == "joint"
                        else solve_comm_only(gains, es, start=start))
                 starts[spec] = sol.mu
             else:
-                gains = _kept(kept, "per_bs", lambda: per_bs_zf_gains(
-                    ch, strongest_channel_association(variances, ch.m_ant), weights))
                 sol = (solve_energy_only(gains, es, networks[spec]) if spec.variant == "energy_only"
                        else solve_no_coop(gains, es))
             out[spec.label()] = sol.objective
@@ -224,22 +213,22 @@ def _points(scenario, profile):
     return [(f"{e_db:g}", -1, 10.0 ** (e_db / 10.0)) for e_db in scenario.energy_db]
 
 
-def _units(scenario, profile):
+def _units(scenario, profile, workers):
     """Units of work, each a list of picks: each pick is drawn once, then solved at its points.
 
     Where a sweep only rescales energies, a unit is a chain: one
     realization (for three_cell_sweep one (slot, realization)) solved at
     every point.  three_cell_profile draws fresh terminals at every point:
-    a unit is a chunk of consecutive points with all their realizations,
-    each solved at its own slot's point, and the last chunk may hold fewer
-    than ``CHUNK_DRAWS`` draws.
+    a unit is a run of consecutive points with all their realizations,
+    each solved at its own slot's point: near-equal runs, one per worker,
+    of at most ``UNIT_DRAWS`` draws rounded up to whole points.
     """
     realizations = range(scenario.n_realizations)
     if scenario.kind.startswith("two_cell"):
         return [[r] for r in realizations]
     slots = range(0, len(profile), scenario.slot_stride)
     if scenario.kind == "three_cell_profile":
-        per = -(-CHUNK_DRAWS // len(realizations))
+        per = min(-(-len(slots) // workers), -(-UNIT_DRAWS // len(realizations)))
         return [[(slot, r) for slot in slots[i:i + per] for r in realizations]
                 for i in range(0, len(slots), per)]
     return [[(slot, r)] for slot in slots for r in realizations]
@@ -257,35 +246,39 @@ def _eval_unit(unit, shared=None):
     """``(point index, outcomes by label)`` of each evaluation of a unit's draws, in order.
 
     A chain's draw is solved at every point, a three_cell_profile draw at
-    its own slot's point only.  A draw's joint and comm_only solves
-    start from its prices at the point before; a profile draw's start from
-    one ``warm_starts`` batch per scheme over the unit's draws.
+    its own slot's point only.  Each ZF design the schemes need is one
+    stacked call over the unit's draws; a draw keeps its gains, or the
+    error every scheme needing them records.  A draw's joint and
+    comm_only solves start from its prices at the point before; a profile
+    draw's start from one ``warm_starts`` batch per scheme over the unit's draws.
     """
     (scenario, profile, networks, points), picks = shared or _shared, unit
-    weights, profiled = scenario.weight_vector, scenario.kind == "three_cell_profile"
+    profiled = scenario.kind == "three_cell_profile"
     draws = list(_two_cell_draws(scenario, picks) if scenario.kind.startswith("two_cell")
                  else _three_cell_draws(scenario, profile, picks))
     ats = ([[slot // scenario.slot_stride] for slot, _ in picks] if profiled
            else [range(len(points))] * len(draws))
     states = [[EnergyState(re=base * points[pi][2]) for pi in at]
               for (_, _, base), at in zip(draws, ats)]
-    starts, kepts = [{} for _ in draws], [{} for _ in draws]
     cluster = [spec for spec in scenario.schemes if spec.variant in ("joint", "comm_only")]
+    chs, made = [ch for ch, _, _ in draws], {}
+    if cluster:
+        made["zf"] = zf_gains_stack(chs, scenario.weight_vector)
+    if len(cluster) < len(scenario.schemes):
+        made["per_bs"] = per_bs_zf_gains_stack(chs, [strongest_channel_association(
+            var, ch.m_ant) for ch, var, _ in draws], scenario.weight_vector)
+    kepts, starts = [dict(zip(made, got)) for got in zip(*made.values())], [{} for _ in draws]
     if profiled and cluster:
-        cases = []
-        for j, ((ch, _, _), kept) in enumerate(zip(draws, kepts)):
-            try:
-                cases.append((j, _kept(kept, "zf", lambda: zf_gains(ch, weights))))
-            except SOLVER_ERRORS:
-                pass
+        cases = [(j, gains) for j, gains in enumerate(made["zf"])
+                 if not isinstance(gains, Exception)]
         for spec in cluster:
             net = networks[spec] if spec.variant == "joint" else no_transfers(scenario.n_bs)
             batch = warm_starts([(gains, states[j][0], net) for j, gains in cases])
             for (j, _), start in zip(cases, batch):
                 if start is not None:
                     starts[j][spec] = start
-    return [(pi, _evaluate_instance(ch, var, es, scenario.schemes, weights, start, kept, networks))
-            for (ch, var, _), at, ess, start, kept in zip(draws, ats, states, starts, kepts)
+    return [(pi, _evaluate_instance(es, scenario.schemes, start, kept, networks))
+            for at, ess, start, kept in zip(ats, states, starts, kepts)
             for pi, es in zip(at, ess)]
 
 
@@ -313,12 +306,14 @@ def run_scenario(scenario: Scenario, profile: EnergyProfile = None) -> ResultTab
     if profile is None and scenario.kind.startswith("three_cell"):
         profile = load_profiles(scenario.profile)
     points = _points(scenario, profile)
-    units = _units(scenario, profile)
+    units = _units(scenario, profile, workers)
     networks = {spec: TransferNetwork(spec.beta, scenario.n_bs) for spec in scenario.schemes
                 if spec.beta is not None}
     shared = (scenario, profile, networks, points)
     if workers > 1 and len(units) > 1:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_share, initargs=shared) as pool:
+        import numpy.random  # noqa: F401  (imported once here, every forked worker has it)
+        with ProcessPoolExecutor(max_workers=min(workers, len(units)), initializer=_share,
+                                 initargs=shared) as pool:
             results = list(pool.map(_eval_unit, units))
     else:
         results = [_eval_unit(unit, shared) for unit in units]

@@ -11,7 +11,7 @@ The transfers are the flows of an accepted Newton polish with one station
 per price, or else come from the optimal powers through a small LP.
 ``solve_p1`` is one pass of array stages: normalize, dual, powers,
 transfers, certificate.  A ``start`` is polished before any cut; for the
-cold solves of a three_cell_profile chunk it comes from the batched
+cold solves of a three_cell_profile unit it comes from the batched
 interior-point method of ``ipm``, which shares the normalize stage.
 """
 

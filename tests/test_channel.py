@@ -13,6 +13,7 @@ from ecomp import (
     variance_matrix,
     zf_gains,
 )
+from ecomp.channel import per_bs_zf_gains_stack, zf_gains_stack
 
 
 def _random_channel(rng, n_bs=2, m_ant=2, n_mt=3):
@@ -114,6 +115,64 @@ def test_per_bs_zf_validates_association():
         per_bs_zf_gains(ch, [[0, 1, 2], [3]])       # oversubscribed
     with pytest.raises(FeasibilityError):
         per_bs_zf_gains(ch, [[0, 1], [1, 2]])       # not a partition
+
+
+def _design_or_error(design, *args):
+    try:
+        return design(*args)
+    except (DegeneracyError, FeasibilityError) as exc:
+        return exc
+
+
+def _same_design(got, want):
+    """True when both are the same error class and message, or gains with the same bits."""
+    if isinstance(want, Exception) or isinstance(got, Exception):
+        return type(got) is type(want) and str(got) == str(want)
+    return all(getattr(got, name).tobytes() == getattr(want, name).tobytes()
+               for name in ("a", "b", "t_dir", "weights"))
+
+
+@pytest.mark.parametrize("size", [1, 16, 48])
+def test_a_stacked_design_gives_each_draw_the_bits_of_its_own_call(size):
+    # K = 5 < N*M = 6, so the per-BS blocks hold 2, 2 and 1 terminals in a
+    # random station order: one stacked call per block shape.  The draw in
+    # mid-stack is degenerate: rows 0 and 1 coincide, and terminal 4 gets
+    # nothing from station 0, which serves it alone.  The next draw's
+    # association oversubscribes station 0.
+    rng = np.random.default_rng(size)
+    chs = [_random_channel(rng, n_bs=3, m_ant=2, n_mt=5) for _ in range(size)]
+    assocs = []
+    for _ in chs:
+        split = np.split(rng.permutation(5), np.cumsum(rng.permutation([2, 2, 1]))[:-1])
+        assocs.append([sorted(int(k) for k in group) for group in split])
+    bad = size // 2
+    h = chs[bad].h.copy()
+    h[1], h[4, chs[bad].block(0)] = h[0], 0.0
+    chs[bad] = ClusterChannel(3, 2, 5, h, chs[bad].noise_var)
+    assocs[bad] = [[4], [0, 1], [2, 3]]
+    if size > 2:
+        assocs[bad + 1] = [[0, 1, 2], [3], [4]]
+    weights = rng.uniform(0.5, 2.0, size=5)
+    cluster = zf_gains_stack(chs, weights)
+    per_bs = per_bs_zf_gains_stack(chs, assocs, weights)
+    assert len(cluster) == len(per_bs) == size
+    for ch, assoc, got_cluster, got_per_bs in zip(chs, assocs, cluster, per_bs):
+        assert _same_design(got_cluster, _design_or_error(zf_gains, ch, weights))
+        assert _same_design(got_per_bs, _design_or_error(per_bs_zf_gains, ch, assoc, weights))
+    errors = [(d, type(got).__name__, str(got)) for d, got in enumerate(cluster + per_bs)
+              if isinstance(got, Exception)]
+    assert errors == [(bad, "DegeneracyError", "rank-deficient channel matrix"),
+                      (size + bad, "DegeneracyError",
+                       "BS 0 serving MTs [4]: rank-deficient channel matrix")] + (
+        [(size + bad + 1, "FeasibilityError", "BS 0 oversubscribed: 3 MTs > M=2")]
+        if size > 2 else [])
+    # The other draws design as they do in a stack without the failing ones.
+    good = [d for d in range(size) if d not in (bad, bad + 1)]
+    if good:
+        alone = zf_gains_stack([chs[d] for d in good], weights)
+        assert all(_same_design(cluster[d], got) for d, got in zip(good, alone))
+        alone = per_bs_zf_gains_stack([chs[d] for d in good], [assocs[d] for d in good], weights)
+        assert all(_same_design(per_bs[d], got) for d, got in zip(good, alone))
 
 
 def test_strongest_channel_association_prefers_the_larger_variance():

@@ -114,7 +114,7 @@ def test_a_batch_that_converges_nowhere_falls_back_to_the_cold_path(monkeypatch,
 
 
 def test_every_profile_solve_starts_from_ipm_prices_at_zero_cuts(monkeypatch, tmp_path):
-    # The golden profile is one chunk of 16 draws; every joint and comm_only
+    # The golden profile is one unit of 16 draws; every joint and comm_only
     # solve starts from its draw's IPM prices, the polish accepts each of
     # them, and the table keeps its bytes.
     monkeypatch.setenv("ECOMP_WORKERS", "1")

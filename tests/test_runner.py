@@ -267,35 +267,42 @@ def _counting(monkeypatch, *names):
     return calls
 
 
+def _stack_sizes(monkeypatch, *names, fail_first=False):
+    """Wrap the runner's stacked ZF designs ``names``; returns each one's list of stack sizes.
+
+    With ``fail_first``, the first draw of each one's first call gets a
+    DegeneracyError in place of its gains.
+    """
+    sizes = {name: [] for name in names}
+    for name in names:
+        def recorded(chs, *args, _name=name, _real=getattr(runner, name)):
+            got = _real(chs, *args)
+            if fail_first and not sizes[_name]:
+                got[0] = DegeneracyError("rank-deficient channel matrix")
+            sizes[_name].append(len(chs))
+            return got
+        monkeypatch.setattr(runner, name, recorded)
+    return sizes
+
+
 @pytest.mark.parametrize("kind, chains, points", [("two_cell_sweep", 4, 3),
                                                   ("three_cell_sweep", 16, 2),
                                                   ("two_cell_random", 4, 3)])
 def test_a_chain_draws_its_channel_and_zf_once(monkeypatch, tmp_path, kind, chains, points):
     # three_cell_sweep: 8 slots of the bundled profile (384 rows, stride 48)
-    # times 2 realizations, each solved at 2 energy levels.  energy_only and
+    # times 2 realizations, each solved at 2 energy levels.  A chain is a
+    # unit of one draw, so each design is a stack of one.  energy_only and
     # none share one per-BS ZF per chain; two_cell_sweep lists joint alone.
     monkeypatch.setenv("ECOMP_WORKERS", "1")
-    calls = _counting(monkeypatch, "generate_rayleigh", "zf_gains", "per_bs_zf_gains")
+    calls = _counting(monkeypatch, "generate_rayleigh")
+    sizes = _stack_sizes(monkeypatch, "zf_gains_stack", "per_bs_zf_gains_stack")
     sc, golden = _golden(kind)
     table = run_scenario(sc)
     per_bs = chains if any(spec.variant in ("energy_only", "none") for spec in sc.schemes) else 0
-    assert calls == {"generate_rayleigh": chains, "zf_gains": chains, "per_bs_zf_gains": per_bs}
+    assert calls == {"generate_rayleigh": chains}
+    assert sizes == {"zf_gains_stack": [1] * chains, "per_bs_zf_gains_stack": [1] * per_bs}
     assert sum(row.n for row in table.rows) == chains * points * len(sc.schemes)
     assert _csv(table, tmp_path) == golden
-
-
-def _first_call_fails(monkeypatch, name):
-    """Make the runner's first ``name`` call raise; returns the dict of its call count."""
-    real, failed = getattr(runner, name), []
-
-    def degenerate_first(*args):
-        if not failed:
-            failed.append(args)
-            raise DegeneracyError("rank-deficient channel matrix")
-        return real(*args)
-
-    monkeypatch.setattr(runner, name, degenerate_first)
-    return _counting(monkeypatch, name)
 
 
 def test_a_zf_failure_is_recorded_at_every_point_of_its_chain(monkeypatch):
@@ -303,10 +310,10 @@ def test_a_zf_failure_is_recorded_at_every_point_of_its_chain(monkeypatch):
     # the message at each point, in scheme order, as a fresh ZF per point
     # would give them.  The per-BS schemes still solve that draw.
     monkeypatch.setenv("ECOMP_WORKERS", "1")
-    calls = _first_call_fails(monkeypatch, "zf_gains")
+    sizes = _stack_sizes(monkeypatch, "zf_gains_stack", fail_first=True)
     sc = scenario_from_mapping(_GOLDEN_MICRO["two_cell_random"])
     table = run_scenario(sc)
-    assert calls["zf_gains"] == sc.n_realizations
+    assert sizes["zf_gains_stack"] == [1] * sc.n_realizations
     message = "DegeneracyError: rank-deficient channel matrix"
     keys = [f"{row.sweep_key}/-1/{row.scheme}" for row in table.rows
             if row.scheme in ("joint@0.9", "comm_only")]
@@ -321,10 +328,10 @@ def test_a_per_bs_zf_failure_is_recorded_at_every_point_of_its_chain(monkeypatch
     # once, and energy_only and none get the message at each point, in
     # scheme order.  The cluster schemes still solve that draw.
     monkeypatch.setenv("ECOMP_WORKERS", "1")
-    calls = _first_call_fails(monkeypatch, "per_bs_zf_gains")
+    sizes = _stack_sizes(monkeypatch, "per_bs_zf_gains_stack", fail_first=True)
     sc = scenario_from_mapping(_GOLDEN_MICRO["two_cell_random"])
     table = run_scenario(sc)
-    assert calls["per_bs_zf_gains"] == sc.n_realizations
+    assert sizes["per_bs_zf_gains_stack"] == [1] * sc.n_realizations
     message = "DegeneracyError: rank-deficient channel matrix"
     per_bs = ("energy_only@0.9", "none")
     keys = [f"{row.sweep_key}/-1/{row.scheme}" for row in table.rows if row.scheme in per_bs]
@@ -347,14 +354,16 @@ def _recorded_warm_starts(monkeypatch):
 
 
 def test_a_zf_failure_in_a_profile_chunk_leaves_its_draw_out_of_the_batches(monkeypatch):
-    # The chunk's first draw (slot 0, realization 0) fails its ZF once: it
-    # is left out of the joint and comm_only batches, and those two schemes
-    # record the message at its point only.  The per-BS schemes still solve it.
+    # With one worker the micro profile is one unit of 16 draws, designed in
+    # one stacked call.  Its first draw (slot 0, realization 0) fails its
+    # ZF: it is left out of the joint and comm_only batches, and those two
+    # schemes record the message at its point only.  The per-BS schemes
+    # still solve it.
     monkeypatch.setenv("ECOMP_WORKERS", "1")
-    calls = _first_call_fails(monkeypatch, "zf_gains")
+    sizes = _stack_sizes(monkeypatch, "zf_gains_stack", fail_first=True)
     given = _recorded_warm_starts(monkeypatch)
     table = run_scenario(scenario_from_mapping(_GOLDEN_MICRO["three_cell_profile"]))
-    assert calls["zf_gains"] == 16
+    assert sizes["zf_gains_stack"] == [16]
     assert [len(batch) for batch in given] == [15, 15]
     message = "DegeneracyError: rank-deficient channel matrix"
     assert table.errors == [("0/0/joint@0.9", message), ("0/0/comm_only", message)]
@@ -367,12 +376,12 @@ def test_a_profile_without_cluster_schemes_designs_no_cluster_zf(monkeypatch, tm
     # With no joint or comm_only scheme there is no warm-start batch, so no
     # draw needs its cluster ZF; the per-BS rows are the full run's.
     monkeypatch.setenv("ECOMP_WORKERS", "1")
-    calls = _counting(monkeypatch, "zf_gains")
+    calls = _counting(monkeypatch, "zf_gains", "zf_gains_stack")
     given = _recorded_warm_starts(monkeypatch)
     _, golden = _golden("three_cell_profile")
     table = run_scenario(scenario_from_mapping({**_GOLDEN_MICRO["three_cell_profile"],
                                                 "schemes": "energy_only, none"}))
-    assert calls == {"zf_gains": 0} and given == []
+    assert calls == {"zf_gains": 0, "zf_gains_stack": 0} and given == []
     assert len(table) == 16 and not table.errors
     header, *rows = golden.splitlines(keepends=True)
     assert _csv(table, tmp_path) == "".join(
@@ -404,7 +413,7 @@ def test_comm_only_starts_from_its_prices_at_the_point_before(monkeypatch):
     starts.clear()
     given = _recorded_warm_starts(monkeypatch)
     run_scenario(scenario_from_mapping(_GOLDEN_MICRO["three_cell_profile"]))
-    comm_only = given[1]        # one chunk: the joint batch, then the comm_only one
+    comm_only = given[1]        # one unit: the joint batch, then the comm_only one
     assert len(starts) == len(comm_only) == 16
     for start, want in zip(starts, comm_only):
         np.testing.assert_array_equal(start, want)
@@ -412,30 +421,40 @@ def test_comm_only_starts_from_its_prices_at_the_point_before(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["two_cell_random", "three_cell_sweep", "three_cell_profile"])
 def test_golden_kinds_do_not_depend_on_the_worker_count(monkeypatch, kind):
-    # At 3 realizations the micro profile is two chunks, so the pool runs.
+    # At 3 realizations the micro profile's 8 points split into units of
+    # 4 and 4 points at 2 workers and 3, 3 and 2 at 3 workers, so the pool
+    # runs, with uneven units at 3.
     sc = scenario_from_mapping({**_GOLDEN_MICRO[kind], "n_realizations": "3"})
     monkeypatch.setenv("ECOMP_WORKERS", "1")
     serial = run_scenario(sc)
-    monkeypatch.setenv("ECOMP_WORKERS", "2")
-    parallel = run_scenario(sc)
-    assert _as_tuples(serial) == _as_tuples(parallel)
-    assert serial.errors == parallel.errors
+    for workers in ("2", "3"):
+        monkeypatch.setenv("ECOMP_WORKERS", workers)
+        parallel = run_scenario(sc)
+        assert _as_tuples(serial) == _as_tuples(parallel)
+        assert serial.errors == parallel.errors
 
 
-def test_a_profile_sends_chunks_of_16_draws_and_a_sweep_one_unit_per_chain(monkeypatch):
-    # A profile draws fresh terminals at every point, so its unit is a chunk
-    # of consecutive points holding at least CHUNK_DRAWS draws, whatever the
-    # worker count; each joint solve starts from its draw's IPM prices.
-    real_solve, starts, sent = runner.solve_p1, [], []
+def test_a_profile_splits_its_points_by_worker_count_and_a_sweep_one_unit_per_chain(monkeypatch):
+    # A profile draws fresh terminals at every point, so its unit is a run of
+    # consecutive points: one near-equal run per worker, of at most
+    # UNIT_DRAWS draws rounded up to whole points.  The pool forks no more
+    # workers than there are units, and each joint solve starts from its
+    # draw's IPM prices.
+    real_solve, real_eval, starts, sent, made = runner.solve_p1, runner._eval_unit, [], [], []
 
     def recorded(gains, es, beta, start=None):
         starts.append(start)
         return real_solve(gains, es, beta, start=start)
 
+    def evaluated(unit, shared=None):
+        sent.append(unit)
+        return real_eval(unit, shared)
+
     class RecordingPool:
-        """Stands in for ProcessPoolExecutor: records the units, runs them here."""
+        """Stands in for ProcessPoolExecutor: records its worker count, runs the units here."""
 
         def __init__(self, max_workers, initializer, initargs):
+            made.append(max_workers)
             initializer(*initargs)
 
         def __enter__(self):
@@ -445,27 +464,43 @@ def test_a_profile_sends_chunks_of_16_draws_and_a_sweep_one_unit_per_chain(monke
             return False
 
         def map(self, fn, units):
-            sent.extend(units)
             return map(fn, units)
 
-    monkeypatch.setenv("ECOMP_WORKERS", "2")
     monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(runner, "solve_p1", recorded)
+    monkeypatch.setattr(runner, "_eval_unit", evaluated)
     given = _recorded_warm_starts(monkeypatch)
-    # 8 points at 3 realizations: chunks of ceil(16 / 3) = 6 points, then 2.
     sc = scenario_from_mapping({**_GOLDEN_MICRO["three_cell_profile"], "n_realizations": "3"})
-    table = run_scenario(sc)
-    assert sorted({row.slot for row in table.rows}) == [48 * pi for pi in range(8)]
-    assert sent == [[(48 * pi, r) for pi in chunk for r in range(3)]
-                    for chunk in (range(6), range(6, 8))]
-    joint = given[0] + given[2]         # per chunk: the joint batch, then the comm_only one
-    assert len(starts) == len(joint) == 24 and all(start is not None for start in joint)
-    for start, want in zip(starts, joint):
-        np.testing.assert_array_equal(start, want)
+    monkeypatch.setenv("ECOMP_WORKERS", "1")
+    want = run_scenario(sc)
+    assert sorted({row.slot for row in want.rows}) == [48 * pi for pi in range(8)]
+    assert all(row.n == 3 for row in want.rows) and not want.errors
+    # 8 points at 3 realizations; a cap of 7 draws is ceil(7 / 3) = 3 points.
+    for workers, cap, runs, forks in [(1, 128, [8], []), (2, 128, [4, 4], [2]),
+                                     (3, 128, [3, 3, 2], [3]), (5, 128, [2, 2, 2, 2], [4]),
+                                     (1, 7, [3, 3, 2], []), (2, 7, [3, 3, 2], [2])]:
+        monkeypatch.setenv("ECOMP_WORKERS", str(workers))
+        monkeypatch.setattr(runner, "UNIT_DRAWS", cap)
+        for got in (starts, sent, given, made):
+            got.clear()
+        table = run_scenario(sc)
+        assert _as_tuples(table) == _as_tuples(want) and table.errors == want.errors
+        firsts = [sum(runs[:i]) for i in range(len(runs))]
+        assert sent == [[(48 * pi, r) for pi in range(first, first + run) for r in range(3)]
+                        for first, run in zip(firsts, runs)]
+        assert made == forks
+        joint = [start for batch in given[::2] for start in batch]   # per unit: joint, comm_only
+        assert len(starts) == len(joint) == 24 and all(start is not None for start in joint)
+        for start, want_start in zip(starts, joint):
+            np.testing.assert_array_equal(start, want_start)
+    # A sweep's unit is a chain, and 8 workers on 4 chains fork 4.
     sent.clear()
+    made.clear()
     sc = _micro_scenario()
+    monkeypatch.setenv("ECOMP_WORKERS", "8")
     run_scenario(sc)
     assert sent == [[r] for r in range(sc.n_realizations)]
+    assert made == [4] and sc.n_realizations == 4
 
 
 def test_a_chain_restarts_cold_after_a_failure_and_errors_stay_point_major(monkeypatch):
