@@ -4,16 +4,17 @@ Each scenario kind expands into sweep points, each a sweep key, a slot
 and a budget level, and into draws of a channel, its variances and a
 budget base; a draw's budgets at a point are base * level.  Seeds derive
 from (scenario seed, slot, realization).  Where a sweep only rescales
-energies, one draw at every point, a chain, is a unit of work: it is drawn
-once, and its joint and comm_only solves start from the prices at the
-point before.  three_cell_profile draws fresh terminals at every point,
-so its unit is a run of consecutive points, one per worker and at most
-``UNIT_DRAWS`` draws, each solved at its own slot's point: its joint and
-comm_only solves start from one batched interior-point run per scheme
-(``ipm.warm_starts``), whose prices the solver's polish certifies.  Units
-share nothing (ECOMP_WORKERS runs them in parallel), and neither an
-instance's prices nor its stacked ZF bits depend on its batch, so results
-do not depend on the worker count.
+energies, one draw at every point, a chain, is a unit of work.
+three_cell_profile draws fresh terminals at every point, so its unit is
+a run of consecutive points, one per worker and at most ``UNIT_DRAWS``
+draws, each solved at its own slot's point.  A unit runs scheme by
+scheme, with one stacked ZF call per design family.  A draw's joint and
+comm_only solves start from its prices at the point before or, in a
+profile, from one batched interior-point run per scheme
+(``ipm.warm_starts``) that the solver's polish certifies.  Units share
+nothing (ECOMP_WORKERS runs them in parallel), and neither an instance's
+prices nor its stacked ZF bits depend on its batch, so results do not
+depend on the worker count.
 """
 
 from __future__ import annotations
@@ -93,35 +94,6 @@ def _aggregate(samples) -> tuple[float, float, int]:
     mean = float(arr.mean())
     stderr = float(arr.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return mean, stderr, n
-
-
-def _evaluate_instance(es, specs, starts, kept, networks):
-    """Sum-rate of each scheme on one draw's designs ``kept`` at budgets ``es``, keyed by label.
-
-    A scheme that raises one of SOLVER_ERRORS, or whose design raised
-    one, gets its error message instead of a rate and does not abort the
-    others.  A joint or comm_only scheme starts from and leaves its prices
-    in ``starts[spec]``, none on failure; one with a beta solves over ``networks[spec]``.
-    """
-    out = {}
-    for spec in specs:
-        cluster = spec.variant in ("joint", "comm_only")
-        gains = kept["zf" if cluster else "per_bs"]
-        try:
-            if isinstance(gains, Exception):
-                raise gains
-            if cluster:
-                start = starts.pop(spec, None)
-                sol = (solve_p1(gains, es, networks[spec], start=start) if spec.variant == "joint"
-                       else solve_comm_only(gains, es, start=start))
-                starts[spec] = sol.mu
-            else:
-                sol = (solve_energy_only(gains, es, networks[spec]) if spec.variant == "energy_only"
-                       else solve_no_coop(gains, es))
-            out[spec.label()] = sol.objective
-        except SOLVER_ERRORS as exc:
-            out[spec.label()] = f"{type(exc).__name__}: {exc}"
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -242,15 +214,33 @@ def _share(*shared):
     _shared = shared
 
 
+def _solve(spec, gains, es, net, start):
+    """``(outcome, prices)`` of scheme ``spec`` on one draw's design ``gains`` at budgets ``es``.
+
+    A design that raised, or one of SOLVER_ERRORS, gives the outcome ``"Class: message"``
+    and no prices.  joint and energy_only solve over ``net``, joint and comm_only from ``start``.
+    """
+    try:
+        if isinstance(gains, Exception):
+            raise gains
+        sol = (solve_p1(gains, es, net, start=start) if spec.variant == "joint" else
+               solve_comm_only(gains, es, start=start) if spec.variant == "comm_only" else
+               solve_energy_only(gains, es, net) if spec.variant == "energy_only" else
+               solve_no_coop(gains, es))
+    except SOLVER_ERRORS as exc:
+        return f"{type(exc).__name__}: {exc}", None
+    return sol.objective, sol.mu
+
+
 def _eval_unit(unit, shared=None):
     """``(point index, outcomes by label)`` of each evaluation of a unit's draws, in order.
 
     A chain's draw is solved at every point, a three_cell_profile draw at
-    its own slot's point only.  Each ZF design the schemes need is one
-    stacked call over the unit's draws; a draw keeps its gains, or the
-    error every scheme needing them records.  A draw's joint and
-    comm_only solves start from its prices at the point before; a profile
-    draw's start from one ``warm_starts`` batch per scheme over the unit's draws.
+    its own slot's point only.  The unit runs scheme by scheme: the first
+    scheme of a family makes its design, cluster or per-BS ZF, in one stacked
+    call, and a draw keeps its gains or the error each scheme of the family
+    records.  A draw's joint and comm_only solves start from its prices at the
+    point before (none after a failure), a profile draw's from one ``warm_starts`` batch.
     """
     (scenario, profile, networks, points), picks = shared or _shared, unit
     profiled = scenario.kind == "three_cell_profile"
@@ -260,26 +250,24 @@ def _eval_unit(unit, shared=None):
            else [range(len(points))] * len(draws))
     states = [[EnergyState(re=base * points[pi][2]) for pi in at]
               for (_, _, base), at in zip(draws, ats)]
-    cluster = [spec for spec in scenario.schemes if spec.variant in ("joint", "comm_only")]
-    chs, made = [ch for ch, _, _ in draws], {}
-    if cluster:
-        made["zf"] = zf_gains_stack(chs, scenario.weight_vector)
-    if len(cluster) < len(scenario.schemes):
-        made["per_bs"] = per_bs_zf_gains_stack(chs, [strongest_channel_association(
-            var, ch.m_ant) for ch, var, _ in draws], scenario.weight_vector)
-    kepts, starts = [dict(zip(made, got)) for got in zip(*made.values())], [{} for _ in draws]
-    if profiled and cluster:
-        cases = [(j, gains) for j, gains in enumerate(made["zf"])
-                 if not isinstance(gains, Exception)]
-        for spec in cluster:
-            net = networks[spec] if spec.variant == "joint" else no_transfers(scenario.n_bs)
-            batch = warm_starts([(gains, states[j][0], net) for j, gains in cases])
-            for (j, _), start in zip(cases, batch):
-                if start is not None:
-                    starts[j][spec] = start
-    return [(pi, _evaluate_instance(es, scenario.schemes, start, kept, networks))
-            for at, ess, start, kept in zip(ats, states, starts, kepts)
-            for pi, es in zip(at, ess)]
+    chs, weights = [ch for ch, _, _ in draws], scenario.weight_vector
+    designs, outs = {}, [[{} for _ in at] for at in ats]
+    for spec in scenario.schemes:
+        cluster, net, label = spec.variant in ("joint", "comm_only"), networks[spec], spec.label()
+        if cluster not in designs:
+            designs[cluster] = (zf_gains_stack(chs, weights) if cluster else per_bs_zf_gains_stack(
+                chs, [strongest_channel_association(var, ch.m_ant) for ch, var, _ in draws],
+                weights))
+        design, starts = designs[cluster], [None] * len(draws)
+        if profiled and cluster:
+            cases = [j for j, gains in enumerate(design) if not isinstance(gains, Exception)]
+            batch = warm_starts([(design[j], states[j][0], net) for j in cases])
+            for j, start in zip(cases, batch):
+                starts[j] = start
+        for gains, ess, start, out in zip(design, states, starts, outs):
+            for es, by_label in zip(ess, out):
+                by_label[label], start = _solve(spec, gains, es, net, start)
+    return [(pi, by_label) for at, out in zip(ats, outs) for pi, by_label in zip(at, out)]
 
 
 def _workers() -> int:
@@ -307,8 +295,8 @@ def run_scenario(scenario: Scenario, profile: EnergyProfile = None) -> ResultTab
         profile = load_profiles(scenario.profile)
     points = _points(scenario, profile)
     units = _units(scenario, profile, workers)
-    networks = {spec: TransferNetwork(spec.beta, scenario.n_bs) for spec in scenario.schemes
-                if spec.beta is not None}
+    networks = {spec: no_transfers(scenario.n_bs) if spec.beta is None
+                else TransferNetwork(spec.beta, scenario.n_bs) for spec in scenario.schemes}
     shared = (scenario, profile, networks, points)
     if workers > 1 and len(units) > 1:
         import numpy.random  # noqa: F401  (imported once here, every forked worker has it)

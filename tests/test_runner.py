@@ -504,31 +504,69 @@ def test_a_profile_splits_its_points_by_worker_count_and_a_sweep_one_unit_per_ch
 
 
 def test_a_chain_restarts_cold_after_a_failure_and_errors_stay_point_major(monkeypatch):
-    # Serially each chain (a realization) runs its 3 points x 3 betas in
-    # turn, so call c is chain c // 9, point c % 9 // 3, beta c % 3.
+    # Each chain (a realization) solves 3 betas at 3 points.  A solve is
+    # keyed by (chain, beta, point), whatever order the runner takes them in.
     monkeypatch.setenv("ECOMP_WORKERS", "1")
-    real_solve = runner.solve_p1
-    starts, prices = [], []
+    sc = _micro_scenario()
+    betas = [spec.beta for spec in sc.schemes]
+    real_solve, real_eval, chain, solved, starts, prices = (runner.solve_p1, runner._eval_unit,
+                                                           [], [], {}, {})
+    failing = [(0, 1, 1), (1, 0, 0), (1, 1, 1)]   # chain 0 point 1, chain 1 points 0 and 1
+
+    def evaluated(unit, shared=None):
+        chain[:] = unit
+        return real_eval(unit, shared)
 
     def recorded(gains, es, beta, start=None):
-        starts.append(start)
-        if len(starts) in (5, 10, 14):         # chain 0 point 1, chain 1 points 0 and 1
-            prices.append(None)
-            raise ConvergenceError(f"call {len(starts)}")
+        key = (chain[0], betas.index(beta.beta[0, 1]), round(es.re[0] / 10.0))
+        solved.append(key)
+        starts[key] = start
+        if key in failing:
+            prices[key] = None
+            raise ConvergenceError("chain {} beta {} point {}".format(*key))
         sol = real_solve(gains, es, beta, start=start)
-        prices.append(sol.mu)
+        prices[key] = sol.mu
         return sol
 
+    monkeypatch.setattr(runner, "_eval_unit", evaluated)
     monkeypatch.setattr(runner, "solve_p1", recorded)
-    table = run_scenario(_micro_scenario())
-    assert len(starts) == 36
-    for c, start in enumerate(starts):
-        before = None if c % 9 < 3 else prices[c - 3]    # the same beta, a point before
+    table = run_scenario(sc)
+    assert len(solved) == len(set(solved)) == 36
+    for (c, b, p), start in starts.items():
+        before = prices[c, b, p - 1] if p else None    # the same beta, a point before
         assert (start is None) == (before is None)
         if before is not None:
             np.testing.assert_array_equal(start, before)
-    assert starts[7] is None and starts[12] is None and starts[15] is not None
+    assert starts[0, 1, 2] is None and starts[1, 0, 1] is None and starts[1, 0, 2] is not None
     key = [(row.sweep_key, row.scheme) for row in table.rows]
-    assert table.errors == [(f"{key[0][0]}/-1/{key[0][1]}", "ConvergenceError: call 10"),
-                            (f"{key[4][0]}/-1/{key[4][1]}", "ConvergenceError: call 5"),
-                            (f"{key[4][0]}/-1/{key[4][1]}", "ConvergenceError: call 14")]
+    message = "ConvergenceError: chain {} beta {} point {}".format
+    assert table.errors == [(f"{key[0][0]}/-1/{key[0][1]}", message(1, 0, 0)),
+                            (f"{key[4][0]}/-1/{key[4][1]}", message(0, 1, 1)),
+                            (f"{key[4][0]}/-1/{key[4][1]}", message(1, 1, 1))]
+
+
+@pytest.mark.parametrize("fail", [False, True])
+@pytest.mark.parametrize("kind", ["two_cell_random", "three_cell_profile"])
+def test_the_scheme_order_changes_no_row_error_or_design_call(monkeypatch, kind, fail):
+    # A unit runs scheme by scheme and the first scheme of a family makes its
+    # design, so listed in reverse the per-BS ZF comes first.  Rows and
+    # errors stay those of the default order, errors point-major in the
+    # listed order, and each family is one stacked call per unit.  With
+    # ``fail`` the first draw of each family's first call fails its design.
+    monkeypatch.setenv("ECOMP_WORKERS", "1")
+    stack, runs = [16] if kind == "three_cell_profile" else [1] * 4, []   # draws per unit
+    for schemes in ("joint@0.9, comm_only, energy_only@0.9, none",
+                    "none, energy_only@0.9, comm_only, joint@0.9"):
+        with monkeypatch.context() as m:
+            sizes = _stack_sizes(m, "zf_gains_stack", "per_bs_zf_gains_stack", fail_first=fail)
+            runs.append(run_scenario(scenario_from_mapping({**_GOLDEN_MICRO[kind],
+                                                            "schemes": schemes})))
+        assert sizes == {"zf_gains_stack": stack, "per_bs_zf_gains_stack": stack}
+    default, reverse = runs
+    assert [row.scheme for row in reverse.rows[:4]] == ["none", "energy_only@0.9", "comm_only",
+                                                        "joint@0.9"]
+    by_label = [{(row.sweep_key, row.slot, row.scheme): row for row in run.rows} for run in runs]
+    assert len(reverse) == len(default) == len(by_label[1]) and by_label[0] == by_label[1]
+    order = {f"{row.sweep_key}/{row.slot}/{row.scheme}": i for i, row in enumerate(reverse.rows)}
+    assert bool(default.errors) == fail
+    assert reverse.errors == sorted(default.errors, key=lambda error: order[error[0]])
