@@ -110,10 +110,6 @@ class ZfGains:
     def n_bs(self) -> int:
         return self.b.shape[0]
 
-    @property
-    def n_mt(self) -> int:
-        return self.a.size
-
 
 def variance_matrix(bs_positions, mt_positions) -> np.ndarray:
     """N x K pathloss variances from each BS to each terminal (positions in m)."""

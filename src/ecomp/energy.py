@@ -1,15 +1,15 @@
 """Per-BS energy budgets, transfer efficiencies and the two-BS power region.
 
-Each BS i has a transmit budget E_i = RE_i + G - P_C from its renewable
-rate plus a constant grid draw.  BSs may exchange energy through the grid:
-BS i injects e_ij and BS j may draw beta_ij * e_ij, the rest is network
-loss.  ``TransferNetwork`` validates the efficiencies once and derives
-all that solves over them share; the solver finds the transfer pattern.
+Each BS i has a transmit budget E_i from its renewable rate; a caller
+folds any constant grid draw, net of circuit power, into each station's
+budget.  BSs may exchange energy through the grid: BS i injects e_ij and
+BS j may draw beta_ij * e_ij, the rest is network loss.
+``TransferNetwork`` validates the efficiencies once and derives all that
+solves over them share; the solver finds the transfer pattern.
 """
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,27 +17,17 @@ import numpy as np
 
 @dataclass(frozen=True)
 class EnergyState:
-    """Hybrid energy supply of the N BSs of one cluster."""
+    """Per-BS transmit budgets of the N BSs of one cluster."""
 
-    re: np.ndarray           # per-BS renewable rate
-    grid: float = 0.0        # constant grid draw G
-    circuit: float = 0.0     # constant non-transmission power P_C
+    re: np.ndarray           # per-BS budget E_i: one nonempty axis, finite and nonnegative
 
     def __post_init__(self):
         re = np.asarray(self.re, dtype=float)
         object.__setattr__(self, "re", re)
         if re.ndim != 1 or re.size == 0:
-            raise ValueError(f"renewable rates must be a nonempty 1-D array; got shape {re.shape}")
-        if not all(isinstance(v, numbers.Real) for v in (self.grid, self.circuit)):
-            raise ValueError("grid draw G and circuit power P_C must be real scalars")
-        if not np.all(np.isfinite(np.append(re, [self.grid, self.circuit]))):
-            raise ValueError("renewable rates, grid draw and circuit power must be finite")
-        if np.any(re < 0):
-            raise ValueError("renewable rates must be nonnegative")
-        if self.grid < self.circuit:
-            raise ValueError("grid draw G must cover the circuit power P_C")
-        if np.any(self.budget < 0):
-            raise ValueError("transmit budgets must be nonnegative")
+            raise ValueError(f"budgets must be a nonempty 1-D array; got shape {re.shape}")
+        if not np.all((re >= 0) & np.isfinite(re)):
+            raise ValueError(f"budgets must be finite and nonnegative; got {re.tolist()}")
 
     @property
     def n_bs(self) -> int:
@@ -45,8 +35,8 @@ class EnergyState:
 
     @property
     def budget(self) -> np.ndarray:
-        """Per-BS transmit power budget E_i = RE_i + G - P_C."""
-        return self.re + self.grid - self.circuit
+        """Per-BS transmit power budget E_i."""
+        return self.re
 
 
 def as_beta_matrix(beta, n_bs: int) -> np.ndarray:
@@ -140,13 +130,11 @@ def power_region_boundary(budgets, beta, n_samples: int = 101) -> np.ndarray:
     e = np.atleast_1d(np.asarray(budgets, dtype=float))
     if e.size != 2:
         raise ValueError("power_region_boundary supports exactly two BSs")
-    if not np.all((e >= 0) & np.isfinite(e)):
-        raise ValueError(f"budgets must be finite and nonnegative; got {e.tolist()}")
+    e1, e2 = EnergyState(re=e).budget.tolist()
     if n_samples < 3:
         raise ValueError(f"n_samples must be at least 3; got {n_samples}")
     bm = as_beta_matrix(beta, 2)
     b12, b21 = bm[0, 1], bm[1, 0]
-    e1, e2 = float(e[0]), float(e[1])
     p1_max = e1 + (b21 * e2 if b21 > 0 else 0.0)
     if p1_max > e1:
         # Sample both linear segments so the no-transfer corner (E1, E2) is

@@ -116,6 +116,11 @@ class Scenario:
                 raise ScenarioError("energy_db sweep must be ascending")
         if not 0.0 < self.budget_skew < 2.0:
             raise ScenarioError("budget_skew must lie in (0, 2)")
+        if self.cross_gain != "random" and self.cross_gain <= 0:
+            raise ScenarioError("cross_gain must be positive or 'random'")
+        if max((self.ebar_dbw, *self.energy_db)) > 3082.0:
+            raise ScenarioError("energy_db and ebar_dbw must be at most 3082 dB: "
+                                "a higher level in watts overflows a float")
         if self.kind.startswith("two_cell") and self.n_bs != 2:
             raise ScenarioError("two-cell kinds require n_bs = 2")
         if self.kind.startswith("three_cell"):

@@ -53,7 +53,6 @@ class Solution:
     mu: np.ndarray             # per-BS dual prices of the power constraints
     rates: np.ndarray          # per-MT rates (bps/Hz, bandwidth share included)
     objective: float           # weighted sum rate
-    net_exchange: np.ndarray   # per-BS grid draw (+) / injection (-)
     dual_value: float
     duality_gap: float
     iterations: int            # ellipsoid cuts; 0 in closed form or from an accepted start
@@ -630,6 +629,5 @@ def solve_p1(gains: ZfGains, es: EnergyState, beta,
 
     rates = bandwidth * np.log2(1.0 + a * p)
     objective = float(gains.weights @ rates)
-    return Solution(p=p, e=e, mu=mu, rates=rates, objective=objective,
-                    net_exchange=b @ p - budget, dual_value=dual_value,
+    return Solution(p=p, e=e, mu=mu, rates=rates, objective=objective, dual_value=dual_value,
                     duality_gap=float(dual_value - objective), iterations=iters)

@@ -96,17 +96,25 @@ def test_validate_rejects_unread_keys_double_noise_and_negative_mixes(
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
-@pytest.mark.parametrize("text", [
-    "kind = two_cell_sweep\nbetas = 0.5\nseed = -1\n",
-    "kind = three_cell_profile\nn_mt = 5\n",
-], ids=["negative-seed", "uneven-cells"])
-def test_validate_and_run_reject_what_a_run_cannot_draw(tmp_path, capsys, text):
+@pytest.mark.parametrize("text, reason", [
+    ("kind = two_cell_sweep\nbetas = 0.5\nseed = -1\n", "seed must be nonnegative"),
+    ("kind = three_cell_profile\nn_mt = 5\n", "must be a multiple of n_bs=3"),
+    ("kind = two_cell_sweep\nbetas = 0.5\ncross_gain = 0\n", "cross_gain must be positive"),
+    ("kind = two_cell_random\nenergy_db = 0, 10\ncross_gain = -0.5\n",
+     "cross_gain must be positive"),
+    ("kind = two_cell_random\nenergy_db = 0, 3083\n", "overflows a float"),
+    ("kind = three_cell_sweep\nenergy_db = 0, 4000\n", "overflows a float"),
+    ("kind = three_cell_profile\nebar_dbw = 3083\n", "overflows a float"),
+], ids=["negative-seed", "uneven-cells", "zero-cross_gain", "negative-cross_gain",
+        "random-energy_db-overflow", "sweep3-energy_db-overflow", "ebar_dbw-overflow"])
+def test_validate_and_run_reject_what_a_run_cannot_draw(tmp_path, capsys, text, reason):
     path = tmp_path / "bad.scn"
     path.write_text(text)
     assert main(["validate", str(path)]) == 1
     assert main(["run", str(path), "--realizations", "1"]) == 1
     err = capsys.readouterr().err
-    assert err.count(f"error: {path}: ") == 2 and "runtime error" not in err
+    assert err.count(f"error: {path}: ") == err.count(reason) == 2
+    assert "runtime error" not in err
 
 
 def test_run_rejects_a_profile_value_that_is_not_finite(tmp_path, capsys):

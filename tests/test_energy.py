@@ -1,5 +1,7 @@
 """Energy budgets, transfer efficiencies, and the two-station power region."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -10,30 +12,24 @@ from ecomp import (
 )
 
 
-def test_budget_combines_renewable_grid_and_circuit():
-    es = EnergyState(re=np.array([4.0, 1.0]), grid=2.0, circuit=1.5)
-    np.testing.assert_allclose(es.budget, [4.5, 1.5])
-    assert es.n_bs == 2
+def test_budget_is_the_renewable_rate_vector():
+    es = EnergyState(re=[4.0, 1.0, 0.0])
+    np.testing.assert_array_equal(es.budget, [4.0, 1.0, 0.0])
+    assert es.budget is es.re and es.budget.dtype == float
+    assert es.n_bs == 3
 
 
 def test_energy_state_rejects_negative_supply():
     with pytest.raises(ValueError):
         EnergyState(re=np.array([-1.0, 2.0]))
-    with pytest.raises(ValueError):
-        EnergyState(re=np.array([1.0]), grid=0.0, circuit=1.0)
     nan, inf = float("nan"), float("inf")
-    for kwargs in ({"re": [1.0, nan]}, {"re": [inf]}, {"re": [1.0], "grid": nan},
-                   {"re": [1.0], "grid": inf, "circuit": inf},
-                   {"re": [1.0], "circuit": nan}):
+    for kwargs in ({"re": [1.0, nan]}, {"re": [inf]}):
         with pytest.raises(ValueError, match="finite"):
             EnergyState(**kwargs)
-    # Shapes no solver can use: stations must be one nonempty axis, G and P_C scalars.
-    for re in ([[1.0], [2.0]], [[1.0, 2.0]], [], 1.0):
+    # Shapes no solver can use: stations must be one nonempty axis.
+    for rates in ([[1.0], [2.0]], [[1.0, 2.0]], [], 1.0):
         with pytest.raises(ValueError, match="1-D"):
-            EnergyState(re=re)
-    for kwargs in ({"grid": np.array([1.0, 2.0])}, {"grid": "2"}, {"circuit": [0.5]}):
-        with pytest.raises(ValueError, match="scalars"):
-            EnergyState(re=[1.0], **kwargs)
+            EnergyState(re=rates)
 
 
 def test_as_beta_matrix_scalar_expansion():
@@ -97,5 +93,9 @@ def test_power_region_returns_exactly_n_samples_points(beta):
 @pytest.mark.parametrize("budgets", [[-5.0, 3.0], [10.0, -1e-12], [np.nan, 3.0],
                                      [np.inf, 3.0], [3.0, -np.inf]])
 def test_power_region_rejects_negative_and_non_finite_budgets(budgets):
-    with pytest.raises(ValueError, match="finite and nonnegative"):
+    # One budget rule: the region and EnergyState give the same message.
+    message = re.escape(f"budgets must be finite and nonnegative; got {budgets}")
+    with pytest.raises(ValueError, match=message):
         power_region_boundary(budgets, 0.5, 5)
+    with pytest.raises(ValueError, match=message):
+        EnergyState(re=budgets)

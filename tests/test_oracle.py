@@ -100,9 +100,8 @@ def test_kkt_residual_flags_a_perturbed_solution():
     es = EnergyState(re=np.array([9.0, 4.0]))
     sol = solve_p1(g, es, beta=0.6)
     worse = Solution(p=sol.p * 0.8, e=sol.e, mu=sol.mu, rates=sol.rates,
-                     objective=sol.objective, net_exchange=sol.net_exchange,
-                     dual_value=sol.dual_value, duality_gap=sol.duality_gap,
-                     iterations=sol.iterations)
+                     objective=sol.objective, dual_value=sol.dual_value,
+                     duality_gap=sol.duality_gap, iterations=sol.iterations)
     assert kkt_residual(worse, g, es, beta=0.6) > 1e-3
 
 
