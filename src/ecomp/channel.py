@@ -28,7 +28,7 @@ PATHLOSS_EXP = 3.7
 
 
 class FeasibilityError(ValueError):
-    """Raised when cluster dimensions make ZF precoding impossible."""
+    """Raised when a problem cannot be posed: ZF is impossible, or gains times budgets overflow."""
 
 
 class DegeneracyError(ValueError):

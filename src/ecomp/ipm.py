@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .channel import FeasibilityError
 from .solver import LN2, _minimize_dual_separable, _normalize
 
 MAX_ITER = 80
@@ -55,17 +56,16 @@ def _step_limit(v, dv, frac=1.0):
 def ipm_prices(probs) -> list:
     """Group prices of B ``_DualProblem``s of one shape; None where the IPM did not converge.
 
-    The inequality rows are the bounds z = (p, f) >= 0, then the budgets;
-    ``s`` and ``lam`` hold their slacks and multipliers.  Start
-    (infeasible): p = 0.01 min(positive eg) / K, f = 0, the budget
-    multipliers ``box() / 2``, every other multiplier their mean, and slacks
-    max(h - G z, 0.01).  Stop: max|r_dual| <= 1e-10 (1 + max|grad|),
-    max|r_primal| <= 1e-10 (1 + max eg) and s . lam <= 1e-13 |objective|,
-    within ``MAX_ITER`` iterations.  Each Newton system is the augmented
-    one in (dz, dy), ``[H + diag(lam / s), G^T; G, -diag(s / y)]`` with G
-    the budget rows ``[bg | cone^T]``: its entries stay bounded as budgets
-    tighten, where the normal equations' y / s would not.  An instance with
-    a singular system or a value that is not finite gets None.
+    The inequality rows are the bounds z = (p, f) >= 0, then the budgets; ``s`` and ``lam``
+    hold their slacks and multipliers.  Start (infeasible): p = 0.01 min(positive eg) / K,
+    f = 0, every multiplier the one-price water level sum_k w_k / ln2 / (sum_g eg_g +
+    sum_k sum_g bg[g, k] / a_k), at which the terminals, all on, spend the total budget, and
+    slacks max(h - G z, 0.01).  Stop: max|r_dual| <= 1e-10 (1 + max|grad|), max|r_primal| <=
+    1e-10 (1 + max eg) and s . lam <= 1e-13 |objective|, within ``MAX_ITER`` iterations.
+    Each Newton system is the augmented one in (dz, dy), ``[H + diag(lam / s), G^T; G,
+    -diag(s / y)]`` with G the budget rows ``[bg | cone^T]``: its entries stay bounded as
+    budgets tighten, where the normal equations' y / s would not.  An instance with a
+    singular system or a value that is not finite gets None.
     """
     bg = np.array([prob.bg for prob in probs])
     nb, n, k = bg.shape
@@ -83,8 +83,8 @@ def ipm_prices(probs) -> list:
 
     z = np.zeros((nb, q))
     z[:, :k] = (0.01 * np.where(eg > 0, eg, np.inf).min(axis=1) / k)[:, None]
-    y = np.array([prob.box() for prob in probs]) / 2.0
-    lam = np.concatenate([np.repeat(_total(y)[:, None] / n, q, axis=1), y], axis=1)
+    level = _total(w / LN2) / (_total(eg) + _total(_total(bg, axis=1) / a))
+    lam = np.repeat(level[:, None], m, axis=1)
     s = np.maximum(np.concatenate([z, eg - _total(gt * z[:, None, :])], axis=1), 0.01)
     idx, out = np.arange(nb), [None] * nb
 
@@ -146,7 +146,10 @@ def warm_starts(cases) -> list:
     starts = [None] * len(cases)
     buckets = {}
     for i, (gains, es, net) in enumerate(cases):
-        *_, scale, prob = _normalize(gains, es, net)
+        try:
+            *_, scale, prob = _normalize(gains, es, net)
+        except FeasibilityError:    # solve_p1 raises it again, as the draw's row error
+            continue
         if prob is not None and prob.n > 1 and _minimize_dual_separable(prob) is None:
             buckets.setdefault((prob.bg.shape, prob.cone.shape), []).append((i, scale, prob))
     for bucket in buckets.values():

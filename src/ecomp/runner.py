@@ -133,8 +133,7 @@ def _two_cell_draws(scenario, picks):
 
 def _sample_hex_mts(rng, n_bs, per_cell):
     """Uniform terminal positions, ``per_cell`` in each hexagonal cell."""
-    normals = np.array([[math.cos(a), math.sin(a)]
-                        for a in (0.0, math.pi / 3.0, 2.0 * math.pi / 3.0)])
+    normals = [(math.cos(a), math.sin(a)) for a in (0.0, math.pi / 3.0, 2.0 * math.pi / 3.0)]
     apothem = INTER_BS_DISTANCE / 2.0
     points = []
     for i in range(n_bs):
@@ -142,9 +141,10 @@ def _sample_hex_mts(rng, n_bs, per_cell):
         got = 0
         while got < per_cell:
             cand = rng.uniform(-HEX_CIRCUMRADIUS, HEX_CIRCUMRADIUS, size=2)
-            if np.max(np.abs(normals @ cand)) > apothem:
+            c0, c1 = cand.tolist()      # floats: numpy on 2-element arrays costs more
+            if max(abs(n0 * c0 + n1 * c1) for n0, n1 in normals) > apothem:
                 continue
-            if np.linalg.norm(cand) < MIN_MT_DISTANCE:
+            if math.sqrt(c0 * c0 + c1 * c1) < MIN_MT_DISTANCE:
                 continue
             points.append(center + cand)
             got += 1
@@ -298,11 +298,13 @@ def run_scenario(scenario: Scenario, profile: EnergyProfile = None) -> ResultTab
     networks = {spec: no_transfers(scenario.n_bs) if spec.beta is None
                 else TransferNetwork(spec.beta, scenario.n_bs) for spec in scenario.schemes}
     shared = (scenario, profile, networks, points)
-    if workers > 1 and len(units) > 1:
+    w = min(workers, len(units))
+    if w > 1:
+        own = len(units) // w   # the parent runs its share, w - 1 forked children the rest
         import numpy.random  # noqa: F401  (imported once here, every forked worker has it)
-        with ProcessPoolExecutor(max_workers=min(workers, len(units)), initializer=_share,
-                                 initargs=shared) as pool:
-            results = list(pool.map(_eval_unit, units))
+        with ProcessPoolExecutor(max_workers=w - 1, initializer=_share, initargs=shared) as pool:
+            rest = pool.map(_eval_unit, units[own:])
+            results = [_eval_unit(unit, shared) for unit in units[:own]] + list(rest)
     else:
         results = [_eval_unit(unit, shared) for unit in units]
     # Back to point-major order, realizations in unit order at each point.

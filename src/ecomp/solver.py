@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ZfGains
+from .channel import FeasibilityError, ZfGains
 from .energy import EnergyState, TransferNetwork
 from .simplex import InfeasibleError, phase1_feasible
 
@@ -149,7 +149,8 @@ class _DualProblem:
         u = np.divide(self.oracle([1.0] * self.n)[1], self.eg,
                       out=np.full(self.n, np.inf), where=self.eg > 0)
         every = np.all(self.bg > 0, axis=1)
-        caps = self.w * self.a / LN2 / self.bg[every]
+        with np.errstate(over="ignore"):    # an infinite cap bounds nothing
+            caps = self.w * self.a / LN2 / self.bg[every]
         u[every] = np.minimum(u[every], np.max(caps, axis=1))
         via = np.divide(u[:, None], self.paths, out=np.full(self.paths.shape, np.inf),
                         where=self.paths > 0)
@@ -564,15 +565,19 @@ def _normalize(gains: ZfGains, es: EnergyState, net: TransferNetwork, bandwidth:
     those, p = scale * q maps the problem onto one with O(1) budgets and
     gains a * scale, which keeps the absolute solver tolerances meaningful
     at any energy level; ``prob`` is its ``_DualProblem`` (None, and
-    ``scale`` None, when no terminal is kept).
+    ``scale`` None, when no terminal is kept).  FeasibilityError where a
+    gain times ``scale``, or w a scale / ln2, would overflow a float.
     """
     a, b, budget = gains.a, gains.b, es.budget
     w = gains.weights * bandwidth
-    dead = budget + net.paths.T @ budget <= 0.0
+    dead = (budget <= 0.0) & ((budget > 0.0) @ net.paths <= 0.0)
     keep = ~((b > 1e-12) & dead[:, None]).any(axis=0)
     if not keep.any():
         return w, dead, keep, None, None
     scale = float(budget.max())
+    top = max(a.tolist()) * scale       # bounds every scaled gain, and w a / ln2 below
+    if not math.isfinite(max(top, max(w.tolist()) * top / LN2)):
+        raise FeasibilityError(f"gains times the budget scale {scale:g} overflow a float")
     return w, dead, keep, scale, _DualProblem(a[keep] * scale, b[:, keep], w[keep],
                                               budget / scale, net)
 

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, outputs, and exit codes."""
 
+import warnings
 from pathlib import Path
 
 import pytest
@@ -125,6 +126,22 @@ def test_run_rejects_a_profile_value_that_is_not_finite(tmp_path, capsys):
     path.write_text(f"kind = three_cell_profile\nprofile = {profile}\n")
     assert main(["run", str(path), "--realizations", "1"]) == 1
     assert capsys.readouterr().err.startswith(f"error: {profile}: line 3: ")
+
+
+def test_a_budget_whose_scaled_gains_overflow_is_a_row_error(tmp_path, capsys):
+    # 3080 dBW is a valid level, but gains times budgets overflow a float in
+    # some draws: those solves raise FeasibilityError, recorded as row errors,
+    # and nothing on the way emits a RuntimeWarning.
+    path = tmp_path / "huge.scn"
+    path.write_text("kind = three_cell_profile\nebar_dbw = 3080\nslot_stride = 16\n")
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["validate", str(path)]) == 0
+        assert main(["run", str(path), "--realizations", "1", "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert "FeasibilityError: gains times the budget scale" in err
+    assert "runtime error" not in err and len(parse_results(out)) == 24 * 4
 
 
 def test_run_rejects_a_negative_seed_override(tmp_path, capsys):

@@ -59,6 +59,19 @@ def _cases():
     return _cluster_draws(48, 0.9) + _cluster_draws(48, 0.0) + direct
 
 
+def test_the_ipm_starts_without_a_price_box_and_converges_on_every_case(monkeypatch):
+    # The start is the one-price water level, so no box() is built; each
+    # instance runs alone, as its prices do not depend on the batch.
+    def no_box(self):
+        raise AssertionError("ipm_prices built a price box")
+
+    monkeypatch.setattr(solver._DualProblem, "box", no_box)
+    probs = [prob for prob in (_normalize(*case)[4] for case in _cases())
+             if prob is not None and prob.n > 1]
+    assert len(probs) == 195
+    assert all(ipm.ipm_prices([prob])[0] is not None for prob in probs)
+
+
 def test_ipm_starts_certify_at_zero_cuts_and_match_the_cold_solve():
     # Each start is polished before any cut: accepted, the solve matches the
     # cold one within the certificate's gap tolerance.  Of the solves that

@@ -137,6 +137,41 @@ def test_three_cell_budgets_combine_mixes_and_mean_level():
     np.testing.assert_allclose(budgets, [[4.0, 0.0, 2.0], [2.0, 4.0, 3.0]])
 
 
+def _sample_hex_mts_numpy(rng, n_bs, per_cell):
+    """``_sample_hex_mts`` with its accept test on numpy arrays: the float test's reference."""
+    normals = np.array([[math.cos(a), math.sin(a)]
+                        for a in (0.0, math.pi / 3.0, 2.0 * math.pi / 3.0)])
+    points = []
+    for i in range(n_bs):
+        got = 0
+        while got < per_cell:
+            cand = rng.uniform(-runner.HEX_CIRCUMRADIUS, runner.HEX_CIRCUMRADIUS, size=2)
+            if np.max(np.abs(normals @ cand)) > runner.INTER_BS_DISTANCE / 2.0:
+                continue
+            if np.linalg.norm(cand) < runner.MIN_MT_DISTANCE:
+                continue
+            points.append(runner._BS_POSITIONS_3[i] + cand)
+            got += 1
+    return np.array(points)
+
+
+def test_hex_terminals_match_the_numpy_sampler_and_stay_in_their_cells():
+    # A station's hexagon is its cell of the triangular lattice of stations
+    # 1 km apart: no farther from it than from any of its six neighbours.
+    # Every point lies in its station's cell, at least MIN_MT_DISTANCE away.
+    angles = np.radians(np.arange(0.0, 360.0, 60.0))
+    neighbours = 1000.0 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    for seed in range(2000):
+        got = runner._sample_hex_mts(np.random.default_rng(seed), 3, 2)
+        np.testing.assert_array_equal(
+            got, _sample_hex_mts_numpy(np.random.default_rng(seed), 3, 2))
+        rel = got - np.repeat(runner._BS_POSITIONS_3, 2, axis=0)
+        own = np.hypot(*rel.T)
+        assert np.all(own >= runner.MIN_MT_DISTANCE)
+        for nb in neighbours:
+            assert np.all(own <= np.hypot(*(rel - nb).T) + 1e-9)
+
+
 def test_csv_round_trip(tmp_path):
     table = run_scenario(_micro_scenario())
     path = tmp_path / "out.csv"
@@ -437,10 +472,12 @@ def test_golden_kinds_do_not_depend_on_the_worker_count(monkeypatch, kind):
 def test_a_profile_splits_its_points_by_worker_count_and_a_sweep_one_unit_per_chain(monkeypatch):
     # A profile draws fresh terminals at every point, so its unit is a run of
     # consecutive points: one near-equal run per worker, of at most
-    # UNIT_DRAWS draws rounded up to whole points.  The pool forks no more
-    # workers than there are units, and each joint solve starts from its
-    # draw's IPM prices.
+    # UNIT_DRAWS draws rounded up to whole points.  With w = min(workers,
+    # units) > 1 the parent is one of the w workers: it runs the first
+    # units // w units itself and forks w - 1 children for the rest.  Each
+    # joint solve starts from its draw's IPM prices.
     real_solve, real_eval, starts, sent, made = runner.solve_p1, runner._eval_unit, [], [], []
+    pooled = []
 
     def recorded(gains, es, beta, start=None):
         starts.append(start)
@@ -464,6 +501,7 @@ def test_a_profile_splits_its_points_by_worker_count_and_a_sweep_one_unit_per_ch
             return False
 
         def map(self, fn, units):
+            pooled.extend(units)
             return map(fn, units)
 
     monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
@@ -475,32 +513,36 @@ def test_a_profile_splits_its_points_by_worker_count_and_a_sweep_one_unit_per_ch
     want = run_scenario(sc)
     assert sorted({row.slot for row in want.rows}) == [48 * pi for pi in range(8)]
     assert all(row.n == 3 for row in want.rows) and not want.errors
-    # 8 points at 3 realizations; a cap of 7 draws is ceil(7 / 3) = 3 points.
-    for workers, cap, runs, forks in [(1, 128, [8], []), (2, 128, [4, 4], [2]),
-                                     (3, 128, [3, 3, 2], [3]), (5, 128, [2, 2, 2, 2], [4]),
-                                     (1, 7, [3, 3, 2], []), (2, 7, [3, 3, 2], [2])]:
+    # 8 points at 3 realizations; a cap of 7 draws is ceil(7 / 3) = 3 points,
+    # and a cap of 3 draws one point, so the parent runs several units.
+    # ``own`` counts the units the parent runs.
+    for workers, cap, runs, forks, own in [
+            (1, 128, [8], [], 1), (2, 128, [4, 4], [1], 1), (3, 128, [3, 3, 2], [2], 1),
+            (5, 128, [2, 2, 2, 2], [3], 1), (1, 7, [3, 3, 2], [], 3), (2, 7, [3, 3, 2], [1], 1),
+            (2, 3, [1] * 8, [1], 4), (3, 3, [1] * 8, [2], 2)]:
         monkeypatch.setenv("ECOMP_WORKERS", str(workers))
         monkeypatch.setattr(runner, "UNIT_DRAWS", cap)
-        for got in (starts, sent, given, made):
+        for got in (starts, sent, given, made, pooled):
             got.clear()
         table = run_scenario(sc)
         assert _as_tuples(table) == _as_tuples(want) and table.errors == want.errors
         firsts = [sum(runs[:i]) for i in range(len(runs))]
         assert sent == [[(48 * pi, r) for pi in range(first, first + run) for r in range(3)]
                         for first, run in zip(firsts, runs)]
-        assert made == forks
+        assert made == forks and pooled == sent[own:]
         joint = [start for batch in given[::2] for start in batch]   # per unit: joint, comm_only
         assert len(starts) == len(joint) == 24 and all(start is not None for start in joint)
         for start, want_start in zip(starts, joint):
             np.testing.assert_array_equal(start, want_start)
-    # A sweep's unit is a chain, and 8 workers on 4 chains fork 4.
-    sent.clear()
-    made.clear()
+    # A sweep's unit is a chain: 8 workers on 4 chains are 4 workers, the
+    # parent and 3 forks, and the parent runs the first chain.
+    for got in (sent, made, pooled):
+        got.clear()
     sc = _micro_scenario()
     monkeypatch.setenv("ECOMP_WORKERS", "8")
     run_scenario(sc)
     assert sent == [[r] for r in range(sc.n_realizations)]
-    assert made == [4] and sc.n_realizations == 4
+    assert made == [3] and pooled == sent[1:] and sc.n_realizations == 4
 
 
 def test_a_chain_restarts_cold_after_a_failure_and_errors_stay_point_major(monkeypatch):
